@@ -1,7 +1,6 @@
 #include "analysis/algorithm1.hpp"
 
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "analysis/errev.hpp"
@@ -18,24 +17,13 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
   const support::Timer timer;
   const mdp::Mdp& m = model.mdp;
 
-  // One SoA view serves every bisection step (vi/gs only — pi/dense have
-  // no kernel implementation and keep the legacy AoS path). The kernel
-  // fuses the β-reward into the backup, so no per-step reward vector is
-  // materialized; the legacy path reuses one buffer across steps instead.
-  const bool kernel_path =
-      options.solver.use_kernel &&
-      (options.solver.method == mdp::SolverMethod::kValueIteration ||
-       options.solver.method == mdp::SolverMethod::kGaussSeidel);
-  std::optional<mdp::BellmanKernel> kernel;
-  if (kernel_path) kernel.emplace(m);
-  std::vector<double> rewards;  // legacy-path buffer, reused across steps
-
+  // One SoA view serves every bisection step. The kernel fuses the
+  // β-reward into the backup, so no per-step reward vector is
+  // materialized (pi/dense, which have no kernel implementation, render
+  // one inside the facade).
+  const mdp::BellmanKernel kernel(m);
   const auto solve_at = [&](double beta, const std::vector<double>* seed) {
-    if (kernel_path) {
-      return mdp::solve_mean_payoff(*kernel, beta, options.solver, seed);
-    }
-    m.beta_rewards_into(beta, rewards);
-    return mdp::solve_mean_payoff(m, rewards, options.solver, seed);
+    return mdp::solve_mean_payoff(kernel, beta, options.solver, seed);
   };
 
   AnalysisResult result;

@@ -30,16 +30,12 @@ std::string JobKey::hex() const {
   return buffer;
 }
 
-/// SolveOptions::threads, ::use_kernel, and the gather/prefetch tuning are
-/// deliberately absent: the kernel is pinned bit-identical to the legacy
-/// path at any thread count and gather mode (test_mdp_kernel), so none of
-/// those knobs can change a stored result. The sweep mode IS rendered —
-/// ordered and red-black Gauss–Seidel are distinct certified iterate
-/// paths that converge to different (equally certified) numbers.
+/// SolveOptions::threads is deliberately absent: the kernel is pinned
+/// bit-identical at any thread count (test_mdp_kernel), so it cannot
+/// change a stored result.
 std::string solver_options_id(const analysis::AnalysisOptions& options) {
   std::string id = "eps=" + canonical_double(options.epsilon);
   id += "|solver=" + mdp::to_string(options.solver.method);
-  id += "|sweep=" + std::string(mdp::to_string(options.solver.tuning.sweep_mode));
   id += "|tol=" + canonical_double(options.solver.mean_payoff.tol);
   id += "|maxit=" + std::to_string(options.solver.mean_payoff.max_iterations);
   id += "|tau=" + canonical_double(options.solver.mean_payoff.tau);

@@ -28,10 +28,10 @@ namespace engine {
 /// sweep — boundary states can pick a different ε-optimal action, so
 /// errev_of_policy may shift within the ε band.
 /// v3: the Gauss–Seidel solver grew a second certified iterate path
-/// (SweepMode::kRedBlack, parallel two-phase colored sweeps) and job keys
-/// grew a `sweep=` token; bumping the salt makes every pre-v3 entry miss
-/// so cached artifacts never mix iterate paths. (Gather/prefetch tuning
-/// is byte-identical and deliberately NOT keyed, like `threads`.)
+/// (red-black colored sweeps) and job keys a `sweep=` token, so every
+/// pre-v3 entry misses. That path and the token are gone again; no
+/// result changed, so the salt stays at 3 and only the key text differs
+/// (entries written with a `sweep=` token simply miss).
 inline constexpr std::uint32_t kCodeVersionSalt = 3;
 
 /// One Algorithm 1 evaluation: build the model for `params`, analyze with

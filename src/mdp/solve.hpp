@@ -5,6 +5,7 @@
 // of an off-the-shelf model checker as a black box).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "mdp/bellman_kernel.hpp"
@@ -25,6 +26,17 @@ enum class SolverMethod {
 SolverMethod parse_solver_method(const std::string& name);
 std::string to_string(SolverMethod method);
 
+/// The kernel's one gather path, the fused scalar loop. Nothing reads
+/// this: it survives only because perfbench/src/common.cpp:179
+/// (pinned_analysis_options) assigns `tuning.gather = GatherMode::kScalar`,
+/// and goes when that line does.
+enum class GatherMode : std::uint8_t { kScalar = 0 };
+
+/// Holder for GatherMode on SolveOptions; see GatherMode.
+struct KernelTuning {
+  GatherMode gather = GatherMode::kScalar;
+};
+
 struct SolveOptions {
   SolverMethod method = SolverMethod::kValueIteration;
   MeanPayoffOptions mean_payoff;  ///< Tolerances for VI / PI evaluation.
@@ -33,26 +45,15 @@ struct SolveOptions {
   /// (test_mdp_kernel), so this is pure speed — the engine's job keys
   /// deliberately exclude it.
   int threads = 1;
-  /// Route vi/gs solves through the SoA mdp::BellmanKernel (the fast
-  /// path). Off = the legacy AoS reference implementation; both produce
-  /// bit-identical results, so this knob too is excluded from job keys.
-  bool use_kernel = true;
-  /// Kernel speed/iterate-path knobs. `tuning.gather` and
-  /// `tuning.prefetch_distance` are byte-identical speed knobs (excluded
-  /// from job keys, like `threads`); `tuning.sweep_mode` selects the
-  /// certified Gauss–Seidel iterate path and DOES participate in job
-  /// identity (engine::solver_options_id renders it). The red-black mode
-  /// requires the kernel gs path — the legacy AoS reference implements
-  /// only ordered sweeps.
-  KernelTuning tuning;
+  KernelTuning tuning;  ///< Read by nothing; see GatherMode.
 };
 
 /// Maximizes the mean payoff of `mdp` for the per-action reward vector.
 /// `warm_start` (value vector from a previous related solve) is honored by
-/// the value-iteration method and ignored by the others. This entry walks
-/// the legacy AoS arrays and ignores `threads`/`use_kernel`; it is the
-/// reference path (build a BellmanKernel and use the overload below for
-/// the optimized one).
+/// the vi and gs methods and ignored by pi and dense. This entry walks the
+/// legacy AoS arrays and ignores `threads`; it is the reference path that
+/// test_mdp_kernel pins the kernel against (build a BellmanKernel and use
+/// the overload below for the production one).
 MeanPayoffResult solve_mean_payoff(const Mdp& mdp,
                                    const std::vector<double>& action_reward,
                                    const SolveOptions& options = {},

@@ -97,35 +97,32 @@ TEST(EngineKeys, SaltV3InvalidatesPreRedBlackCaches) {
   EXPECT_EQ(key.canonical.find("analysis/v2"), std::string::npos);
 }
 
-TEST(EngineKeys, SweepModeIsPartOfTheIdentity) {
-  // Ordered and red-black gs converge to different (equally certified)
-  // numbers, so the sweep mode must split job identities — while the
-  // byte-identical speed knobs (threads, use_kernel, gather, prefetch)
-  // must NOT.
+TEST(EngineKeys, ThreadsAndSweepOrderStayOutOfTheIdentity) {
+  // Solver threads are a byte-identical speed knob, so they must not
+  // split job identities. Gauss–Seidel has one iterate path (ordered
+  // sweeps), so no key carries a sweep-order token either; every job
+  // kind renders its solver through solver_options_id.
   engine::AnalysisJob job;
   job.params = base_params();
   job.params.p = 0.2;
   job.options = quick_options();
-  job.options.solver.method = mdp::SolverMethod::kGaussSeidel;
-  const engine::JobKey ordered = engine::analysis_job_key(job, nullptr);
-  EXPECT_NE(ordered.canonical.find("|sweep=ordered|"), std::string::npos)
-      << ordered.canonical;
+  for (const auto method :
+       {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kGaussSeidel}) {
+    job.options.solver.method = method;
+    const engine::JobKey key = engine::analysis_job_key(job, nullptr);
+    EXPECT_EQ(key.canonical.find("sweep="), std::string::npos)
+        << key.canonical;
+    EXPECT_EQ(engine::solver_options_id(job.options).find("sweep="),
+              std::string::npos);
 
-  engine::AnalysisJob red = job;
-  red.options.solver.tuning.sweep_mode = mdp::SweepMode::kRedBlack;
-  const engine::JobKey redblack = engine::analysis_job_key(red, nullptr);
-  EXPECT_NE(redblack.canonical.find("|sweep=redblack|"), std::string::npos)
-      << redblack.canonical;
-  EXPECT_NE(ordered.hash, redblack.hash);
-  EXPECT_NE(engine::analysis_chain_id(job), engine::analysis_chain_id(red));
-
-  engine::AnalysisJob tuned = job;
-  tuned.options.solver.threads = 8;
-  tuned.options.solver.use_kernel = false;
-  tuned.options.solver.tuning.gather = mdp::GatherMode::kScalar;
-  tuned.options.solver.tuning.prefetch_distance = 0;
-  EXPECT_EQ(engine::analysis_job_key(tuned, nullptr).hash, ordered.hash)
-      << "speed-only knobs must not change stored identities";
+    engine::AnalysisJob threaded = job;
+    threaded.options.solver.threads = 8;
+    EXPECT_EQ(engine::analysis_job_key(threaded, nullptr).canonical,
+              key.canonical)
+        << "solver threads must not change stored identities";
+    EXPECT_EQ(engine::analysis_chain_id(threaded),
+              engine::analysis_chain_id(job));
+  }
 }
 
 TEST(Engine, MatchesSequentialReferenceBitwise) {

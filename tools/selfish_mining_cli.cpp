@@ -95,10 +95,6 @@ void declare_model_options(support::Options& options) {
                   "fork-choice variant: discard forks that lose tie races");
   options.declare("epsilon", "0.001", "Algorithm 1 precision");
   options.declare("solver", "vi", "mean-payoff solver: vi | gs | pi | dense");
-  options.declare("sweep-mode", "ordered",
-                  "gs iterate path: ordered (serial sweeps, certified "
-                  "reference) | redblack (parallel two-phase colored "
-                  "sweeps; distinct certified path, keyed into job ids)");
   options.declare("cache", "",
                   "binary model cache file: reused when valid, written "
                   "after a fresh build (worthwhile for d >= 3)");
@@ -146,14 +142,6 @@ void declare_solver_threads(support::Options& options) {
   options.declare("threads", "0",
                   "Bellman-sweep worker threads per mean-payoff solve "
                   "(0 = all cores); results are bit-identical at any count");
-  options.declare("gather", "auto",
-                  "v[target] gather path: auto | scalar | avx2 | avx512 "
-                  "(auto calibrates scalar vs the widest ISA the CPU "
-                  "supports; every mode is byte-identical)");
-  options.declare("prefetch-distance",
-                  std::to_string(mdp::kDefaultPrefetchDistance),
-                  "software-prefetch lookahead in transitions for scalar "
-                  "sweeps (0 = off); pure speed knob");
 }
 
 analysis::AnalysisOptions analysis_from(const support::Options& options,
@@ -162,17 +150,6 @@ analysis::AnalysisOptions analysis_from(const support::Options& options,
   out.epsilon = options.get_double("epsilon");
   out.solver.method = mdp::parse_solver_method(options.get_string("solver"));
   out.solver.threads = solver_threads;
-  // --sweep-mode rides with the model/solver options (it is
-  // result-affecting and flows into job keys); the gather/prefetch speed
-  // knobs are declared only by commands that run solves directly.
-  out.solver.tuning.sweep_mode =
-      mdp::parse_sweep_mode(options.get_string("sweep-mode"));
-  if (options.knows("gather")) {
-    out.solver.tuning.gather =
-        mdp::parse_gather_mode(options.get_string("gather"));
-    out.solver.tuning.prefetch_distance =
-        options.get_int("prefetch-distance");
-  }
   return out;
 }
 
@@ -287,6 +264,8 @@ int cmd_simulate(int argc, const char* const* argv) {
                   "saved by `analyze --save-strategy`");
   declare_solver_threads(options);
   if (!parse_or_help(options, argc, argv)) return 0;
+  const int steps = options.get_int("steps");
+  SM_REQUIRE(steps > 0, "--steps must be positive, got ", steps);
 
   const auto params = params_from(options);
   const auto model = model_from(options);
@@ -307,7 +286,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   }
 
   sim::SimulationOptions sim_options;
-  sim_options.steps = static_cast<std::uint64_t>(options.get_int("steps"));
+  sim_options.steps = static_cast<std::uint64_t>(steps);
   sim_options.warmup_steps = sim_options.steps / 20;
   sim_options.seed = static_cast<std::uint64_t>(options.get_int("seed"));
   const auto result = sim::simulate(params, *strategy, sim_options);
