@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "analysis/sweep.hpp"
+#include "engine/kinds.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
@@ -30,10 +31,7 @@ support::Options standard_options(int argc, const char* const* argv,
                   "run the paper's full grids (incl. d=4,f=2); also via "
                   "SELFISH_BENCH_FULL=1" +
                       (extra_help.empty() ? "" : ". " + extra_help));
-  options.declare("epsilon", "0.001",
-                  "binary-search precision of Algorithm 1");
-  options.declare("solver", "vi",
-                  "mean-payoff solver: vi | gs | pi | dense");
+  engine::declare_options(options, analysis::AnalysisOptions{});
   options.declare("threads", "0",
                   "worker threads for parallel harness stages (0 = all "
                   "cores); also via SELFISH_THREADS");
@@ -76,8 +74,7 @@ engine::EngineOptions engine_options(const support::Options& options) {
 analysis::AnalysisOptions analysis_options(const support::Options& options,
                                            bool solver_threads) {
   analysis::AnalysisOptions out;
-  out.epsilon = options.get_double("epsilon");
-  out.solver.method = mdp::parse_solver_method(options.get_string("solver"));
+  engine::read_options(options, out);
   // Engine-driven grids keep per-solve threads at 1 (the chains already
   // fan out across --threads); one-solve-at-a-time drivers hand the whole
   // budget to the kernel's Bellman sweeps instead.

@@ -455,8 +455,7 @@ void report(const char* label, const PassResult& pass,
                 quantile_ms(hist, 0.99).c_str(),
                 static_cast<unsigned long long>(hist.count));
   } else {
-    std::printf("      server histograms empty (obs runtime-disabled or "
-                "compiled out)\n");
+    std::printf("      server histograms empty (obs runtime-disabled)\n");
   }
   if (server.requests > 0) {
     const double hits = server.lru + server.store + server.coalesced;

@@ -1,6 +1,8 @@
 #include "engine/kinds.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -8,7 +10,9 @@
 #include "analysis/render.hpp"
 #include "analysis/sweep.hpp"
 #include "engine/engine.hpp"
+#include "mdp/solve.hpp"
 #include "net/batch.hpp"
+#include "net/network.hpp"
 #include "selfish/build.hpp"
 #include "support/check.hpp"
 
@@ -117,6 +121,25 @@ GenericResult run_net_batch(const GenericJob& job, const ExecContext& ctx) {
   return out;
 }
 
+template <typename Query, GenericJob (*make)(const Query&)>
+GenericJob visit_query(FieldVisitor& visitor) {
+  Query query;
+  visit_fields(visitor, query);
+  visitor.done();
+  return make(query);
+}
+
+constexpr JobKind kJobKinds[] = {
+    {"point", visit_query<PointQuery, make_point_job>, run_point},
+    {"sweep", visit_query<SweepQuery, make_sweep_job>, run_sweep},
+    {"threshold", visit_query<ThresholdQuery, make_threshold_job>,
+     run_threshold},
+    {"upper-bound", visit_query<UpperBoundQuery, make_upper_bound_job>,
+     run_upper_bound},
+    {"net-batch", visit_query<NetBatchQuery, make_net_batch_job>,
+     run_net_batch},
+};
+
 }  // namespace
 
 GenericJob make_point_job(const PointQuery& query) {
@@ -215,14 +238,161 @@ GenericJob make_net_batch_job(const NetBatchQuery& query) {
 const ExecutorRegistry& builtin_executors() {
   static const ExecutorRegistry registry = [] {
     ExecutorRegistry r;
-    r.add("point", run_point);
-    r.add("sweep", run_sweep);
-    r.add("threshold", run_threshold);
-    r.add("upper-bound", run_upper_bound);
-    r.add("net-batch", run_net_batch);
+    for (const JobKind& kind : kJobKinds) r.add(kind.name, kind.run);
     return r;
   }();
   return registry;
+}
+
+// ---------------------------------------------------------------- schema
+
+std::uint64_t checked_count(const std::string& name, double value) {
+  if (value != std::floor(value) || value < 0.0 ||
+      value > 9.007199254740992e15) {
+    throw support::InvalidArgument("field \"" + name +
+                                   "\" must be a non-negative integer");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+namespace {
+
+/// The model fields selfish::AttackParams and net::ScenarioOptions share.
+template <typename Model>
+void visit_model(FieldVisitor& visitor, Model& model) {
+  visitor.field("p", &model.p, "adversary's relative resource in [0,1]");
+  visitor.field("gamma", &model.gamma, "tie-race switching probability");
+  visitor.field("d", &model.d, "attack depth");
+  visitor.field("f", &model.f, "forks per public block");
+  visitor.field("l", &model.l, "maximal private fork length");
+}
+
+void visit_epsilon(FieldVisitor& visitor, double& epsilon) {
+  visitor.field("epsilon", &epsilon, "Algorithm 1 precision");
+}
+
+/// A member's value as option text: numbers in their shortest rendering
+/// that reads back ("0.3", "600"), flags as true/false.
+std::string option_text(Field member) {
+  return std::visit(
+      FieldCases{
+          [](const double* value) {
+            char text[32];
+            const auto end = std::to_chars(text, text + sizeof(text), *value);
+            return std::string(text, end.ptr);
+          },
+          [](const bool* value) -> std::string {
+            return *value ? "true" : "false";
+          },
+          [](const std::string* value) { return *value; },
+          [](const auto* value) { return std::to_string(*value); }},
+      member);
+}
+
+}  // namespace
+
+void visit_fields(FieldVisitor& visitor, selfish::AttackParams& params) {
+  visit_model(visitor, params);
+  visitor.field("burn-lost-races", &params.burn_lost_races,
+                "fork-choice variant: discard forks that lose tie races");
+}
+
+void visit_fields(FieldVisitor& visitor,
+                  analysis::AnalysisOptions& options) {
+  visit_epsilon(visitor, options.epsilon);
+  std::string solver = mdp::to_string(options.solver.method);
+  visitor.field("solver", &solver, "mean-payoff solver: vi | gs | pi | dense");
+  options.solver.method = mdp::parse_solver_method(solver);
+}
+
+void visit_fields(FieldVisitor& visitor, PointQuery& query) {
+  visit_fields(visitor, query.params);
+  visit_fields(visitor, query.analysis);
+  visitor.field("stats", &query.stats, "print aggregate strategy statistics");
+}
+
+void visit_fields(FieldVisitor& visitor, SweepQuery& query) {
+  visit_fields(visitor, query.base);
+  visit_fields(visitor, query.analysis);
+  visitor.field("pmin", &query.p_min, "smallest resource");
+  visitor.field("pmax", &query.p_max, "largest resource");
+  visitor.field("step", &query.step, "resource grid step");
+}
+
+void visit_fields(FieldVisitor& visitor, ThresholdQuery& query) {
+  visit_fields(visitor, query.base);
+  visit_fields(visitor, query.options.analysis);
+  visitor.field("margin", &query.options.unfairness_margin,
+                "excess revenue that counts as unfair");
+  visitor.field("ptol", &query.options.p_tolerance, "p bracket width");
+}
+
+void visit_fields(FieldVisitor& visitor, UpperBoundQuery& query) {
+  visit_fields(visitor, query.base);
+  visit_fields(visitor, query.options.analysis);
+  visitor.field("lmin", &query.options.l_min, "smallest fork cap to analyze");
+  visitor.field("lmax", &query.options.l_max, "largest fork cap to analyze");
+}
+
+void visit_fields(FieldVisitor& visitor, NetBatchQuery& query) {
+  net::ScenarioOptions& o = query.options;
+  visitor.field("scenario", &query.scenario,
+                "scenario family to run (`network --help` lists them)");
+  visit_model(visitor, o);
+  visitor.field("delay", &o.delay, "one-way propagation delay (seconds)");
+  visitor.field("interval", &o.block_interval, "mean block interval (seconds)");
+  visitor.field("blocks", &o.blocks, "mining events per run");
+  visitor.field("honest", &o.honest_miners,
+                "honest miners sharing the honest power");
+  visitor.field("strategy", &o.strategy,
+                "strategy of kStrategy attackers: optimal | honest | "
+                "never-release | file:<path> (file: on the CLI only)");
+  std::string propagation = net::to_string(o.propagation);
+  visitor.field("propagation", &propagation,
+                "block propagation: direct (origin-to-all) | gossip "
+                "(store-and-forward along topology links)");
+  o.propagation = net::propagation_from_string(propagation);
+  visitor.field("partition-start", &o.partition_start,
+                "partition-attack: split start as a fraction of the "
+                "expected run duration");
+  visitor.field("partition-stop", &o.partition_stop,
+                "partition-attack: heal time as a fraction of the "
+                "expected run duration");
+  visitor.field("partition-frac", &o.partition_fraction,
+                "partition-attack: fraction of the honest miners "
+                "isolated from the attacker's side");
+  visitor.field("asymmetry", &o.asymmetry,
+                "asymmetric-star: honest up-spoke delay multiplier "
+                "(announce at asymmetry*delay, listen at delay)");
+  visitor.field("runs", &query.runs, "seeds per scenario point");
+  visitor.field("seed", &query.seed, "base seed of the batch");
+  visit_epsilon(visitor, query.epsilon);
+}
+
+std::span<const JobKind> job_kinds() { return kJobKinds; }
+
+const JobKind* find_job_kind(std::string_view name) {
+  for (const JobKind& kind : kJobKinds) {
+    if (name == kind.name) return &kind;
+  }
+  return nullptr;
+}
+
+void OptionFields::field(const char* name, Field member, const char* help) {
+  if (declaring_ != nullptr) {
+    declaring_->declare(name, option_text(member), help);
+    return;
+  }
+  std::visit(
+      FieldCases{
+          [&](double* value) { *value = options_.get_double(name); },
+          [&](int* value) { *value = options_.get_int(name); },
+          [&](std::uint64_t* value) {
+            *value = checked_count(name, options_.get_double(name));
+          },
+          [&](bool* value) { *value = options_.get_bool(name); },
+          [&](std::string* value) { *value = options_.get_string(name); }},
+      member);
 }
 
 }  // namespace engine

@@ -23,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"  // SELFISH_OBS_ENABLED
-
 namespace obs {
 
 /// One completed span, fixed-size. `attrs` holds the rendered JSON attrs
@@ -42,8 +40,6 @@ struct FlightRecord {
   double start = 0.0;
   double dur = 0.0;
 };
-
-#if SELFISH_OBS_ENABLED
 
 /// Ring capacity in records (compile-time constant, exposed for tests).
 std::size_t flight_capacity();
@@ -65,17 +61,5 @@ std::string render_span_line(const FlightRecord& record);
 
 /// Clears the ring (tests).
 void flight_reset();
-
-#else  // !SELFISH_OBS_ENABLED
-
-inline std::size_t flight_capacity() { return 0; }
-inline void flight_record(const FlightRecord&) {}
-inline std::vector<FlightRecord> flight_snapshot() { return {}; }
-inline std::string flight_dump_ndjson() {
-  return "# selfish-mining observability compiled out (SELFISH_OBS=0)\n";
-}
-inline void flight_reset() {}
-
-#endif  // SELFISH_OBS_ENABLED
 
 }  // namespace obs

@@ -1,6 +1,18 @@
 #include "obs/log.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
+
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "support/timer.hpp"
 
 namespace obs {
 
@@ -16,39 +28,6 @@ const char* level_name(LogLevel level) {
   }
   return "?";
 }
-
-}  // namespace
-
-LogLevel parse_log_level(const std::string& name) {
-  for (const LogLevel level :
-       {LogLevel::kOff, LogLevel::kError, LogLevel::kWarn, LogLevel::kInfo,
-        LogLevel::kDebug}) {
-    if (name == level_name(level)) return level;
-  }
-  throw std::runtime_error(
-      "invalid log level \"" + name +
-      "\" (expected off | error | warn | info | debug)");
-}
-
-}  // namespace obs
-
-#if SELFISH_OBS_ENABLED
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <mutex>
-#include <utility>
-
-#include "obs/trace.hpp"
-#include "support/timer.hpp"
-
-namespace obs {
-
-namespace {
 
 std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
 
@@ -77,6 +56,17 @@ double wall_seconds() {
 }
 
 }  // namespace
+
+LogLevel parse_log_level(const std::string& name) {
+  for (const LogLevel level :
+       {LogLevel::kOff, LogLevel::kError, LogLevel::kWarn, LogLevel::kInfo,
+        LogLevel::kDebug}) {
+    if (name == level_name(level)) return level;
+  }
+  throw std::runtime_error(
+      "invalid log level \"" + name +
+      "\" (expected off | error | warn | info | debug)");
+}
 
 LogLevel log_level() {
   return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
@@ -167,5 +157,3 @@ void log(LogLevel level, const char* component, const std::string& message,
 }
 
 }  // namespace obs
-
-#endif  // SELFISH_OBS_ENABLED

@@ -68,8 +68,6 @@ std::vector<double> exponential_buckets(double start, double factor,
   return bounds;
 }
 
-#if SELFISH_OBS_ENABLED
-
 namespace detail {
 
 namespace {
@@ -364,14 +362,5 @@ Histogram& histogram(const std::string& name, const std::string& help,
 }
 
 std::string prometheus_text() { return registry().expose(); }
-
-#else  // !SELFISH_OBS_ENABLED
-
-Registry& registry() {
-  static Registry instance;
-  return instance;
-}
-
-#endif  // SELFISH_OBS_ENABLED
 
 }  // namespace obs

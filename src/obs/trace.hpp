@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/metrics.hpp"  // SELFISH_OBS_ENABLED
 #include "serve/json.hpp"
 #include "support/timer.hpp"
 
@@ -53,8 +52,6 @@ std::string format_trace_id(std::uint64_t id);
 /// Parses 1..16 hex digits into an id; returns 0 (never a valid id) on
 /// malformed input, including "0" itself.
 std::uint64_t parse_trace_id(const std::string& hex);
-
-#if SELFISH_OBS_ENABLED
 
 /// The calling thread's current trace context (zeros when no span is
 /// open on this thread).
@@ -122,29 +119,5 @@ class Span {
   // members are destroyed, and it reads name_/start_/attrs_.
   support::ScopedTimer timer_;
 };
-
-#else  // !SELFISH_OBS_ENABLED
-
-inline TraceContext current_context() { return {}; }
-
-class ContextScope {
- public:
-  explicit ContextScope(TraceContext) {}
-};
-
-inline void open_trace(const std::string&) {}
-inline void close_trace() {}
-inline bool tracing() { return false; }
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  Span(const char*, std::uint64_t) {}
-  void attr(const char*, serve::Json) {}
-  std::uint64_t trace_id() const { return 0; }
-  std::uint64_t span_id() const { return 0; }
-};
-
-#endif  // SELFISH_OBS_ENABLED
 
 }  // namespace obs

@@ -15,7 +15,7 @@ inline constexpr int kMaxForkLength = 15;  ///< Upper bound on l.
 
 /// The five model parameters (p, γ, d, f, l) of §3.2.
 struct AttackParams {
-  double p = 0.1;      ///< Adversary's relative resource, in [0, 1].
+  double p = 0.3;      ///< Adversary's relative resource, in [0, 1].
   double gamma = 0.5;  ///< Tie-race switching probability, in [0, 1].
   int d = 2;           ///< Attack depth: forks on the last d public blocks.
   int f = 1;           ///< Forking number: private forks per public block.

@@ -5,14 +5,13 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "engine/kinds.hpp"
 #include "fleet/auth.hpp"
-#include "mdp/solve.hpp"
-#include "net/network.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -22,21 +21,31 @@ namespace serve {
 
 namespace {
 
+/// Every kind a request may name: the built-in job kinds, then kAdminKinds.
+std::vector<std::string> request_kinds() {
+  std::vector<std::string> kinds;
+  for (const engine::JobKind& kind : engine::job_kinds()) {
+    kinds.emplace_back(kind.name);
+  }
+  kinds.insert(kinds.end(), kAdminKinds.begin(), kAdminKinds.end());
+  return kinds;
+}
+
 /// Per-kind request latency histogram. Handles for every kind the
 /// protocol knows are resolved once (the registry lock is taken only
 /// here, at first use); unknown/malformed requests land in kind="other".
 obs::Histogram& request_latency(const std::string& kind) {
   static const std::map<std::string, obs::Histogram*> histograms = [] {
+    std::vector<std::string> known = request_kinds();
+    known.emplace_back("other");
     std::map<std::string, obs::Histogram*> handles;
-    for (const char* known :
-         {"point", "sweep", "threshold", "upper-bound", "net-batch", "ping",
-          "stats", "metrics", "trace-dump", "shutdown", "other"}) {
+    for (const std::string& name : known) {
       handles.emplace(
-          known, &obs::histogram(
-                     "selfish_serve_request_seconds",
-                     "End-to-end request latency (parse through render)",
-                     obs::exponential_buckets(1e-5, 4.0, 14),
-                     std::string("kind=\"") + known + "\""));
+          name, &obs::histogram(
+                    "selfish_serve_request_seconds",
+                    "End-to-end request latency (parse through render)",
+                    obs::exponential_buckets(1e-5, 4.0, 14),
+                    "kind=\"" + name + "\""));
     }
     return handles;
   }();
@@ -88,166 +97,58 @@ ExemplarTable& exemplars() {
   return table;
 }
 
-/// Typed, default-aware field access over a request object. Every field a
-/// kind understands is read exactly once; finish() rejects leftovers so
-/// typos surface as errors instead of silently applying defaults (the
+/// The protocol's front end of the job-kind schema: writes each request
+/// member into the query field of the same name, type-checked, and leaves
+/// absent fields at their defaults. done() rejects members no field took,
+/// so typos surface as errors instead of silently applying defaults (the
 /// same contract support::Options enforces for CLI flags).
-class FieldReader {
+class FieldReader final : public engine::FieldVisitor {
  public:
   explicit FieldReader(const Json& object) : object_(object) {
-    consumed_.insert("id");
-    consumed_.insert("kind");
-    consumed_.insert("v");         // parsed by parse_request_object
-    consumed_.insert("trace_id");  // parsed by parse_request_object
-  }
-
-  double number(const std::string& name, double fallback) {
-    const Json* value = take(name);
-    return value == nullptr ? fallback : value->as_number();
-  }
-
-  int integer(const std::string& name, int fallback) {
-    const Json* value = take(name);
-    if (value == nullptr) return fallback;
-    const double raw = value->as_number();
-    if (raw != std::floor(raw) || raw < -2147483648.0 || raw > 2147483647.0) {
-      throw ProtocolError("field \"" + name + "\" must be an integer");
+    taken_.reserve(object.as_object().size());
+    for (const char* envelope : {"id", "kind", "v", "trace_id"}) {
+      if (object.find(envelope) != nullptr) taken_.push_back(envelope);
     }
-    return static_cast<int>(raw);
   }
 
-  std::uint64_t unsigned64(const std::string& name, std::uint64_t fallback) {
-    const Json* value = take(name);
-    if (value == nullptr) return fallback;
-    const double raw = value->as_number();
-    if (raw != std::floor(raw) || raw < 0.0 || raw > 9.007199254740992e15) {
-      throw ProtocolError("field \"" + name +
-                          "\" must be a non-negative integer");
-    }
-    return static_cast<std::uint64_t>(raw);
+  void field(const char* name, engine::Field member, const char*) override {
+    const Json* value = object_.find(name);
+    if (value == nullptr) return;
+    taken_.push_back(name);
+    std::visit(
+        engine::FieldCases{
+            [&](double* number) { *number = value->as_number(); },
+            [&](int* integer) {
+              const double raw = value->as_number();
+              if (raw != std::floor(raw) || raw < -2147483648.0 ||
+                  raw > 2147483647.0) {
+                throw ProtocolError("field \"" + std::string(name) +
+                                    "\" must be an integer");
+              }
+              *integer = static_cast<int>(raw);
+            },
+            [&](std::uint64_t* count) {
+              *count = engine::checked_count(name, value->as_number());
+            },
+            [&](bool* flag) { *flag = value->as_bool(); },
+            [&](std::string* text) { *text = value->as_string(); }},
+        member);
   }
 
-  bool boolean(const std::string& name, bool fallback) {
-    const Json* value = take(name);
-    return value == nullptr ? fallback : value->as_bool();
-  }
-
-  std::string string(const std::string& name, const std::string& fallback) {
-    const Json* value = take(name);
-    return value == nullptr ? fallback : value->as_string();
-  }
-
-  /// Rejects fields no reader consumed.
-  void finish() const {
-    for (const auto& [name, value] : object_.as_object()) {
-      if (consumed_.count(name) == 0) {
+  void done() override {
+    const JsonMembers& members = object_.as_object();
+    if (taken_.size() == members.size()) return;
+    for (const auto& [name, value] : members) {
+      if (std::find(taken_.begin(), taken_.end(), name) == taken_.end()) {
         throw ProtocolError("unknown field \"" + name + "\"");
       }
     }
   }
 
  private:
-  const Json* take(const std::string& name) {
-    consumed_.insert(name);
-    return object_.find(name);
-  }
-
   const Json& object_;
-  std::set<std::string> consumed_;
+  std::vector<std::string_view> taken_;  ///< Envelope and field members.
 };
-
-/// The shared model/solver fields, with the CLI subcommands' defaults.
-/// These fallbacks MUST equal the declare() defaults in
-/// tools/selfish_mining_cli.cpp — that equality is what makes an empty
-/// query byte-identical to the default subcommand invocation
-/// (test_serve's DefaultsMatchTheCliSubcommands pins this side).
-selfish::AttackParams params_from(FieldReader& fields) {
-  selfish::AttackParams params;
-  params.p = fields.number("p", 0.3);
-  params.gamma = fields.number("gamma", 0.5);
-  params.d = fields.integer("d", 2);
-  params.f = fields.integer("f", 1);
-  params.l = fields.integer("l", 4);
-  params.burn_lost_races = fields.boolean("burn-lost-races", false);
-  return params;
-}
-
-analysis::AnalysisOptions analysis_from(FieldReader& fields) {
-  analysis::AnalysisOptions options;
-  options.epsilon = fields.number("epsilon", 1e-3);
-  options.solver.method =
-      mdp::parse_solver_method(fields.string("solver", "vi"));
-  return options;
-}
-
-engine::GenericJob build_job(const std::string& kind, const Json& object) {
-  FieldReader fields(object);
-  engine::GenericJob job;
-  if (kind == "point") {
-    engine::PointQuery query;
-    query.params = params_from(fields);
-    query.analysis = analysis_from(fields);
-    query.stats = fields.boolean("stats", true);
-    fields.finish();
-    job = engine::make_point_job(query);
-  } else if (kind == "sweep") {
-    engine::SweepQuery query;
-    query.base = params_from(fields);
-    query.analysis = analysis_from(fields);
-    query.p_min = fields.number("pmin", 0.0);
-    query.p_max = fields.number("pmax", 0.3);
-    query.step = fields.number("step", 0.05);
-    fields.finish();
-    job = engine::make_sweep_job(query);
-  } else if (kind == "threshold") {
-    engine::ThresholdQuery query;
-    query.base = params_from(fields);
-    query.options.analysis = analysis_from(fields);
-    query.options.unfairness_margin = fields.number("margin", 0.005);
-    query.options.p_tolerance = fields.number("ptol", 0.005);
-    fields.finish();
-    job = engine::make_threshold_job(query);
-  } else if (kind == "upper-bound") {
-    engine::UpperBoundQuery query;
-    query.base = params_from(fields);
-    query.options.analysis = analysis_from(fields);
-    query.options.l_min = fields.integer("lmin", 2);
-    query.options.l_max = fields.integer("lmax", 5);
-    fields.finish();
-    job = engine::make_upper_bound_job(query);
-  } else if (kind == "net-batch") {
-    engine::NetBatchQuery query;
-    query.scenario = fields.string("scenario", "single-optimal");
-    query.options.p = fields.number("p", 0.3);
-    query.options.gamma = fields.number("gamma", 0.5);
-    query.options.delay = fields.number("delay", 0.0);
-    query.options.block_interval = fields.number("interval", 600.0);
-    query.options.blocks = fields.unsigned64("blocks", 100000);
-    query.options.honest_miners = fields.integer("honest", 3);
-    query.options.d = fields.integer("d", 2);
-    query.options.f = fields.integer("f", 1);
-    query.options.l = fields.integer("l", 4);
-    query.options.strategy = fields.string("strategy", "optimal");
-    query.options.propagation = net::propagation_from_string(
-        fields.string("propagation", "direct"));
-    query.options.partition_start = fields.number("partition-start", 0.25);
-    query.options.partition_stop = fields.number("partition-stop", 0.45);
-    query.options.partition_fraction =
-        fields.number("partition-frac", 0.5);
-    query.options.asymmetry = fields.number("asymmetry", 4.0);
-    query.runs = fields.integer("runs", 8);
-    query.seed = fields.unsigned64("seed", 24141);
-    query.epsilon = fields.number("epsilon", 1e-3);
-    fields.finish();
-    job = engine::make_net_batch_job(query);
-  } else {
-    throw ProtocolError(
-        "unknown kind \"" + kind +
-        "\" (expected point | sweep | threshold | upper-bound | "
-        "net-batch | ping | stats | metrics | trace-dump | shutdown)");
-  }
-  return job;
-}
 
 /// Prefixes the echoed id when the client sent one, the protocol version
 /// (every reply is versioned — clients gate on it before trusting the
@@ -268,16 +169,6 @@ std::string finish_reply(JsonMembers members) {
   return Json::object(std::move(members)).dump() + "\n";
 }
 
-/// The observability switch position, advertised by `ping` so a client
-/// knows whether metrics/trace admin kinds will carry real data.
-const char* obs_mode() {
-#if SELFISH_OBS_ENABLED
-  return obs::enabled() ? "on" : "runtime-off";
-#else
-  return "compiled-out";
-#endif
-}
-
 /// `ping` is the protocol v1 capability handshake: protocol version, the
 /// job kinds this server executes (from its registry) plus the admin
 /// kinds, the transport limits in force, and the obs mode.
@@ -291,24 +182,23 @@ std::string render_ping(const Json& id, const Service& service,
   for (const std::string& kind : service.registry().kinds()) {
     kinds.emplace_back(kind);
   }
-  for (const char* kind :
-       {"ping", "stats", "metrics", "trace-dump", "shutdown"}) {
+  for (const std::string_view kind : kAdminKinds) {
     kinds.emplace_back(std::string(kind));
   }
   members.emplace_back("kinds", Json::array(std::move(kinds)));
-  JsonMembers limits;
-  limits.emplace_back(
-      "max_line_bytes",
-      Json(static_cast<double>(wire.limits.max_line_bytes)));
-  limits.emplace_back("max_inflight",
-                      Json(static_cast<double>(wire.limits.max_inflight)));
-  limits.emplace_back(
-      "max_inflight_per_connection",
-      Json(static_cast<double>(wire.limits.max_inflight_per_connection)));
-  limits.emplace_back("idle_timeout_seconds",
-                      Json(wire.limits.idle_timeout_seconds));
-  members.emplace_back("limits", Json::object(std::move(limits)));
-  members.emplace_back("obs", Json(obs_mode()));
+  members.emplace_back(
+      "limits",
+      Json::object(
+          {{"max_line_bytes",
+            Json(static_cast<double>(wire.limits.max_line_bytes))},
+           {"max_inflight",
+            Json(static_cast<double>(wire.limits.max_inflight))},
+           {"max_inflight_per_connection",
+            Json(static_cast<double>(
+                wire.limits.max_inflight_per_connection))},
+           {"idle_timeout_seconds", Json(wire.limits.idle_timeout_seconds)}}));
+  // The obs switch position: whether metrics/trace admin kinds carry data.
+  members.emplace_back("obs", Json(obs::enabled() ? "on" : "runtime-off"));
   // Secured servers advertise the auth state and this connection's
   // challenge — the client hashes the secret over `challenge` and pings
   // again with the result in `auth`. Open servers omit both members, so
@@ -475,21 +365,25 @@ Request parse_request_object(const Json& object) {
   if (kind == nullptr) throw ProtocolError("missing \"kind\"");
   request.kind = kind->as_string();
   request.trace_id = trace_id_from(object);
-  if (request.kind == "ping" || request.kind == "stats" ||
-      request.kind == "metrics" || request.kind == "trace-dump" ||
-      request.kind == "shutdown") {
+  FieldReader fields(object);
+  if (std::find(kAdminKinds.begin(), kAdminKinds.end(), request.kind) !=
+      kAdminKinds.end()) {
     request.admin = true;
-    FieldReader fields(object);
     if (request.kind == "ping") {
       // The challenge answer rides on ping (and only ping): the
       // handshake must work before authentication, and ping is the one
       // kind an unauthenticated client may send.
-      request.auth = fields.string("auth", "");
+      fields.field("auth", &request.auth, "");
     }
-    fields.finish();  // admin requests take no other options
+    fields.done();  // admin requests take no other options
     return request;
   }
-  request.job = build_job(request.kind, object);
+  const engine::JobKind* job_kind = engine::find_job_kind(request.kind);
+  if (job_kind == nullptr) {
+    throw ProtocolError("unknown kind \"" + request.kind + "\" (expected " +
+                        kind_list() + ")");
+  }
+  request.job = job_kind->visit(fields);
   return request;
 }
 
@@ -497,6 +391,14 @@ Request parse_request_object(const Json& object) {
 
 Request parse_request(const std::string& line) {
   return parse_request_object(Json::parse(line));
+}
+
+std::string kind_list() {
+  std::string list;
+  for (const std::string& kind : request_kinds()) {
+    list += (list.empty() ? "" : " | ") + kind;
+  }
+  return list;
 }
 
 FirstLine sniff_first_line(std::string_view buffer) {

@@ -22,18 +22,19 @@
 // classic in-order behavior.
 //
 // Analysis kinds — point, sweep, threshold, upper-bound, net-batch — are
-// dispatched through the serving core (LRU, single-flight, store, solve).
-// Admin kinds — ping, stats, metrics, trace-dump, shutdown — answer from
-// the server itself. `ping` is the capability handshake: it advertises
-// the protocol version, the supported job kinds (from the executor
-// registry), the transport limits (max line length, in-flight caps, idle
-// timeout), and the observability mode, so a session client can discover
-// what it is talking to before pipelining work. `metrics` returns the
-// Prometheus text exposition in `body`; `trace-dump` returns the flight
-// recorder's recent spans as NDJSON in `body`. Any request may carry a
-// `trace_id` (1-16 hex digits): the request's span tree adopts it and
-// every reply echoes it back. Any failure (malformed JSON, unknown kind
-// or field, out-of-range parameters, executor error) produces
+// dispatched through the serving core (LRU, single-flight, store, solve);
+// their fields are the CLI's options, read through the same per-kind schema
+// (engine/kinds.hpp). Admin kinds — ping, stats, metrics, trace-dump,
+// shutdown — answer from the server itself. `ping` is the capability
+// handshake: it advertises the protocol version, the supported job kinds
+// (from the executor registry), the transport limits (max line length,
+// in-flight caps, idle timeout), and the observability mode, so a session
+// client can discover what it is talking to before pipelining work.
+// `metrics` returns the Prometheus text exposition in `body`; `trace-dump`
+// returns the flight recorder's recent spans as NDJSON in `body`. Any
+// request may carry a `trace_id` (1-16 hex digits): the request's span tree
+// adopts it and every reply echoes it back. Any failure (malformed JSON,
+// unknown kind or field, out-of-range parameters, executor error) produces
 // {"ok":false,"error":...} on the same line slot — machine-readable
 // failures additionally carry a `code` ("unsupported_version",
 // "auth_required"/"auth_failed" on secured servers, and the transport's
@@ -101,7 +102,7 @@ struct Request {
   Json id;
   std::string kind;
   engine::GenericJob job;  ///< Empty kind for admin requests.
-  bool admin = false;  ///< ping | stats | metrics | trace-dump | shutdown.
+  bool admin = false;  ///< One of kAdminKinds.
   /// Client-supplied trace id (0 = none); the request's root span adopts
   /// it. NEVER part of the job identity — two requests with different
   /// trace ids for the same query coalesce and cache identically.
@@ -116,6 +117,10 @@ struct Request {
 /// JsonError / support::InvalidArgument from deeper validation) with a
 /// client-safe message.
 Request parse_request(const std::string& line);
+
+/// Every kind a request may name, "point | sweep | ... | shutdown": the
+/// built-in job kinds, then kAdminKinds.
+std::string kind_list();
 
 /// The transport limits a server enforces, advertised by `ping` so
 /// session clients can discover them instead of hardcoding. The defaults

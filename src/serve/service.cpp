@@ -99,10 +99,7 @@ Service::Service(ServiceOptions options,
   // admin kinds. After construction the map is structurally immutable, so
   // note_kind() reads it without a lock.
   for (const std::string& kind : registry_.kinds()) kind_counts_[kind];
-  for (const char* kind :
-       {"ping", "stats", "metrics", "trace-dump", "shutdown"}) {
-    kind_counts_[kind];
-  }
+  for (const auto kind : kAdminKinds) kind_counts_[std::string(kind)];
 }
 
 Service::~Service() { pool_.wait_idle(); }

@@ -20,6 +20,7 @@
 // pool starvation cannot deadlock the transport).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -39,6 +41,10 @@
 #include "support/timer.hpp"
 
 namespace serve {
+
+/// The kinds the server answers itself, with no executor and no job.
+inline constexpr std::array<std::string_view, 5> kAdminKinds = {
+    "ping", "stats", "metrics", "trace-dump", "shutdown"};
 
 struct ServiceOptions {
   /// Content-addressed store directory; empty serves from memory only
@@ -132,9 +138,10 @@ class Service {
   /// being turned away.
   void note_rejected();
 
-  /// Records an admin request (ping | stats | metrics | shutdown) in the
-  /// per-kind counts. Deliberately does not bump `requests`, which keeps
-  /// its historical meaning: analysis executions plus rejections.
+  /// Records an admin request (one of kAdminKinds: ping | stats |
+  /// metrics | trace-dump | shutdown) in the per-kind counts.
+  /// Deliberately does not bump `requests`, which keeps its historical
+  /// meaning: analysis executions plus rejections.
   void note_admin(const std::string& kind);
 
   ServiceStats stats() const;

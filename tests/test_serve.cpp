@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -209,6 +211,104 @@ TEST(ServeProtocol, DefaultsMatchTheCliSubcommands) {
     EXPECT_NE(batch.find(token), std::string::npos)
         << batch << "  missing: " << token;
   }
+}
+
+/// Counts the fields a kind's schema visits.
+struct FieldCounter final : engine::FieldVisitor {
+  int fields = 0;
+  void field(const char*, engine::Field, const char*) override { ++fields; }
+};
+
+/// The CLI path: options declared from the kind's schema, parsed from
+/// `flags` (--name=value), read back into the kind's job.
+engine::JobKey key_from_flags(const engine::JobKind& kind,
+                              const std::vector<std::string>& flags) {
+  support::Options options;
+  engine::OptionFields declare = engine::OptionFields::declaring(options);
+  kind.visit(declare);
+  std::vector<const char*> argv = {"test"};
+  for (const std::string& flag : flags) argv.push_back(flag.c_str());
+  options.parse(static_cast<int>(argv.size()), argv.data());
+  engine::OptionFields read = engine::OptionFields::reading(options);
+  return engine::generic_job_key(kind.visit(read));
+}
+
+/// The protocol path: the same flags as members of a request object.
+engine::JobKey key_from_request(const std::string& kind,
+                                const std::vector<std::string>& flags) {
+  std::string line = "{\"kind\":\"" + kind + "\"";
+  for (const std::string& flag : flags) {
+    const std::size_t eq = flag.find('=');
+    const std::string value = flag.substr(eq + 1);
+    const bool literal = value == "true" || value == "false" ||
+                         value[0] == '-' || std::isdigit(value[0]) != 0;
+    line += ",\"" + flag.substr(2, eq - 2) +
+            "\":" + (literal ? value : "\"" + value + "\"");
+  }
+  return engine::generic_job_key(serve::parse_request(line + "}").job);
+}
+
+TEST(ServeProtocol, SchemaFrontEndsBuildTheSameJobs) {
+  const std::map<std::string, engine::GenericJob> defaults = {
+      {"point", engine::make_point_job({})},
+      {"sweep", engine::make_sweep_job({})},
+      {"threshold", engine::make_threshold_job({})},
+      {"upper-bound", engine::make_upper_bound_job({})},
+      {"net-batch", engine::make_net_batch_job({})},
+  };
+  // Every field of every kind set away from its default.
+  const std::map<std::string, std::vector<std::string>> populated = {
+      {"point",
+       {"--p=0.25", "--gamma=0.3", "--d=1", "--f=1", "--l=2",
+        "--burn-lost-races=true", "--epsilon=0.01", "--solver=gs",
+        "--stats=false"}},
+      {"sweep",
+       {"--p=0.2", "--gamma=0.4", "--d=1", "--f=2", "--l=3",
+        "--burn-lost-races=true", "--epsilon=0.002", "--solver=pi",
+        "--pmin=0.1", "--pmax=0.2", "--step=0.025"}},
+      {"threshold",
+       {"--p=0.2", "--gamma=0.25", "--d=3", "--f=2", "--l=2",
+        "--burn-lost-races=true", "--epsilon=0.01", "--solver=dense",
+        "--margin=0.01", "--ptol=0.002"}},
+      {"upper-bound",
+       {"--p=0.35", "--gamma=0.75", "--d=1", "--f=2", "--l=3",
+        "--burn-lost-races=true", "--epsilon=0.005", "--solver=gs",
+        "--lmin=1", "--lmax=3"}},
+      {"net-batch",
+       {"--scenario=partition-attack", "--p=0.25", "--gamma=0.4", "--d=1",
+        "--f=2", "--l=2", "--delay=1.5", "--interval=300", "--blocks=3000",
+        "--honest=4", "--strategy=honest", "--propagation=gossip",
+        "--partition-start=0.2", "--partition-stop=0.5",
+        "--partition-frac=0.25", "--asymmetry=3", "--runs=2",
+        "--seed=3000000000", "--epsilon=0.01"}},
+  };
+  ASSERT_EQ(engine::job_kinds().size(), defaults.size());
+  for (const engine::JobKind& kind : engine::job_kinds()) {
+    SCOPED_TRACE(kind.name);
+    ASSERT_EQ(defaults.count(kind.name), 1u);
+    const engine::JobKey expected = engine::generic_job_key(
+        defaults.at(kind.name));
+    EXPECT_EQ(key_from_flags(kind, {}).canonical, expected.canonical);
+    EXPECT_EQ(key_from_request(kind.name, {}).canonical, expected.canonical);
+
+    const std::vector<std::string>& flags = populated.at(kind.name);
+    FieldCounter counter;
+    kind.visit(counter);
+    EXPECT_EQ(counter.fields, static_cast<int>(flags.size()));
+    const engine::JobKey cli = key_from_flags(kind, flags);
+    EXPECT_EQ(cli.canonical, key_from_request(kind.name, flags).canonical);
+    EXPECT_NE(cli.canonical, expected.canonical);
+  }
+
+  // Counts take whole numbers in [0, 2^53] on both paths.
+  const engine::JobKind& batch = *engine::find_job_kind("net-batch");
+  EXPECT_THROW(key_from_flags(batch, {"--seed=-1"}), support::InvalidArgument);
+  EXPECT_THROW(key_from_request("net-batch", {"--seed=-1"}),
+               support::InvalidArgument);
+  const engine::JobKey big = key_from_flags(batch, {"--seed=3000000000"});
+  EXPECT_NE(big.canonical.find("|seed=3000000000|"), std::string::npos);
+  EXPECT_EQ(big.canonical,
+            key_from_request("net-batch", {"--seed=3000000000"}).canonical);
 }
 
 serve::Json reply_of(serve::Service& service, const std::string& line) {
@@ -579,10 +679,8 @@ TEST(ServeProtocol, TraceIdIsEchoedAndValidated) {
   serve::Json reply =
       reply_of(service, "{\"kind\":\"ping\",\"trace_id\":\"deadbeef\"}");
   EXPECT_TRUE(reply.find("ok")->as_bool());
-#if SELFISH_OBS_ENABLED
   ASSERT_NE(reply.find("trace_id"), nullptr);
   EXPECT_EQ(reply.find("trace_id")->as_string(), "00000000deadbeef");
-#endif
 
   // A request without one gets no trace_id member: server-minted span ids
   // must never leak into replies (byte-stable responses run to run).
@@ -602,7 +700,6 @@ TEST(ServeProtocol, TraceIdIsEchoedAndValidated) {
   }
 }
 
-#if SELFISH_OBS_ENABLED
 TEST(ServeProtocol, StatsCarriesWorstLatencyExemplars) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
@@ -626,7 +723,6 @@ TEST(ServeProtocol, StatsCarriesWorstLatencyExemplars) {
   EXPECT_TRUE(found) << "client trace id missing from exemplars";
   obs::set_enabled(was_enabled);
 }
-#endif
 
 // ------------------------------------------------- HTTP scrape endpoints
 
@@ -747,8 +843,7 @@ TEST(ServeProtocol, PingAdvertisesCapabilities) {
   EXPECT_EQ(limits->find("max_inflight_per_connection")->as_number(), 3.0);
   EXPECT_EQ(limits->find("idle_timeout_seconds")->as_number(), 2.5);
   const std::string obs_mode = pong.find("obs")->as_string();
-  EXPECT_TRUE(obs_mode == "on" || obs_mode == "runtime-off" ||
-              obs_mode == "compiled-out");
+  EXPECT_TRUE(obs_mode == "on" || obs_mode == "runtime-off");
 }
 
 TEST(ServeSession, PingReflectsServerOptions) {

@@ -40,8 +40,6 @@ TEST(TraceIds, FormatAndParseRoundTrip) {
   EXPECT_EQ(obs::parse_trace_id("dead beef"), 0u);
 }
 
-#if SELFISH_OBS_ENABLED
-
 /// Restores the runtime obs switch on scope exit (same pattern as
 /// test_obs.cpp).
 class EnabledGuard {
@@ -324,7 +322,5 @@ TEST(Log, ParseLevelAcceptsTheDocumentedNames) {
   EXPECT_EQ(obs::parse_log_level("debug"), obs::LogLevel::kDebug);
   EXPECT_THROW(obs::parse_log_level("verbose"), std::runtime_error);
 }
-
-#endif  // SELFISH_OBS_ENABLED
 
 }  // namespace

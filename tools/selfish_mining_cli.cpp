@@ -18,6 +18,7 @@
 #include <thread>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -29,12 +30,11 @@
 #include "analysis/render.hpp"
 #include "analysis/strategy_io.hpp"
 #include "analysis/sweep.hpp"
-#include "analysis/threshold.hpp"
-#include "analysis/upper_bound.hpp"
 #include "baselines/eyal_sirer.hpp"
 #include "baselines/honest.hpp"
 #include "baselines/single_tree.hpp"
 #include "engine/engine.hpp"
+#include "engine/kinds.hpp"
 #include "fleet/auth.hpp"
 #include "fleet/router.hpp"
 #include "mdp/export.hpp"
@@ -47,6 +47,7 @@
 #include "selfish/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/strategies.hpp"
 #include "support/check.hpp"
@@ -57,13 +58,15 @@
 
 namespace {
 
-/// Every subcommand accepts the observability flags. --trace-out: obs
-/// spans (solves, engine jobs, simulator runs, served requests) append
-/// NDJSON records to the file for the lifetime of the process (the
-/// in-memory flight recorder runs regardless). --log-level / --log-out:
-/// structured NDJSON logging (stderr by default). All observe-only — the
-/// command's stdout artifact is byte-identical with or without them.
-void declare_trace_option(support::Options& options) {
+/// --help and the observability flags, which every subcommand but
+/// baselines and query takes. --trace-out: obs spans (solves, engine
+/// jobs, simulator runs, served requests) append NDJSON records to the
+/// file for the lifetime of the process (the in-memory flight recorder
+/// runs regardless). --log-level / --log-out: structured NDJSON logging
+/// (stderr by default). All observe-only — the command's stdout artifact
+/// is byte-identical with or without them.
+void declare_common_options(support::Options& options) {
+  options.declare("help", "false", "show this command's options");
   options.declare("trace-out", "",
                   "write obs trace spans (NDJSON, one per span) to this "
                   "file; empty = tracing off (the in-memory flight "
@@ -84,23 +87,6 @@ void apply_trace_option(const support::Options& options) {
   if (!log_path.empty()) obs::open_log(log_path);
 }
 
-void declare_model_options(support::Options& options) {
-  options.declare("help", "false", "show this command's options");
-  options.declare("p", "0.3", "adversary's relative resource in [0,1]");
-  options.declare("gamma", "0.5", "tie-race switching probability");
-  options.declare("d", "2", "attack depth");
-  options.declare("f", "1", "forks per public block");
-  options.declare("l", "4", "maximal private fork length");
-  options.declare("burn-lost-races", "false",
-                  "fork-choice variant: discard forks that lose tie races");
-  options.declare("epsilon", "0.001", "Algorithm 1 precision");
-  options.declare("solver", "vi", "mean-payoff solver: vi | gs | pi | dense");
-  options.declare("cache", "",
-                  "binary model cache file: reused when valid, written "
-                  "after a fresh build (worthwhile for d >= 3)");
-  declare_trace_option(options);
-}
-
 /// Parses argv and handles --help; returns true when the command should
 /// proceed (false = help was printed). Opens the trace sink when the
 /// command declared --trace-out and the user set it.
@@ -116,25 +102,6 @@ bool parse_or_help(support::Options& options, int argc,
   return true;
 }
 
-selfish::AttackParams params_from(const support::Options& options) {
-  return selfish::AttackParams{
-      .p = options.get_double("p"),
-      .gamma = options.get_double("gamma"),
-      .d = options.get_int("d"),
-      .f = options.get_int("f"),
-      .l = options.get_int("l"),
-      .burn_lost_races = options.get_bool("burn-lost-races"),
-  };
-}
-
-/// Builds the model, via the on-disk cache when --cache is set.
-selfish::SelfishModel model_from(const support::Options& options) {
-  const auto params = params_from(options);
-  const std::string cache = options.get_string("cache");
-  return cache.empty() ? selfish::build_model(params)
-                       : selfish::build_or_load_model(params, cache);
-}
-
 /// Declares --threads for commands whose solves run one at a time (the
 /// kernel fans each Bellman sweep over the workers; sweep's --threads
 /// means engine chains instead, and its per-solve threads stay at 1).
@@ -144,33 +111,45 @@ void declare_solver_threads(support::Options& options) {
                   "(0 = all cores); results are bit-identical at any count");
 }
 
-analysis::AnalysisOptions analysis_from(const support::Options& options,
-                                        int solver_threads = 1) {
-  analysis::AnalysisOptions out;
-  out.epsilon = options.get_double("epsilon");
-  out.solver.method = mdp::parse_solver_method(options.get_string("solver"));
-  out.solver.threads = solver_threads;
-  return out;
+/// The options of the commands that build and solve one model themselves
+/// (analyze, simulate, export): the schema fields of `fields`, --cache,
+/// --threads and the common options.
+template <typename... Fields>
+void declare_model_command(support::Options& options,
+                           const Fields&... fields) {
+  (engine::declare_options(options, fields), ...);
+  options.declare("cache", "",
+                  "binary model cache file: reused when valid, written "
+                  "after a fresh build (worthwhile for d >= 3)");
+  declare_solver_threads(options);
+  declare_common_options(options);
+}
+
+/// Builds the model, via the on-disk cache when --cache is set.
+selfish::SelfishModel model_from(const support::Options& options,
+                                 const selfish::AttackParams& params) {
+  const std::string cache = options.get_string("cache");
+  return cache.empty() ? selfish::build_model(params)
+                       : selfish::build_or_load_model(params, cache);
 }
 
 int cmd_analyze(int argc, const char* const* argv) {
   support::Options options;
-  declare_model_options(options);
+  engine::PointQuery query;
+  declare_model_command(options, query);
   options.declare("save-strategy", "",
                   "write the computed strategy to this file");
-  options.declare("stats", "true", "print aggregate strategy statistics");
-  declare_solver_threads(options);
   if (!parse_or_help(options, argc, argv)) return 0;
+  engine::read_options(options, query);
+  query.analysis.solver.threads = options.get_int("threads");
 
-  const auto params = params_from(options);
-  const auto model = model_from(options);
-  const auto result = analysis::analyze(
-      model, analysis_from(options, options.get_int("threads")));
+  const auto model = model_from(options, query.params);
+  const auto result = analysis::analyze(model, query.analysis);
 
   // Shared renderer: `query --kind=point` replies reuse it, which is what
   // makes served responses byte-identical to this output.
-  std::fputs(analysis::render_analysis_report(params, model, result,
-                                              options.get_bool("stats"))
+  std::fputs(analysis::render_analysis_report(query.params, model, result,
+                                              query.stats)
                  .c_str(),
              stdout);
   const std::string path = options.get_string("save-strategy");
@@ -185,10 +164,8 @@ int cmd_analyze(int argc, const char* const* argv) {
 
 int cmd_sweep(int argc, const char* const* argv) {
   support::Options options;
-  declare_model_options(options);
-  options.declare("pmin", "0", "smallest resource");
-  options.declare("pmax", "0.3", "largest resource");
-  options.declare("step", "0.05", "resource grid step");
+  engine::SweepQuery query;
+  engine::declare_options(options, query);
   options.declare("threads", "1",
                   "engine worker threads (0 = all cores); independent "
                   "warm-start chains run in parallel");
@@ -200,12 +177,11 @@ int cmd_sweep(int argc, const char* const* argv) {
                   "persist final value vectors (warm starts) in the result "
                   "store; turn off to shrink caches for huge models — "
                   "resumed points after a value-less hit are re-solved");
+  declare_common_options(options);
   if (!parse_or_help(options, argc, argv)) return 0;
-
-  selfish::AttackParams base = params_from(options);
-  const auto grid = analysis::linspace_grid(options.get_double("pmin"),
-                                            options.get_double("pmax"),
-                                            options.get_double("step"));
+  engine::read_options(options, query);
+  const auto grid =
+      analysis::linspace_grid(query.p_min, query.p_max, query.step);
 
   engine::EngineOptions engine_options;
   engine_options.cache_dir = options.get_string("cache-dir");
@@ -215,7 +191,7 @@ int cmd_sweep(int argc, const char* const* argv) {
 
   const support::Timer timer;
   const auto sweep =
-      analysis::sweep_p(base, grid, analysis_from(options), engine);
+      analysis::sweep_p(query.base, grid, query.analysis, engine);
   analysis::write_sweep_csv(sweep, std::cout);
 
   // The CSV on stdout is the deterministic artifact; volatile run stats
@@ -233,50 +209,50 @@ int cmd_sweep(int argc, const char* const* argv) {
   return 0;
 }
 
-int cmd_threshold(int argc, const char* const* argv) {
+/// threshold and upper-bound: the kind's job, read through the same
+/// schema visit as a request and rendered by its registered executor —
+/// the served code path.
+int cmd_job(const std::string& kind_name, int argc, const char* const* argv) {
+  const engine::JobKind& kind = *engine::find_job_kind(kind_name);
   support::Options options;
-  declare_model_options(options);
-  options.declare("margin", "0.005", "excess revenue that counts as unfair");
-  options.declare("ptol", "0.005", "p bracket width");
+  engine::OptionFields declare = engine::OptionFields::declaring(options);
+  kind.visit(declare);  // the default job it returns is unused
   declare_solver_threads(options);
+  declare_common_options(options);
   if (!parse_or_help(options, argc, argv)) return 0;
 
-  analysis::ThresholdOptions threshold_options;
-  threshold_options.analysis =
-      analysis_from(options, options.get_int("threads"));
-  threshold_options.unfairness_margin = options.get_double("margin");
-  threshold_options.p_tolerance = options.get_double("ptol");
-  const auto result =
-      analysis::fairness_threshold(params_from(options), threshold_options);
-  std::fputs(analysis::render_threshold_report(threshold_options, result)
-                 .c_str(),
-             stdout);
+  engine::OptionFields read = engine::OptionFields::reading(options);
+  const engine::GenericJob job = kind.visit(read);
+  engine::ExecContext context;
+  context.threads = options.get_int("threads");
+  std::fputs(kind.run(job, context).payload.c_str(), stdout);
   return 0;
 }
 
 int cmd_simulate(int argc, const char* const* argv) {
   support::Options options;
-  declare_model_options(options);
+  selfish::AttackParams params;
+  analysis::AnalysisOptions analysis_options;
+  declare_model_command(options, params, analysis_options);
   options.declare("steps", "500000", "mining steps");
   options.declare("seed", "42", "simulation seed");
   options.declare("strategy", "optimal",
                   "optimal | honest | never-release, or a strategy file "
                   "saved by `analyze --save-strategy`");
-  declare_solver_threads(options);
   if (!parse_or_help(options, argc, argv)) return 0;
+  engine::read_options(options, params);
+  engine::read_options(options, analysis_options);
+  analysis_options.solver.threads = options.get_int("threads");
   const int steps = options.get_int("steps");
   SM_REQUIRE(steps > 0, "--steps must be positive, got ", steps);
 
-  const auto params = params_from(options);
-  const auto model = model_from(options);
+  const auto model = model_from(options, params);
 
   mdp::Policy policy;
   std::unique_ptr<sim::Strategy> strategy;
   const std::string which = options.get_string("strategy");
   if (which == "optimal") {
-    policy = analysis::analyze(
-                 model, analysis_from(options, options.get_int("threads")))
-                 .policy;
+    policy = analysis::analyze(model, analysis_options).policy;
     strategy = std::make_unique<sim::MdpPolicyStrategy>(model, policy);
   } else if (which == "honest" || which == "never-release") {
     strategy = sim::make_builtin_strategy(which);
@@ -288,7 +264,8 @@ int cmd_simulate(int argc, const char* const* argv) {
   sim::SimulationOptions sim_options;
   sim_options.steps = static_cast<std::uint64_t>(steps);
   sim_options.warmup_steps = sim_options.steps / 20;
-  sim_options.seed = static_cast<std::uint64_t>(options.get_int("seed"));
+  sim_options.seed =
+      engine::checked_count("seed", options.get_double("seed"));
   const auto result = sim::simulate(params, *strategy, sim_options);
 
   std::printf("empirical ERRev = %.5f over %llu finalized blocks "
@@ -313,40 +290,9 @@ int cmd_simulate(int argc, const char* const* argv) {
 
 int cmd_network(int argc, const char* const* argv) {
   support::Options options;
-  options.declare("help", "false", "show this command's options");
-  options.declare("scenario", "single-optimal",
-                  "scenario family to run; see --help for the registry");
-  options.declare("p", "0.3", "attacker hashrate share");
-  options.declare("gamma", "0.5", "tie-race parameter");
-  options.declare("delay", "0", "one-way propagation delay (seconds)");
-  options.declare("interval", "600", "mean block interval (seconds)");
-  options.declare("blocks", "100000", "mining events per run");
-  options.declare("honest", "3", "honest miners sharing the honest power");
-  options.declare("d", "2", "attack depth (strategy attackers)");
-  options.declare("f", "1", "forks per public block (strategy attackers)");
-  options.declare("l", "4", "maximal fork length (strategy attackers)");
-  options.declare("strategy", "optimal",
-                  "strategy of kStrategy attackers: optimal | honest | "
-                  "never-release | file:<path>");
-  options.declare("propagation", "direct",
-                  "block propagation: direct (origin-to-all) | gossip "
-                  "(store-and-forward along topology links)");
-  options.declare("partition-start", "0.25",
-                  "partition-attack: split start as a fraction of the "
-                  "expected run duration");
-  options.declare("partition-stop", "0.45",
-                  "partition-attack: heal time as a fraction of the "
-                  "expected run duration");
-  options.declare("partition-frac", "0.5",
-                  "partition-attack: fraction of the honest miners "
-                  "isolated from the attacker's side");
-  options.declare("asymmetry", "4",
-                  "asymmetric-star: honest up-spoke delay multiplier "
-                  "(announce at asymmetry*delay, listen at delay)");
-  options.declare("epsilon", "0.001", "Algorithm 1 precision");
-  options.declare("runs", "8", "seeds per scenario point");
+  engine::NetBatchQuery query;
+  engine::declare_options(options, query);
   options.declare("threads", "0", "worker threads (0 = all cores)");
-  options.declare("seed", "24141", "base seed of the batch");
   options.declare("csv", "false", "emit CSV instead of a table");
   options.declare("cache-dir", "",
                   "experiment-engine result store for the per-point "
@@ -354,43 +300,24 @@ int cmd_network(int argc, const char* const* argv) {
   options.declare("resample-clock", "false",
                   "restore the legacy resample-mining-clock-after-every-"
                   "event loop (default reschedules only on lane changes)");
-  declare_trace_option(options);
+  declare_common_options(options);
   if (!parse_or_help(options, argc, argv)) {
     std::fputs(("\nscenario families:\n" + net::scenario_help()).c_str(),
                stderr);
     return 0;
   }
-
-  const int blocks = options.get_int("blocks");
-  SM_REQUIRE(blocks > 0, "--blocks must be positive, got ", blocks);
-
-  net::ScenarioOptions scenario_options;
-  scenario_options.p = options.get_double("p");
-  scenario_options.gamma = options.get_double("gamma");
-  scenario_options.delay = options.get_double("delay");
-  scenario_options.block_interval = options.get_double("interval");
-  scenario_options.blocks = static_cast<std::uint64_t>(blocks);
-  scenario_options.honest_miners = options.get_int("honest");
-  scenario_options.d = options.get_int("d");
-  scenario_options.f = options.get_int("f");
-  scenario_options.l = options.get_int("l");
-  scenario_options.strategy = options.get_string("strategy");
-  scenario_options.propagation =
-      net::propagation_from_string(options.get_string("propagation"));
-  scenario_options.partition_start = options.get_double("partition-start");
-  scenario_options.partition_stop = options.get_double("partition-stop");
-  scenario_options.partition_fraction = options.get_double("partition-frac");
-  scenario_options.asymmetry = options.get_double("asymmetry");
+  engine::read_options(options, query);
+  SM_REQUIRE(query.options.blocks > 0, "--blocks must be positive, got ",
+             query.options.blocks);
 
   net::BatchOptions batch_options;
-  batch_options.runs_per_scenario = options.get_int("runs");
+  batch_options.runs_per_scenario = query.runs;
   batch_options.threads = options.get_int("threads");
-  batch_options.base_seed = static_cast<std::uint64_t>(options.get_int("seed"));
-  batch_options.epsilon = options.get_double("epsilon");
+  batch_options.base_seed = query.seed;
+  batch_options.epsilon = query.epsilon;
   batch_options.cache_dir = options.get_string("cache-dir");
 
-  auto grid =
-      net::make_scenarios(options.get_string("scenario"), scenario_options);
+  auto grid = net::make_scenarios(query.scenario, query.options);
   if (options.get_bool("resample-clock")) {
     for (net::Scenario& scenario : grid) {
       scenario.lazy_clock_reschedule = false;
@@ -429,18 +356,20 @@ int cmd_network(int argc, const char* const* argv) {
 
 int cmd_export(int argc, const char* const* argv) {
   support::Options options;
-  declare_model_options(options);
+  selfish::AttackParams params;
+  analysis::AnalysisOptions analysis_options;
+  declare_model_command(options, params, analysis_options);
   options.declare("prefix", "selfish_model", "output file prefix");
   options.declare("beta", "-1",
                   "beta for the reward file; -1 = computed ERRev bound");
-  declare_solver_threads(options);
   if (!parse_or_help(options, argc, argv)) return 0;
+  engine::read_options(options, params);
+  engine::read_options(options, analysis_options);
+  analysis_options.solver.threads = options.get_int("threads");
 
-  const auto model = model_from(options);
+  const auto model = model_from(options, params);
   double beta = options.get_double("beta");
   if (beta < 0.0) {
-    auto analysis_options =
-        analysis_from(options, options.get_int("threads"));
     analysis_options.evaluate_exact_errev = false;
     beta = analysis::analyze(model, analysis_options).errev_lower_bound;
   }
@@ -456,25 +385,6 @@ int cmd_export(int argc, const char* const* argv) {
         [&](std::ostream& o) { mdp::export_rew(model.mdp, beta, o); });
   std::printf("wrote %s.tra/.lab/.rew (beta = %.6f, %u states)\n",
               prefix.c_str(), beta, model.mdp.num_states());
-  return 0;
-}
-
-int cmd_upper_bound(int argc, const char* const* argv) {
-  support::Options options;
-  declare_model_options(options);
-  options.declare("lmin", "2", "smallest fork cap to analyze");
-  options.declare("lmax", "5", "largest fork cap to analyze");
-  declare_solver_threads(options);
-  if (!parse_or_help(options, argc, argv)) return 0;
-
-  analysis::UpperBoundOptions ub_options;
-  ub_options.l_min = options.get_int("lmin");
-  ub_options.l_max = options.get_int("lmax");
-  ub_options.analysis = analysis_from(options, options.get_int("threads"));
-  const auto result =
-      analysis::bound_errev_in_l(params_from(options), ub_options);
-  std::fputs(analysis::render_upper_bound_report(ub_options, result).c_str(),
-             stdout);
   return 0;
 }
 
@@ -527,7 +437,6 @@ void handle_dump_signal(int) { g_flight_dump_requested.store(true); }
 
 int cmd_serve(int argc, const char* const* argv) {
   support::Options options;
-  options.declare("help", "false", "show this command's options");
   options.declare("host", "127.0.0.1",
                   "bind address (loopback by default; pair a non-loopback "
                   "bind with --auth-secret-file)");
@@ -561,7 +470,7 @@ int cmd_serve(int argc, const char* const* argv) {
                   "shared-secret file; when set, every non-ping request "
                   "must first pass the HMAC-SHA256 ping challenge and "
                   "HTTP /metrics is refused (/healthz stays open)");
-  declare_trace_option(options);
+  declare_common_options(options);
   if (!parse_or_help(options, argc, argv)) return 0;
 
   const int lru_mb = options.get_int("lru-mb");
@@ -642,6 +551,40 @@ int cmd_serve(int argc, const char* const* argv) {
   return 0;
 }
 
+serve::Json json_of(bool flag) { return serve::Json(flag); }
+serve::Json json_of(const std::string& text) { return serve::Json(text); }
+template <typename Number>
+serve::Json json_of(Number number) {
+  return serve::Json(static_cast<double>(number));
+}
+
+/// `query`'s front end of the job-kind schema: each field the user set
+/// (flag or SELFISH_* environment) is read like the subcommands read it
+/// and becomes a typed request member. Unset fields stay out of the
+/// request, and the server fills them from the same initializers.
+class RequestForwarder final : public engine::FieldVisitor {
+ public:
+  RequestForwarder(const support::Options& options,
+                   serve::JsonMembers& members)
+      : options_(options), members_(members) {}
+
+  void field(const char* name, engine::Field member,
+             const char* help) override {
+    if (!options_.was_set(name)) return;
+    std::visit(
+        [&](auto* value) {
+          auto read = *value;  // the scratch query keeps its default
+          engine::OptionFields::reading(options_).field(name, &read, help);
+          members_.emplace_back(name, json_of(read));
+        },
+        member);
+  }
+
+ private:
+  const support::Options& options_;
+  serve::JsonMembers& members_;
+};
+
 int cmd_query(int argc, const char* const* argv) {
   // One positional argument starting with '{' is a raw JSON request line
   // sent verbatim — `selfish-mining query '{"kind":"metrics"}'` — which
@@ -675,60 +618,27 @@ int cmd_query(int argc, const char* const* argv) {
                   "--auth-secret-file; the client answers the ping "
                   "challenge before sending the request");
   options.declare("kind", "point",
-                  "query kind: point | sweep | threshold | upper-bound | "
-                  "net-batch | ping | stats | metrics | trace-dump | "
-                  "shutdown "
-                  "(ignored when a positional JSON request is given)");
+                  "query kind: " + serve::kind_list() +
+                      " (ignored when a positional JSON request is given)");
   options.declare("raw", "false",
                   "print the raw JSON response line instead of the body");
   options.declare("trace-id", "",
                   "1-16 hex digits attached to the request; the server "
                   "tags its spans with it and echoes it in the reply");
-  // Every analysis-kind option, typed. Only options the user explicitly
-  // set travel in the request: the server applies the same defaults as
-  // the direct CLI subcommands, so an empty query equals the subcommand's
-  // default invocation. The presets below (and the subcommands' declare()
-  // defaults) must stay in sync with serve/protocol.cpp's fallbacks —
-  // test_serve's DefaultsMatchTheCliSubcommands pins the protocol side.
-  struct Field {
-    const char* name;
-    char type;  // d = double, i = integer, b = bool, s = string
-    const char* preset;
-    const char* help;
-  };
-  static constexpr Field kFields[] = {
-      {"p", 'd', "0.3", "adversary's relative resource in [0,1]"},
-      {"gamma", 'd', "0.5", "tie-race switching probability"},
-      {"d", 'i', "2", "attack depth"},
-      {"f", 'i', "1", "forks per public block"},
-      {"l", 'i', "4", "maximal private fork length"},
-      {"burn-lost-races", 'b', "false", "fork-choice ablation variant"},
-      {"epsilon", 'd', "0.001", "Algorithm 1 precision"},
-      {"solver", 's', "vi", "mean-payoff solver: vi | gs | pi | dense"},
-      {"stats", 'b', "true", "point: include strategy statistics"},
-      {"pmin", 'd', "0", "sweep: smallest resource"},
-      {"pmax", 'd', "0.3", "sweep: largest resource"},
-      {"step", 'd', "0.05", "sweep: resource grid step"},
-      {"margin", 'd', "0.005", "threshold: excess that counts as unfair"},
-      {"ptol", 'd', "0.005", "threshold: p bracket width"},
-      {"lmin", 'i', "2", "upper-bound: smallest fork cap"},
-      {"lmax", 'i', "5", "upper-bound: largest fork cap"},
-      {"scenario", 's', "single-optimal", "net-batch: scenario family"},
-      {"delay", 'd', "0", "net-batch: one-way propagation delay"},
-      {"interval", 'd', "600", "net-batch: mean block interval"},
-      {"blocks", 'i', "100000", "net-batch: mining events per run"},
-      {"honest", 'i', "3", "net-batch: honest miner count"},
-      {"strategy", 's', "optimal", "net-batch: attacker strategy"},
-      {"propagation", 's', "direct", "net-batch: direct | gossip"},
-      {"partition-start", 'd', "0.25", "net-batch: split start fraction"},
-      {"partition-stop", 'd', "0.45", "net-batch: heal time fraction"},
-      {"partition-frac", 'd', "0.5", "net-batch: isolated honest fraction"},
-      {"asymmetry", 'd', "4", "net-batch: up-spoke delay multiplier"},
-      {"runs", 'i', "8", "net-batch: seeds per scenario point"},
-      {"seed", 'i', "24141", "net-batch: base seed of the batch"},
-  };
-  for (const Field& field : kFields) {
-    options.declare(field.name, field.preset, field.help);
+  // Only the chosen kind's fields are options, so --kind is resolved
+  // before the full parse: a flag of another kind is then an unknown
+  // option, and another kind's SELFISH_* default is never read.
+  std::string kind = "point";
+  if (const char* env = std::getenv("SELFISH_KIND")) kind = env;
+  for (std::size_t i = 1; i < flag_argv.size(); ++i) {
+    const std::string arg = flag_argv[i];
+    if (arg.rfind("--kind=", 0) == 0) kind = arg.substr(7);
+    if (arg == "--kind" && i + 1 < flag_argv.size()) kind = flag_argv[++i];
+  }
+  const engine::JobKind* job_kind = engine::find_job_kind(kind);
+  if (job_kind != nullptr) {
+    engine::OptionFields declare = engine::OptionFields::declaring(options);
+    job_kind->visit(declare);  // the default job it returns is unused
   }
   if (!parse_or_help(options, static_cast<int>(flag_argv.size()),
                      flag_argv.data())) {
@@ -743,26 +653,9 @@ int cmd_query(int argc, const char* const* argv) {
       members.emplace_back("trace_id",
                            serve::Json(options.get_string("trace-id")));
     }
-    for (const Field& field : kFields) {
-      if (!options.was_set(field.name)) continue;
-      switch (field.type) {
-        case 'd':
-          members.emplace_back(field.name,
-                               serve::Json(options.get_double(field.name)));
-          break;
-        case 'i':
-          members.emplace_back(
-              field.name,
-              serve::Json(static_cast<double>(options.get_int(field.name))));
-          break;
-        case 'b':
-          members.emplace_back(field.name,
-                               serve::Json(options.get_bool(field.name)));
-          break;
-        default:
-          members.emplace_back(field.name,
-                               serve::Json(options.get_string(field.name)));
-      }
+    if (job_kind != nullptr) {
+      RequestForwarder forwarder(options, members);
+      job_kind->visit(forwarder);
     }
     request = serve::Json::object(std::move(members)).dump();
   }
@@ -855,11 +748,12 @@ int main(int argc, char** argv) {
   try {
     if (command == "analyze") return cmd_analyze(sub_argc, sub_argv);
     if (command == "sweep") return cmd_sweep(sub_argc, sub_argv);
-    if (command == "threshold") return cmd_threshold(sub_argc, sub_argv);
+    if (command == "threshold" || command == "upper-bound") {
+      return cmd_job(command, sub_argc, sub_argv);
+    }
     if (command == "simulate") return cmd_simulate(sub_argc, sub_argv);
     if (command == "network") return cmd_network(sub_argc, sub_argv);
     if (command == "export") return cmd_export(sub_argc, sub_argv);
-    if (command == "upper-bound") return cmd_upper_bound(sub_argc, sub_argv);
     if (command == "baselines") return cmd_baselines(sub_argc, sub_argv);
     if (command == "serve") return cmd_serve(sub_argc, sub_argv);
     if (command == "query") return cmd_query(sub_argc, sub_argv);
