@@ -1,12 +1,12 @@
 // Solver micro-benchmarks (google-benchmark): model construction, one
-// mean-payoff solve per method — legacy AoS reference vs the SoA
+// mean-payoff solve per method — the reference solvers vs the
 // BellmanKernel at several thread counts — full Algorithm 1, the
 // single-tree baseline, and the stationary evaluation: the building
 // blocks whose costs compose into Table 1.
 //
 // The kernel rows are the perf-trajectory anchors: CI's solver-perf job
 // runs this binary with --benchmark_out=BENCH_solvers.json and uploads
-// the JSON, so kernel-vs-legacy and 1-vs-N-thread ratios are recorded
+// the JSON, so kernel-vs-reference and 1-vs-N-thread ratios are recorded
 // per commit, and BM_StreamTriad measures the host's memory-bandwidth
 // peak that the kernel rows' achieved_gbps is judged against. (Results
 // are bit-identical across every thread count — test_mdp_kernel pins
@@ -84,7 +84,7 @@ BENCHMARK(BM_BuildModel)->Args({1, 1})->Args({2, 1})->Args({2, 2})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ValueIteration(benchmark::State& state) {
-  // The seed's AoS path — the baseline every kernel row compares against.
+  // The reference solver — the baseline every kernel row compares against.
   const auto model = selfish::build_model(
       params_for(static_cast<int>(state.range(0)),
                  static_cast<int>(state.range(1))));
@@ -100,7 +100,7 @@ BENCHMARK(BM_ValueIteration)
     ->Args({1, 1})->Args({2, 1})->Args({2, 2})->Args({3, 2})
     ->Unit(benchmark::kMillisecond);
 // The paper's heaviest configuration (≈1.2M states, ≈10.4M transitions):
-// the bandwidth-bound regime the SoA kernel targets. One iteration — a
+// the bandwidth-bound regime the kernel targets. One iteration — a
 // solve takes tens of seconds.
 BENCHMARK(BM_ValueIteration)->Args({4, 2})
     ->Unit(benchmark::kMillisecond)->Iterations(1);
@@ -120,21 +120,8 @@ BENCHMARK(BM_GaussSeidel)
     ->Args({1, 1})->Args({2, 1})->Args({2, 2})->Args({3, 2})
     ->Unit(benchmark::kMillisecond);
 
-void BM_KernelBuild(benchmark::State& state) {
-  // One-time SoA re-indexing cost, amortized over a whole analysis.
-  const auto model = selfish::build_model(
-      params_for(static_cast<int>(state.range(0)),
-                 static_cast<int>(state.range(1))));
-  for (auto _ : state) {
-    const mdp::BellmanKernel kernel(model.mdp);
-    benchmark::DoNotOptimize(kernel.memory_bytes());
-  }
-}
-BENCHMARK(BM_KernelBuild)->Args({2, 2})->Args({3, 2})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_KernelValueIteration(benchmark::State& state) {
-  // SoA kernel, threads = range(2); bit-identical to BM_ValueIteration
+  // The kernel, threads = range(2); bit-identical to BM_ValueIteration
   // (test_mdp_kernel pins that).
   const auto model = selfish::build_model(
       params_for(static_cast<int>(state.range(0)),
@@ -226,25 +213,13 @@ void BM_SweepStream(benchmark::State& state) {
                  static_cast<int>(state.range(1))));
   const mdp::Mdp& m = model.mdp;
   const mdp::StateId n = m.num_states();
-  const mdp::ActionId num_actions = m.num_actions();
-  std::vector<std::uint32_t> action_begin(static_cast<std::size_t>(n) + 1);
-  for (mdp::StateId s = 0; s <= n; ++s) action_begin[s] = m.action_begin(s);
-  std::vector<std::uint32_t> tr_begin(static_cast<std::size_t>(num_actions) +
-                                      1);
-  for (mdp::ActionId a = 0; a < num_actions; ++a) {
-    tr_begin[a] = m.transition_begin(a);
-  }
-  tr_begin[num_actions] = static_cast<std::uint32_t>(m.num_transitions());
-  std::vector<std::uint32_t> targets;
-  std::vector<double> probs;
-  targets.reserve(m.num_transitions());
-  probs.reserve(m.num_transitions());
-  for (mdp::ActionId a = 0; a < num_actions; ++a) {
-    for (const mdp::Transition& t : m.transitions(a)) {
-      targets.push_back(t.target);
-      probs.push_back(t.prob);
-    }
-  }
+  const std::vector<std::uint32_t> action_begin(m.action_begins().begin(),
+                                                m.action_begins().end());
+  const std::vector<std::uint32_t> tr_begin(m.transition_begins().begin(),
+                                            m.transition_begins().end());
+  const std::vector<std::uint32_t> targets(m.targets().begin(),
+                                           m.targets().end());
+  const std::vector<double> probs(m.probs().begin(), m.probs().end());
   const std::vector<double> reward = m.beta_rewards(0.4);
   const std::vector<double> v(static_cast<std::size_t>(n), 1.0);
   std::vector<double> v_next(static_cast<std::size_t>(n), 0.0);

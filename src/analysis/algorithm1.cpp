@@ -17,7 +17,7 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
   const support::Timer timer;
   const mdp::Mdp& m = model.mdp;
 
-  // One SoA view serves every bisection step. The kernel fuses the
+  // One kernel serves every bisection step. The kernel fuses the
   // β-reward into the backup, so no per-step reward vector is
   // materialized (pi/dense, which have no kernel implementation, render
   // one inside the facade).

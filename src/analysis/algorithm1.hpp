@@ -12,8 +12,8 @@
 // across binary-search steps (the solves differ only in β, so values barely
 // move), (b) evaluate the *exact* ERRev of the returned strategy via
 // the stationary counter rates g_A/(g_A+g_H), and (c) run every vi/gs
-// solve on one mdp::BellmanKernel built per analysis — the SoA view with
-// the β-reward fused into the backup, whose sweeps fan out over
+// solve on one mdp::BellmanKernel per analysis — a view over the model's
+// arrays with the β-reward fused into the backup, whose sweeps fan out over
 // AnalysisOptions::solver.threads workers with bit-identical results at
 // any thread count.
 #pragma once

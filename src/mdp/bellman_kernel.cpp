@@ -100,11 +100,11 @@ void check_options(const MeanPayoffOptions& options) {
 
 }  // namespace
 
-/// Raw-pointer snapshot of the kernel's hot arrays, hoisted once per
-/// solve so the backup helper below inlines into the sweep loops with
-/// all base pointers in registers — matching the codegen of the legacy
-/// path's inline free function (a member function reading through
-/// this->mdp_ measurably did not).
+/// Raw-pointer snapshot of the model's CSR arrays and the kernel's fused
+/// rewards, hoisted once per solve so the backup helper below inlines
+/// into the sweep loops with all base pointers in registers — matching
+/// the codegen of the reference path's inline free function (a member
+/// function reading through this->mdp_ measurably did not).
 struct BellmanKernelView {
   const ActionId* action_begin;   ///< Size num_states + 1.
   const std::uint32_t* tr_begin;  ///< Size num_actions + 1.
@@ -113,10 +113,10 @@ struct BellmanKernelView {
   const double* reward;
 
   explicit BellmanKernelView(const BellmanKernel& kernel)
-      : action_begin(kernel.action_begin_.data()),
-        tr_begin(kernel.tr_begin_.data()),
-        targets(kernel.targets_.data()),
-        probs(kernel.probs_.data()),
+      : action_begin(kernel.mdp_->action_begins().data()),
+        tr_begin(kernel.mdp_->transition_begins().data()),
+        targets(kernel.mdp_->targets().data()),
+        probs(kernel.mdp_->probs().data()),
         reward(kernel.reward_.data()) {}
 };
 
@@ -124,7 +124,7 @@ namespace {
 
 /// Best Q-value over the actions of `s` against `values` and the fused
 /// rewards; writes the arg-max (lowest index wins ties) to `best_action`.
-/// Bit-identical to the legacy bellman_best on beta_rewards(beta).
+/// Bit-identical to the reference bellman_best on beta_rewards(beta).
 inline double bellman_best(const BellmanKernelView& k, const double* values,
                            StateId s, ActionId* best_action) {
   double best = -std::numeric_limits<double>::infinity();
@@ -164,45 +164,9 @@ inline void backup_states(const BellmanKernelView& k, const double* values,
 
 }  // namespace
 
-BellmanKernel::BellmanKernel(const Mdp& mdp) : mdp_(&mdp) {
-  const StateId num_states = mdp.num_states();
-  const ActionId num_actions = mdp.num_actions();
-  action_begin_.resize(num_states + 1);
-  for (StateId s = 0; s < num_states; ++s) {
-    action_begin_[s] = mdp.action_begin(s);
-  }
-  action_begin_[num_states] = num_actions;
-  tr_begin_.resize(num_actions + 1);
-  targets_.resize(mdp.num_transitions());
-  probs_.resize(mdp.num_transitions());
-  adv_.resize(num_actions);
-  tot_.resize(num_actions);
-  for (ActionId a = 0; a < num_actions; ++a) {
-    tr_begin_[a] = mdp.transition_begin(a);
-    adv_[a] = mdp.expected_adversary(a);
-    // Same sum Mdp::beta_reward evaluates, frozen once: reward(a, β)
-    // reproduces beta_reward(a, β) bit for bit.
-    tot_[a] = mdp.expected_adversary(a) + mdp.expected_honest(a);
-    std::uint32_t i = mdp.transition_begin(a);
-    for (const Transition& t : mdp.transitions(a)) {
-      targets_[i] = t.target;
-      probs_[i] = t.prob;
-      ++i;
-    }
-  }
-  tr_begin_[num_actions] = static_cast<std::uint32_t>(mdp.num_transitions());
-}
+BellmanKernel::BellmanKernel(const Mdp& mdp) : mdp_(&mdp) {}
 
 BellmanKernel::~BellmanKernel() = default;
-
-std::size_t BellmanKernel::memory_bytes() const {
-  return action_begin_.capacity() * sizeof(ActionId) +
-         tr_begin_.capacity() * sizeof(std::uint32_t) +
-         targets_.capacity() * sizeof(StateId) +
-         probs_.capacity() * sizeof(double) +
-         adv_.capacity() * sizeof(double) + tot_.capacity() * sizeof(double) +
-         reward_.padded_size() * sizeof(double);
-}
 
 std::size_t BellmanKernel::bytes_per_sweep() const {
   // Per transition: target id + probability + the v[target] gather.
@@ -210,16 +174,16 @@ std::size_t BellmanKernel::bytes_per_sweep() const {
   // v[s] read + v_next[s] write. Compulsory traffic only — a lower bound
   // on actual traffic (gathers that miss cost whole cache lines), which
   // keeps the derived GB/s number conservative.
-  return targets_.size() * (sizeof(StateId) + 2 * sizeof(double)) +
-         adv_.size() * (sizeof(double) + sizeof(std::uint32_t)) +
-         (action_begin_.size() - 1) * (sizeof(ActionId) + 2 * sizeof(double));
+  return mdp_->num_transitions() * (sizeof(StateId) + 2 * sizeof(double)) +
+         mdp_->num_actions() * (sizeof(double) + sizeof(std::uint32_t)) +
+         mdp_->num_states() * (sizeof(ActionId) + 2 * sizeof(double));
 }
 
 void BellmanKernel::fuse_rewards(double beta) const {
-  const ActionId num_actions = static_cast<ActionId>(adv_.size());
+  const ActionId num_actions = mdp_->num_actions();
   reward_.resize(num_actions);
   for (ActionId a = 0; a < num_actions; ++a) {
-    reward_[a] = adv_[a] - beta * tot_[a];
+    reward_[a] = mdp_->beta_reward(a, beta);
   }
 }
 

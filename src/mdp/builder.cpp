@@ -1,102 +1,49 @@
 #include "mdp/builder.hpp"
 
-#include <cmath>
+#include <utility>
 
 #include "support/check.hpp"
 
 namespace mdp {
 
 StateId MdpBuilder::add_state() {
-  state_actions_.emplace_back();
-  return static_cast<StateId>(state_actions_.size() - 1);
+  m_.action_begin_.push_back(static_cast<ActionId>(m_.action_label_.size()));
+  return static_cast<StateId>(m_.action_begin_.size() - 1);
 }
 
 ActionId MdpBuilder::add_action(std::uint32_t label) {
-  SM_REQUIRE(!state_actions_.empty(), "add_state before add_action");
-  auto& actions = state_actions_.back();
-  actions.push_back(PendingAction{label, {}});
-  return action_count_++;
+  SM_REQUIRE(!m_.action_begin_.empty(), "add_state before add_action");
+  m_.tr_begin_.push_back(static_cast<std::uint32_t>(m_.targets_.size()));
+  m_.action_label_.push_back(label);
+  return static_cast<ActionId>(m_.action_label_.size() - 1);
 }
 
 void MdpBuilder::add_transition(StateId target, double prob,
                                 RewardCounts counts) {
-  SM_REQUIRE(!state_actions_.empty() && !state_actions_.back().empty(),
+  SM_REQUIRE(!m_.action_begin_.empty() &&
+                 m_.action_label_.size() > m_.action_begin_.back(),
              "add_action before add_transition");
   SM_REQUIRE(prob > 0.0 && prob <= 1.0 + 1e-12,
              "transition probability out of range: ", prob);
-  auto& transitions = state_actions_.back().back().transitions;
   // Merge duplicates produced by canonicalization (several concrete
   // outcomes mapping to the same canonical successor).
-  for (auto& t : transitions) {
-    if (t.target == target && t.counts == counts) {
-      t.prob += prob;
+  for (std::size_t i = m_.tr_begin_.back(); i < m_.targets_.size(); ++i) {
+    if (m_.targets_[i] == target && m_.counts_[i] == counts) {
+      m_.probs_[i] += prob;
       return;
     }
   }
-  transitions.push_back(PendingTransition{target, prob, counts});
+  m_.targets_.push_back(target);
+  m_.probs_.push_back(prob);
+  m_.counts_.push_back(counts);
 }
 
 Mdp MdpBuilder::build(StateId initial) {
-  const StateId n = num_states();
-  SM_REQUIRE(n > 0, "cannot build an empty MDP");
-  SM_REQUIRE(initial < n, "initial state ", initial, " out of range ", n);
-
-  Mdp m;
+  Mdp m = std::exchange(m_, Mdp());
+  m.action_begin_.push_back(static_cast<ActionId>(m.action_label_.size()));
+  m.tr_begin_.push_back(static_cast<std::uint32_t>(m.targets_.size()));
   m.initial_ = initial;
-  m.action_begin_.reserve(n + 1);
-  m.action_begin_.push_back(0);
-
-  ActionId num_actions = 0;
-  std::size_t num_transitions = 0;
-  for (StateId s = 0; s < n; ++s) {
-    SM_REQUIRE(!state_actions_[s].empty(), "state ", s, " has no actions");
-    num_actions += static_cast<ActionId>(state_actions_[s].size());
-    for (const auto& a : state_actions_[s]) {
-      SM_REQUIRE(!a.transitions.empty(), "an action of state ", s,
-                 " has no transitions");
-      num_transitions += a.transitions.size();
-    }
-    m.action_begin_.push_back(num_actions);
-  }
-
-  m.action_state_.reserve(num_actions);
-  m.action_label_.reserve(num_actions);
-  m.tr_begin_.reserve(num_actions + 1);
-  m.tr_begin_.push_back(0);
-  m.transitions_.reserve(num_transitions);
-  m.exp_adv_.reserve(num_actions);
-  m.exp_hon_.reserve(num_actions);
-
-  for (StateId s = 0; s < n; ++s) {
-    for (const auto& a : state_actions_[s]) {
-      double total = 0.0;
-      for (const auto& t : a.transitions) {
-        SM_REQUIRE(t.target < n, "transition target ", t.target,
-                   " out of range ", n);
-        total += t.prob;
-      }
-      SM_REQUIRE(std::fabs(total - 1.0) <= 1e-9,
-                 "action probabilities of state ", s, " sum to ", total);
-
-      double exp_adv = 0.0;
-      double exp_hon = 0.0;
-      for (const auto& t : a.transitions) {
-        const double p = t.prob / total;  // exact renormalization
-        m.transitions_.push_back(Transition{t.target, p, t.counts});
-        exp_adv += p * t.counts.adversary;
-        exp_hon += p * t.counts.honest;
-      }
-      m.action_state_.push_back(s);
-      m.action_label_.push_back(a.label);
-      m.tr_begin_.push_back(static_cast<std::uint32_t>(m.transitions_.size()));
-      m.exp_adv_.push_back(exp_adv);
-      m.exp_hon_.push_back(exp_hon);
-    }
-  }
-
-  state_actions_.clear();
-  state_actions_.shrink_to_fit();
-  action_count_ = 0;
+  m.freeze(/*renormalize=*/true);
   return m;
 }
 

@@ -2,11 +2,11 @@
 //
 // States are added in increasing id order (matching the BFS enumeration the
 // selfish-mining state space produces); actions and transitions are appended
-// to the most recently opened state/action. build() validates the model and
-// produces the immutable Mdp.
+// to the most recently opened state/action, straight into the CSR arrays of
+// the Mdp under construction — there is no staging copy. A transition may
+// target a state that is not added yet; build() validates the whole model,
+// renormalizes each action's row in place and produces the immutable Mdp.
 #pragma once
-
-#include <vector>
 
 #include "mdp/mdp.hpp"
 #include "mdp/types.hpp"
@@ -26,8 +26,6 @@ class MdpBuilder {
   /// Duplicate targets with identical reward counts are merged.
   void add_transition(StateId target, double prob, RewardCounts counts = {});
 
-  StateId num_states() const { return static_cast<StateId>(state_actions_.size()); }
-
   /// Validates and freezes the model:
   ///  * `initial` must be a valid state;
   ///  * every state needs ≥ 1 action, every action ≥ 1 transition;
@@ -37,18 +35,11 @@ class MdpBuilder {
   Mdp build(StateId initial);
 
  private:
-  struct PendingTransition {
-    StateId target;
-    double prob;
-    RewardCounts counts;
-  };
-  struct PendingAction {
-    std::uint32_t label;
-    std::vector<PendingTransition> transitions;
-  };
-
-  std::vector<std::vector<PendingAction>> state_actions_;
-  ActionId action_count_ = 0;
+  // The model under construction. Its two offset ladders lack their
+  // closing entries until build() appends them, so the open state's
+  // actions start at action_begin_.back() and the open action's
+  // transitions at tr_begin_.back().
+  Mdp m_;
 };
 
 }  // namespace mdp

@@ -60,8 +60,9 @@ DenseEvaluation dense_evaluate_policy(const Mdp& mdp, const Policy& policy,
     // h(s) + g − Σ P h(t) = r(s)
     a[s][0] += 1.0;  // g coefficient
     if (s != 0) a[s][s] += 1.0;
-    for (const Transition& t : mdp.transitions(act)) {
-      if (t.target != 0) a[s][t.target] -= t.prob;
+    for (std::uint32_t i = mdp.transition_begin(act);
+         i < mdp.transition_end(act); ++i) {
+      if (mdp.target(i) != 0) a[s][mdp.target(i)] -= mdp.prob(i);
     }
     b[s] = action_reward[act];
   }
@@ -93,16 +94,18 @@ DensePolicyIterationResult dense_policy_iteration(
     for (StateId s = 0; s < n; ++s) {
       const ActionId incumbent = policy[s];
       double incumbent_q = action_reward[incumbent];
-      for (const Transition& t : mdp.transitions(incumbent)) {
-        incumbent_q += t.prob * eval.bias[t.target];
+      for (std::uint32_t i = mdp.transition_begin(incumbent);
+           i < mdp.transition_end(incumbent); ++i) {
+        incumbent_q += mdp.prob(i) * eval.bias[mdp.target(i)];
       }
       double best_q = incumbent_q;
       ActionId best_a = incumbent;
       for (ActionId a = mdp.action_begin(s); a < mdp.action_end(s); ++a) {
         if (a == incumbent) continue;
         double q = action_reward[a];
-        for (const Transition& t : mdp.transitions(a)) {
-          q += t.prob * eval.bias[t.target];
+        for (std::uint32_t i = mdp.transition_begin(a);
+             i < mdp.transition_end(a); ++i) {
+          q += mdp.prob(i) * eval.bias[mdp.target(i)];
         }
         if (q > best_q + improve_tol) {
           best_q = q;

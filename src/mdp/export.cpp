@@ -13,9 +13,10 @@ void export_tra(const Mdp& mdp, std::ostream& out) {
     std::uint32_t offset = 0;
     for (ActionId a = mdp.action_begin(s); a < mdp.action_end(s);
          ++a, ++offset) {
-      for (const Transition& t : mdp.transitions(a)) {
-        out << s << ' ' << offset << ' ' << t.target << ' '
-            << support::format_double(t.prob, 17) << '\n';
+      for (std::uint32_t i = mdp.transition_begin(a);
+           i < mdp.transition_end(a); ++i) {
+        out << s << ' ' << offset << ' ' << mdp.target(i) << ' '
+            << support::format_double(mdp.prob(i), 17) << '\n';
       }
     }
   }
@@ -31,12 +32,12 @@ void export_rew(const Mdp& mdp, double beta, std::ostream& out) {
     std::uint32_t offset = 0;
     for (ActionId a = mdp.action_begin(s); a < mdp.action_end(s);
          ++a, ++offset) {
-      for (const Transition& t : mdp.transitions(a)) {
-        const double reward =
-            t.counts.adversary -
-            beta * (t.counts.adversary + t.counts.honest);
+      for (std::uint32_t i = mdp.transition_begin(a);
+           i < mdp.transition_end(a); ++i) {
+        const RewardCounts c = mdp.counts(i);
+        const double reward = c.adversary - beta * (c.adversary + c.honest);
         if (reward == 0.0) continue;  // sparse reward files
-        out << s << ' ' << offset << ' ' << t.target << ' '
+        out << s << ' ' << offset << ' ' << mdp.target(i) << ' '
             << support::format_double(reward, 17) << '\n';
       }
     }
@@ -58,33 +59,33 @@ void export_dot(const Mdp& mdp, std::ostream& out, const DotOptions& options) {
     if (s == mdp.initial_state()) out << ", peripheries=2";
     out << "];\n";
   }
+  // Ends an edge's label with transition i's counters, if any.
+  const auto close_edge = [&](std::uint32_t i) {
+    const RewardCounts c = mdp.counts(i);
+    if (c.adversary || c.honest) {
+      out << " +" << c.adversary << "a/+" << c.honest << "h";
+    }
+    out << "\"];\n";
+  };
   for (StateId s = 0; s < mdp.num_states(); ++s) {
     for (ActionId a = mdp.action_begin(s); a < mdp.action_end(s); ++a) {
-      const auto transitions = mdp.transitions(a);
-      if (transitions.size() == 1 && transitions[0].prob == 1.0) {
+      const std::uint32_t begin = mdp.transition_begin(a);
+      const std::uint32_t end = mdp.transition_end(a);
+      if (end - begin == 1 && mdp.prob(begin) == 1.0) {
         // Deterministic action: a single labeled edge.
-        const Transition& t = transitions[0];
-        out << "  s" << s << " -> s" << t.target << " [label=\"a"
+        out << "  s" << s << " -> s" << mdp.target(begin) << " [label=\"a"
             << (a - mdp.action_begin(s));
-        if (t.counts.adversary || t.counts.honest) {
-          out << " +" << t.counts.adversary << "a/+" << t.counts.honest
-              << "h";
-        }
-        out << "\"];\n";
+        close_edge(begin);
         continue;
       }
       // Probabilistic action: a chance node fanning out.
       out << "  a" << a << " [shape=point];\n";
       out << "  s" << s << " -> a" << a << " [label=\"a"
           << (a - mdp.action_begin(s)) << "\"];\n";
-      for (const Transition& t : transitions) {
-        out << "  a" << a << " -> s" << t.target << " [label=\""
-            << support::format_double(t.prob, 4);
-        if (t.counts.adversary || t.counts.honest) {
-          out << " +" << t.counts.adversary << "a/+" << t.counts.honest
-              << "h";
-        }
-        out << "\"];\n";
+      for (std::uint32_t i = begin; i < end; ++i) {
+        out << "  a" << a << " -> s" << mdp.target(i) << " [label=\""
+            << support::format_double(mdp.prob(i), 4);
+        close_edge(i);
       }
     }
   }

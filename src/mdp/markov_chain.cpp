@@ -44,7 +44,10 @@ std::vector<bool> reachable_states(const Mdp& mdp, StateId from) {
   SM_REQUIRE(from < mdp.num_states(), "state out of range");
   return bfs(mdp.num_states(), from, [&](StateId s, auto&& visit) {
     for (ActionId a = mdp.action_begin(s); a < mdp.action_end(s); ++a) {
-      for (const Transition& t : mdp.transitions(a)) visit(t.target);
+      for (std::uint32_t i = mdp.transition_begin(a);
+           i < mdp.transition_end(a); ++i) {
+        visit(mdp.target(i));
+      }
     }
   });
 }
@@ -54,7 +57,11 @@ std::vector<bool> reachable_states(const Mdp& mdp, const Policy& policy,
   SM_REQUIRE(from < mdp.num_states(), "state out of range");
   validate_policy(mdp, policy);
   return bfs(mdp.num_states(), from, [&](StateId s, auto&& visit) {
-    for (const Transition& t : mdp.transitions(policy[s])) visit(t.target);
+    const ActionId a = policy[s];
+    for (std::uint32_t i = mdp.transition_begin(a); i < mdp.transition_end(a);
+         ++i) {
+      visit(mdp.target(i));
+    }
   });
 }
 
@@ -81,8 +88,10 @@ StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy,
     for (StateId s = 0; s < n; ++s) {
       if (mu[s] == 0.0) continue;
       const double mass = one_minus_tau * mu[s];
-      for (const Transition& t : mdp.transitions(policy[s])) {
-        next[t.target] += mass * t.prob;
+      const ActionId a = policy[s];
+      for (std::uint32_t i = mdp.transition_begin(a);
+           i < mdp.transition_end(a); ++i) {
+        next[mdp.target(i)] += mass * mdp.prob(i);
       }
     }
     double l1 = 0.0;

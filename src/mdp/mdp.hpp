@@ -1,12 +1,18 @@
 // Immutable sparse finite Markov decision process.
 //
-// Storage is CSR-like on two levels: states index a contiguous range of
+// Storage is CSR on two levels: states index a contiguous range of
 // actions, and each action indexes a contiguous range of transitions.
-// Models are constructed through mdp::MdpBuilder (builder.hpp), which
-// validates stochasticity before freezing the model.
+// The transitions are three parallel arrays — target (4 B), probability
+// (8 B) and finalization counters (4 B), 16 B per transition — and they
+// are the only copy of the model: mdp::MdpBuilder (builder.hpp) appends
+// straight into them, mdp::BellmanKernel sweeps them in place, and the
+// reference solvers, the stationary solve, export and the binary cache
+// read the same arrays. Models come from MdpBuilder or mdp::load_binary
+// (serialize.hpp); both validate the arrays before freezing the model.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -16,25 +22,19 @@ namespace mdp {
 
 class MdpBuilder;
 
-/// One outgoing probabilistic edge of an action.
-struct Transition {
-  StateId target = kInvalidState;
-  double prob = 0.0;
-  RewardCounts counts;
-};
-
 /// A finite MDP with per-transition finalization counters.
 ///
-/// Invariants (established by MdpBuilder):
+/// Invariants (checked whenever a model is built or loaded):
 ///  * every state has at least one action;
 ///  * every action has at least one transition;
-///  * each action's transition probabilities sum to 1 (within 1e-9);
+///  * each action's transition probabilities are positive and sum to 1
+///    (within 1e-9);
 ///  * all transition targets are valid states.
 class Mdp {
  public:
   StateId num_states() const { return static_cast<StateId>(action_begin_.size() - 1); }
   ActionId num_actions() const { return static_cast<ActionId>(tr_begin_.size() - 1); }
-  std::size_t num_transitions() const { return transitions_.size(); }
+  std::size_t num_transitions() const { return targets_.size(); }
   StateId initial_state() const { return initial_; }
 
   /// Global indices of the actions available in `s`: [begin, end).
@@ -44,25 +44,26 @@ class Mdp {
     return action_end(s) - action_begin(s);
   }
 
-  /// The state an action belongs to.
-  StateId action_state(ActionId a) const { return action_state_[a]; }
-
   /// Model-specific opaque label attached to the action (e.g. an encoded
   /// selfish-mining action); purely for strategy readout.
   std::uint32_t action_label(ActionId a) const { return action_label_[a]; }
 
-  /// The probabilistic successor distribution of an action.
-  std::span<const Transition> transitions(ActionId a) const {
-    return {transitions_.data() + tr_begin_[a],
-            transitions_.data() + tr_begin_[a + 1]};
-  }
-
-  /// Flat CSR position of an action's transitions: [begin, end) into the
-  /// global transition order (the order transitions(a) spans walk). Used
-  /// by structure-of-arrays views (mdp::BellmanKernel) that re-index the
-  /// transition data without the 24-byte AoS stride.
+  /// An action's probabilistic successors are the transitions
+  /// [transition_begin(a), transition_end(a)), read through target(i),
+  /// prob(i) and counts(i).
   std::uint32_t transition_begin(ActionId a) const { return tr_begin_[a]; }
   std::uint32_t transition_end(ActionId a) const { return tr_begin_[a + 1]; }
+  StateId target(std::uint32_t i) const { return targets_[i]; }
+  double prob(std::uint32_t i) const { return probs_[i]; }
+  RewardCounts counts(std::uint32_t i) const { return counts_[i]; }
+
+  /// The raw CSR arrays, for sweeps that hoist base pointers out of their
+  /// loops (mdp::BellmanKernel). action_begins() has num_states + 1
+  /// entries and transition_begins() num_actions + 1.
+  std::span<const ActionId> action_begins() const { return action_begin_; }
+  std::span<const std::uint32_t> transition_begins() const { return tr_begin_; }
+  std::span<const StateId> targets() const { return targets_; }
+  std::span<const double> probs() const { return probs_; }
 
   /// Expected finalized-block counters of an action:
   /// Σ_t prob(t)·counts(t), precomputed at build time.
@@ -87,13 +88,21 @@ class Mdp {
 
  private:
   friend class MdpBuilder;
+  friend void save_binary(const Mdp& m, std::ostream& out);
+  friend Mdp load_binary(std::istream& in);
   Mdp() = default;
 
+  /// Checks the invariants above on the filled arrays and sums
+  /// exp_adv_/exp_hon_. With `renormalize`, each action's probabilities
+  /// are first divided by their sum, removing accumulated rounding.
+  void freeze(bool renormalize);
+
   std::vector<ActionId> action_begin_;      // size: num_states + 1
-  std::vector<StateId> action_state_;       // size: num_actions
   std::vector<std::uint32_t> action_label_; // size: num_actions
   std::vector<std::uint32_t> tr_begin_;     // size: num_actions + 1
-  std::vector<Transition> transitions_;
+  std::vector<StateId> targets_;            // size: num_transitions
+  std::vector<double> probs_;               // size: num_transitions
+  std::vector<RewardCounts> counts_;        // size: num_transitions
   std::vector<double> exp_adv_;             // size: num_actions
   std::vector<double> exp_hon_;             // size: num_actions
   StateId initial_ = 0;

@@ -34,8 +34,9 @@ PolicyEvaluation evaluate_policy_gain(const Mdp& mdp, const Policy& policy,
     for (StateId s = 0; s < n; ++s) {
       const ActionId a = policy[s];
       double q = action_reward[a];
-      for (const Transition& t : mdp.transitions(a)) {
-        q += t.prob * v[t.target];
+      for (std::uint32_t i = mdp.transition_begin(a);
+           i < mdp.transition_end(a); ++i) {
+        q += mdp.prob(i) * v[mdp.target(i)];
       }
       const double updated = one_minus_tau * q + tau * v[s];
       const double delta = updated - v[s];

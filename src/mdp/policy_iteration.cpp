@@ -40,16 +40,18 @@ PolicyIterationResult policy_iteration(const Mdp& mdp,
     for (StateId s = 0; s < n; ++s) {
       const ActionId incumbent = policy[s];
       double incumbent_q = action_reward[incumbent];
-      for (const Transition& t : mdp.transitions(incumbent)) {
-        incumbent_q += t.prob * bias[t.target];
+      for (std::uint32_t i = mdp.transition_begin(incumbent);
+           i < mdp.transition_end(incumbent); ++i) {
+        incumbent_q += mdp.prob(i) * bias[mdp.target(i)];
       }
       double best_q = incumbent_q;
       ActionId best_a = incumbent;
       for (ActionId a = mdp.action_begin(s); a < mdp.action_end(s); ++a) {
         if (a == incumbent) continue;
         double q = action_reward[a];
-        for (const Transition& t : mdp.transitions(a)) {
-          q += t.prob * bias[t.target];
+        for (std::uint32_t i = mdp.transition_begin(a);
+             i < mdp.transition_end(a); ++i) {
+          q += mdp.prob(i) * bias[mdp.target(i)];
         }
         if (q > best_q + options.improve_tol) {
           best_q = q;

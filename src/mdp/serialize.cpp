@@ -1,17 +1,16 @@
 #include "mdp/serialize.hpp"
 
-#include <cstring>
 #include <istream>
 #include <ostream>
+#include <span>
 
-#include "mdp/builder.hpp"
 #include "support/check.hpp"
 
 namespace mdp {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x53454c4d44503031ULL;  // "SELMDP01"
+constexpr std::uint64_t kMagic = 0x53454c4d44503032ULL;  // "SELMDP02"
 
 template <typename T>
 void write_pod(std::ostream& out, const T& value) {
@@ -27,102 +26,70 @@ T read_pod(std::istream& in) {
 }
 
 template <typename T>
-void write_vector(std::ostream& out, const std::vector<T>& v) {
+void write_vector(std::ostream& out, std::span<const T> v) {
   write_pod<std::uint64_t>(out, v.size());
-  if (!v.empty()) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
+  out.write(reinterpret_cast<const char*>(v.data()),
+            static_cast<std::streamsize>(v.size_bytes()));
 }
 
+/// Bytes between the read position and the end of the stream. Measured by
+/// seeking: in_avail() would count only what a file stream has buffered.
+std::uint64_t bytes_left(std::istream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  SM_REQUIRE(here >= 0 && end >= here && in.good(), "unseekable MDP stream");
+  return static_cast<std::uint64_t>(end - here);
+}
+
+/// Reads a length-prefixed array into `v`. The length is checked against
+/// the rest of the stream before anything is allocated, so a corrupt
+/// length field fails the load instead of requesting gigabytes.
 template <typename T>
-std::vector<T> read_vector(std::istream& in, std::uint64_t max_size) {
+void read_vector(std::istream& in, std::vector<T>& v) {
   const auto size = read_pod<std::uint64_t>(in);
-  SM_REQUIRE(size <= max_size, "implausible vector size in MDP stream: ",
-             size);
-  std::vector<T> v(size);
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(size * sizeof(T)));
-    SM_REQUIRE(in.good(), "truncated MDP stream");
-  }
-  return v;
+  SM_REQUIRE(size <= bytes_left(in) / sizeof(T),
+             "implausible array length in MDP stream: ", size);
+  v.resize(size);
+  in.read(reinterpret_cast<char*>(v.data()),
+          static_cast<std::streamsize>(size * sizeof(T)));
+  SM_REQUIRE(in.good(), "truncated MDP stream");
 }
 
 }  // namespace
 
 void save_binary(const Mdp& m, std::ostream& out) {
   write_pod(out, kMagic);
-  write_pod<std::uint32_t>(out, m.initial_state());
-
-  // Flat per-action dump; the builder re-validates on load.
+  write_pod<std::uint32_t>(out, m.initial_);
   write_pod<std::uint64_t>(out, m.num_states());
-  std::vector<std::uint32_t> actions_per_state(m.num_states());
-  for (StateId s = 0; s < m.num_states(); ++s) {
-    actions_per_state[s] = m.num_actions_of(s);
-  }
-  write_vector(out, actions_per_state);
-
-  std::vector<std::uint32_t> labels(m.num_actions());
-  std::vector<std::uint32_t> transitions_per_action(m.num_actions());
-  for (ActionId a = 0; a < m.num_actions(); ++a) {
-    labels[a] = m.action_label(a);
-    transitions_per_action[a] =
-        static_cast<std::uint32_t>(m.transitions(a).size());
-  }
-  write_vector(out, labels);
-  write_vector(out, transitions_per_action);
-
-  std::vector<Transition> transitions;
-  transitions.reserve(m.num_transitions());
-  for (ActionId a = 0; a < m.num_actions(); ++a) {
-    for (const Transition& t : m.transitions(a)) transitions.push_back(t);
-  }
-  write_vector(out, transitions);
+  write_vector<ActionId>(out, m.action_begin_);
+  write_vector<std::uint32_t>(out, m.action_label_);
+  write_vector<std::uint32_t>(out, m.tr_begin_);
+  write_vector<StateId>(out, m.targets_);
+  write_vector<double>(out, m.probs_);
+  write_vector<RewardCounts>(out, m.counts_);
 }
 
 Mdp load_binary(std::istream& in) {
   SM_REQUIRE(read_pod<std::uint64_t>(in) == kMagic,
              "not an MDP binary stream (bad magic)");
-  const auto initial = read_pod<std::uint32_t>(in);
+  Mdp m;
+  m.initial_ = read_pod<std::uint32_t>(in);
   const auto num_states = read_pod<std::uint64_t>(in);
-  constexpr std::uint64_t kMax = 1ull << 33;  // sanity bound
-
-  const auto actions_per_state = read_vector<std::uint32_t>(in, kMax);
-  SM_REQUIRE(actions_per_state.size() == num_states,
+  read_vector(in, m.action_begin_);
+  SM_REQUIRE(m.action_begin_.size() - 1 == num_states,
              "state count mismatch in MDP stream");
-  const auto labels = read_vector<std::uint32_t>(in, kMax);
-  const auto transitions_per_action = read_vector<std::uint32_t>(in, kMax);
-  SM_REQUIRE(labels.size() == transitions_per_action.size(),
-             "action arrays disagree in MDP stream");
-  const auto transitions = read_vector<Transition>(in, kMax);
-
-  // Rebuild through the builder so every invariant (stochastic rows,
-  // in-range targets, non-empty states) is re-checked.
-  MdpBuilder builder;
-  std::size_t action_cursor = 0;
-  std::size_t transition_cursor = 0;
-  for (std::uint64_t s = 0; s < num_states; ++s) {
-    builder.add_state();
-    for (std::uint32_t a = 0; a < actions_per_state[s]; ++a) {
-      SM_REQUIRE(action_cursor < labels.size(),
-                 "action payload shorter than the index");
-      builder.add_action(labels[action_cursor]);
-      const std::uint32_t fanout = transitions_per_action[action_cursor];
-      ++action_cursor;
-      for (std::uint32_t t = 0; t < fanout; ++t) {
-        SM_REQUIRE(transition_cursor < transitions.size(),
-                   "transition payload shorter than the index");
-        const Transition& tr = transitions[transition_cursor++];
-        builder.add_transition(tr.target, tr.prob, tr.counts);
-      }
-    }
-  }
-  SM_REQUIRE(action_cursor == labels.size(),
-             "unused actions at the end of the MDP stream");
-  SM_REQUIRE(transition_cursor == transitions.size(),
-             "unused transitions at the end of the MDP stream");
-  return builder.build(initial);
+  read_vector(in, m.action_label_);
+  read_vector(in, m.tr_begin_);
+  read_vector(in, m.targets_);
+  read_vector(in, m.probs_);
+  read_vector(in, m.counts_);
+  // The builder's checks (stochastic rows, in-range targets, non-empty
+  // states and actions) plus consistent offset ladders. The rows were
+  // renormalized when the model was built, so they load as stored.
+  m.freeze(/*renormalize=*/false);
+  return m;
 }
 
 }  // namespace mdp

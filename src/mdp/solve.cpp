@@ -77,8 +77,9 @@ MeanPayoffResult solve_mean_payoff(const BellmanKernel& kernel, double beta,
                                  options.threads);
     case SolverMethod::kPolicyIteration:
     case SolverMethod::kDensePolicyIteration: {
-      // No SoA implementation: materialize the reward vector and take the
-      // AoS path (identical numbers — the fused reward is beta_reward).
+      // No kernel implementation: materialize the reward vector and take
+      // the reference path (identical numbers — the fused reward is
+      // beta_reward).
       std::vector<double> rewards;
       kernel.mdp().beta_rewards_into(beta, rewards);
       return solve_mean_payoff(kernel.mdp(), rewards, options, warm_start);

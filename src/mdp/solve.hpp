@@ -50,18 +50,18 @@ struct SolveOptions {
 
 /// Maximizes the mean payoff of `mdp` for the per-action reward vector.
 /// `warm_start` (value vector from a previous related solve) is honored by
-/// the vi and gs methods and ignored by pi and dense. This entry walks the
-/// legacy AoS arrays and ignores `threads`; it is the reference path that
-/// test_mdp_kernel pins the kernel against (build a BellmanKernel and use
-/// the overload below for the production one).
+/// the vi and gs methods and ignored by pi and dense. This entry runs the
+/// reference solvers and ignores `threads`; test_mdp_kernel pins the
+/// kernel against it (build a BellmanKernel and use the overload below
+/// for the production path).
 MeanPayoffResult solve_mean_payoff(const Mdp& mdp,
                                    const std::vector<double>& action_reward,
                                    const SolveOptions& options = {},
                                    const std::vector<double>* warm_start = nullptr);
 
-/// Kernel path: solves for the fused reward r_β on a prebuilt SoA view,
-/// fanning sweeps over `options.threads` workers. vi/gs run on the
-/// kernel; pi/dense have no SoA implementation and fall back to the AoS
+/// Kernel path: solves for the fused reward r_β on the kernel, fanning
+/// sweeps over `options.threads` workers. vi/gs run on the kernel;
+/// pi/dense have no kernel implementation and fall back to the reference
 /// path with a materialized beta_rewards vector. Bit-identical to the
 /// reference overload at any thread count.
 MeanPayoffResult solve_mean_payoff(const BellmanKernel& kernel, double beta,

@@ -12,8 +12,6 @@ using StateId = std::uint32_t;
 /// Global action index (CSR position across all states of one model).
 using ActionId = std::uint32_t;
 
-inline constexpr StateId kInvalidState =
-    std::numeric_limits<StateId>::max();
 inline constexpr ActionId kInvalidAction =
     std::numeric_limits<ActionId>::max();
 

@@ -21,8 +21,9 @@ inline double bellman_best(const Mdp& mdp,
   const ActionId end = mdp.action_end(s);
   for (ActionId a = mdp.action_begin(s); a < end; ++a) {
     double q = action_reward[a];
-    for (const Transition& t : mdp.transitions(a)) {
-      q += t.prob * v[t.target];
+    for (std::uint32_t i = mdp.transition_begin(a); i < mdp.transition_end(a);
+         ++i) {
+      q += mdp.prob(i) * v[mdp.target(i)];
     }
     if (q > best) {
       best = q;

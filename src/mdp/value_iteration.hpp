@@ -15,7 +15,7 @@
 // sweep backed up from, which at convergence is within tol of the greedy
 // policy of the returned values — so convergence costs no extra sweep.
 //
-// These AoS-walking implementations are the *reference* solvers: the
+// These straightforward implementations are the *reference* solvers: the
 // bandwidth-optimized, thread-parallel mdp::BellmanKernel
 // (bellman_kernel.hpp) is pinned bit-identical to them by
 // test_mdp_kernel, and production paths (analysis::analyze) route

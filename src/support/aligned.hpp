@@ -51,7 +51,7 @@ class AlignedDoubles {
 
   /// Resizes to `size` logical elements. New storage (including the
   /// padding lane up to the next cache line) is zero-filled so reads past
-  /// `size` up to padded_size() are defined.
+  /// `size` up to that line's end are defined.
   void resize(std::size_t size) {
     const std::size_t padded = pad(size);
     if (padded > capacity_) {
@@ -90,8 +90,6 @@ class AlignedDoubles {
   double& operator[](std::size_t i) { return data_[i]; }
   double operator[](std::size_t i) const { return data_[i]; }
   std::size_t size() const { return size_; }
-  /// Allocation length: size() rounded up to a multiple of 8 doubles.
-  std::size_t padded_size() const { return pad(size_); }
 
  private:
   static std::size_t pad(std::size_t size) {

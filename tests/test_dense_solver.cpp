@@ -54,9 +54,11 @@ TEST(DenseSolver, BiasSatisfiesPoissonEquation) {
   const auto eval = mdp::dense_evaluate_policy(m, policy, rewards);
   // h(s) + g = r(s) + Σ P h(t) must hold exactly for every state.
   for (mdp::StateId s = 0; s < m.num_states(); ++s) {
-    double rhs = rewards[policy[s]];
-    for (const auto& t : m.transitions(policy[s])) {
-      rhs += t.prob * eval.bias[t.target];
+    const mdp::ActionId a = policy[s];
+    double rhs = rewards[a];
+    for (std::uint32_t i = m.transition_begin(a); i < m.transition_end(a);
+         ++i) {
+      rhs += m.prob(i) * eval.bias[m.target(i)];
     }
     EXPECT_NEAR(eval.bias[s] + eval.gain, rhs, 1e-9) << "state " << s;
   }

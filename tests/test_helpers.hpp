@@ -2,8 +2,11 @@
 // used across the solver test files.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
+#include "engine/job.hpp"
 #include "mdp/builder.hpp"
 #include "mdp/mdp.hpp"
 #include "support/rng.hpp"
@@ -72,6 +75,36 @@ inline mdp::Mdp random_unichain(support::Rng& rng, int num_states,
     }
   }
   return b.build(0);
+}
+
+/// FNV-1a fingerprint of every number a model holds, chained in id
+/// order: state and initial-state ids, the action ladder, then per
+/// action its label, the bit patterns of its expected counters and its
+/// transition count, followed by each of its transitions' target,
+/// probability bits and counters. Equal hashes mean bit-identical models.
+inline std::uint64_t model_hash(const mdp::Mdp& m) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](auto value) {
+    hash = engine::fnv1a64(&value, sizeof value, hash);
+  };
+  mix(m.num_states());
+  mix(m.initial_state());
+  for (mdp::StateId s = 0; s < m.num_states(); ++s) mix(m.action_begin(s));
+  mix(m.num_actions());
+  for (mdp::ActionId a = 0; a < m.num_actions(); ++a) {
+    mix(m.action_label(a));
+    mix(std::bit_cast<std::uint64_t>(m.expected_adversary(a)));
+    mix(std::bit_cast<std::uint64_t>(m.expected_honest(a)));
+    mix(m.transition_end(a) - m.transition_begin(a));
+    for (std::uint32_t i = m.transition_begin(a); i < m.transition_end(a);
+         ++i) {
+      mix(m.target(i));
+      mix(std::bit_cast<std::uint64_t>(m.prob(i)));
+      mix(m.counts(i).adversary);
+      mix(m.counts(i).honest);
+    }
+  }
+  return hash;
 }
 
 }  // namespace test_helpers

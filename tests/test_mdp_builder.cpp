@@ -15,18 +15,18 @@ TEST(MdpBuilder, BuildsTwoStateCycle) {
   EXPECT_EQ(m.initial_state(), 0u);
   EXPECT_EQ(m.action_begin(0), 0u);
   EXPECT_EQ(m.action_end(0), 1u);
-  EXPECT_EQ(m.action_state(0), 0u);
-  EXPECT_EQ(m.action_state(1), 1u);
+  EXPECT_EQ(m.action_begin(1), 1u);
+  EXPECT_EQ(m.action_end(1), 2u);
 }
 
 TEST(MdpBuilder, TransitionContents) {
   const mdp::Mdp m = test_helpers::two_state_cycle();
-  const auto tr = m.transitions(0);
-  ASSERT_EQ(tr.size(), 1u);
-  EXPECT_EQ(tr[0].target, 1u);
-  EXPECT_DOUBLE_EQ(tr[0].prob, 1.0);
-  EXPECT_EQ(tr[0].counts.adversary, 1);
-  EXPECT_EQ(tr[0].counts.honest, 0);
+  const std::uint32_t i = m.transition_begin(0);
+  ASSERT_EQ(m.transition_end(0), i + 1);
+  EXPECT_EQ(m.target(i), 1u);
+  EXPECT_DOUBLE_EQ(m.prob(i), 1.0);
+  EXPECT_EQ(m.counts(i).adversary, 1);
+  EXPECT_EQ(m.counts(i).honest, 0);
 }
 
 TEST(MdpBuilder, ExpectedCountsPrecomputed) {
@@ -54,7 +54,7 @@ TEST(MdpBuilder, MergesDuplicateTransitions) {
   b.add_transition(0, 0.5, {1, 0});  // same target, same counts → merged
   const mdp::Mdp m = b.build(0);
   ASSERT_EQ(m.num_transitions(), 1u);
-  EXPECT_DOUBLE_EQ(m.transitions(0)[0].prob, 1.0);
+  EXPECT_DOUBLE_EQ(m.prob(m.transition_begin(0)), 1.0);
 }
 
 TEST(MdpBuilder, KeepsDistinctCountsSeparate) {
@@ -118,7 +118,9 @@ TEST(MdpBuilder, RenormalizesRoundedRows) {
   b.add_transition(0, 1.0 / 3.0, {0, 0});
   const mdp::Mdp m = b.build(0);
   double total = 0.0;
-  for (const auto& t : m.transitions(0)) total += t.prob;
+  for (std::uint32_t i = m.transition_begin(0); i < m.transition_end(0); ++i) {
+    total += m.prob(i);
+  }
   EXPECT_DOUBLE_EQ(total, 1.0);
 }
 

@@ -8,6 +8,7 @@
 #include "baselines/honest.hpp"
 #include "mdp/markov_chain.hpp"
 #include "selfish/build.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -61,6 +62,38 @@ TEST(SelfishModel, ActionLabelsDecodeToAvailableActions) {
          a < model.mdp.action_end(s); ++a, ++idx) {
       EXPECT_EQ(model.action_of(a), expected[idx]);
     }
+  }
+}
+
+TEST(SelfishModel, BuiltArraysArePinnedBitForBit) {
+  // The kernel and the reference solvers read the same arrays, so their
+  // agreement cannot catch a builder that enumerates, merges or
+  // renormalizes differently; these fingerprints can. Any change to
+  // state ids, action order or a single probability bit moves them.
+  struct Case {
+    selfish::AttackParams params;
+    mdp::StateId states;
+    mdp::ActionId actions;
+    std::size_t transitions;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {{.p = 0.3, .gamma = 0.5, .d = 2, .f = 2, .l = 4},
+       1348, 6148, 8648, 0x492ec88c78806e44ULL},
+      {{.p = 0.25, .gamma = 0.75, .d = 3, .f = 1, .l = 3},
+       764, 2044, 3152, 0xfeda1a9fffa4729aULL},
+      {{.p = 0.2, .gamma = 0.0, .d = 2, .f = 1, .l = 4,
+        .burn_lost_races = true},
+       148, 468, 566, 0xc3ced0426a23c5bcULL},
+  };
+  for (const Case& c : cases) {
+    const auto model = selfish::build_model(c.params);
+    EXPECT_EQ(model.mdp.num_states(), c.states) << c.params.to_string();
+    EXPECT_EQ(model.mdp.num_actions(), c.actions) << c.params.to_string();
+    EXPECT_EQ(model.mdp.num_transitions(), c.transitions)
+        << c.params.to_string();
+    EXPECT_EQ(test_helpers::model_hash(model.mdp), c.hash)
+        << c.params.to_string();
   }
 }
 
