@@ -22,7 +22,6 @@
 #include "baselines/single_tree.hpp"
 #include "mdp/bellman_kernel.hpp"
 #include "mdp/dense_solver.hpp"
-#include "mdp/policy_iteration.hpp"
 #include "mdp/solve.hpp"
 #include "obs/metrics.hpp"
 #include "selfish/build.hpp"
@@ -249,19 +248,6 @@ void BM_SweepStream(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepStream)->Args({3, 2})->Args({4, 2})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_PolicyIteration(benchmark::State& state) {
-  const auto model = selfish::build_model(
-      params_for(static_cast<int>(state.range(0)),
-                 static_cast<int>(state.range(1))));
-  const auto rewards = model.mdp.beta_rewards(0.4);
-  for (auto _ : state) {
-    const auto result = mdp::policy_iteration(model.mdp, rewards);
-    benchmark::DoNotOptimize(result.gain);
-  }
-}
-BENCHMARK(BM_PolicyIteration)->Args({1, 1})->Args({2, 1})->Args({2, 2})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_DensePolicyIteration(benchmark::State& state) {
   // Dense evaluation is O(n³): only the small models are feasible.

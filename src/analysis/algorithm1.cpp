@@ -19,8 +19,7 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
 
   // One kernel serves every bisection step. The kernel fuses the
   // β-reward into the backup, so no per-step reward vector is
-  // materialized (pi/dense, which have no kernel implementation, render
-  // one inside the facade).
+  // materialized.
   const mdp::BellmanKernel kernel(m);
   const auto solve_at = [&](double beta, const std::vector<double>* seed) {
     return mdp::solve_mean_payoff(kernel, beta, options.solver, seed);

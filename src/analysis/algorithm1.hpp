@@ -11,7 +11,7 @@
 // band. On top of the paper's algorithm we (a) warm-start the value vector
 // across binary-search steps (the solves differ only in β, so values barely
 // move), (b) evaluate the *exact* ERRev of the returned strategy via
-// the stationary counter rates g_A/(g_A+g_H), and (c) run every vi/gs
+// the stationary counter rates g_A/(g_A+g_H), and (c) run every
 // solve on one mdp::BellmanKernel per analysis — a view over the model's
 // arrays with the β-reward fused into the backup, whose sweeps fan out over
 // AnalysisOptions::solver.threads workers with bit-identical results at

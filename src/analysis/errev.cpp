@@ -2,14 +2,9 @@
 
 namespace analysis {
 
-mdp::CounterRates counter_rates(const selfish::SelfishModel& model,
-                                const mdp::Policy& policy) {
-  return mdp::evaluate_policy_counters(model.mdp, policy);
-}
-
 double exact_errev(const selfish::SelfishModel& model,
                    const mdp::Policy& policy) {
-  return counter_rates(model, policy).ratio();
+  return mdp::evaluate_policy_counters(model.mdp, policy).ratio();
 }
 
 }  // namespace analysis

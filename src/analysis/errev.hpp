@@ -14,11 +14,8 @@
 
 namespace analysis {
 
-/// Long-run finalization rates of `policy` (blocks per MDP step).
-mdp::CounterRates counter_rates(const selfish::SelfishModel& model,
-                                const mdp::Policy& policy);
-
-/// ERRev(policy) = g_A / (g_A + g_H).
+/// ERRev(policy) = g_A / (g_A + g_H), from the long-run finalization
+/// rates mdp::evaluate_policy_counters computes.
 double exact_errev(const selfish::SelfishModel& model,
                    const mdp::Policy& policy);
 

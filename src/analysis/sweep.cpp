@@ -14,11 +14,17 @@ namespace analysis {
 std::vector<double> linspace_grid(double lo, double hi, double step) {
   SM_REQUIRE(step > 0.0, "grid step must be positive");
   SM_REQUIRE(hi >= lo, "grid upper bound below lower bound");
-  std::vector<double> grid;
-  for (int i = 0;; ++i) {
-    const double x = lo + step * i;
-    if (x > hi + 1e-12) break;
-    grid.push_back(x);
+  // Count the points before allocating any, so an oversized grid fails
+  // without first filling memory.
+  std::size_t count = 0;
+  while (!(lo + step * static_cast<double>(count) > hi + 1e-12)) {
+    SM_REQUIRE(count < kMaxGridPoints, "grid [", lo, ", ", hi, "] with step ",
+               step, " has more than ", kMaxGridPoints, " points");
+    ++count;
+  }
+  std::vector<double> grid(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    grid[i] = lo + step * static_cast<double>(i);
   }
   return grid;
 }

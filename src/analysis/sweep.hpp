@@ -9,6 +9,7 @@
 // serves previously computed points from its content-addressed store.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <vector>
 
@@ -38,7 +39,13 @@ struct SweepResult {
   std::vector<SweepPoint> points;
 };
 
+/// Most points a grid may have: the p values in [0, 1] that the sweep
+/// CSV's 6-decimal column can tell apart.
+inline constexpr std::size_t kMaxGridPoints = 1'000'001;
+
 /// Uniform grid lo, lo+step, …, ≤ hi (inclusive within 1e-12 slack).
+/// Throws support::InvalidArgument, before allocating, when the grid
+/// would have more than kMaxGridPoints points.
 std::vector<double> linspace_grid(double lo, double hi, double step);
 
 /// Runs Algorithm 1 for each p in `ps` with the remaining parameters taken

@@ -51,6 +51,9 @@ ThresholdResult fairness_threshold(const selfish::AttackParams& base,
   double lo = 0.0, hi = options.p_max;
   while (hi - lo > options.p_tolerance) {
     const double mid = 0.5 * (lo + hi);
+    // Once lo and hi are adjacent doubles no p lies strictly between them,
+    // so a p_tolerance below their gap ends the search here.
+    if (!(lo < mid && mid < hi)) break;
     const ThresholdProbe probe = probe_at(base, mid, options, &warm);
     result.probes.push_back(probe);
     if (probe.unfair) {

@@ -301,7 +301,7 @@ void visit_fields(FieldVisitor& visitor,
                   analysis::AnalysisOptions& options) {
   visit_epsilon(visitor, options.epsilon);
   std::string solver = mdp::to_string(options.solver.method);
-  visitor.field("solver", &solver, "mean-payoff solver: vi | gs | pi | dense");
+  visitor.field("solver", &solver, "mean-payoff solver: vi | gs");
   options.solver.method = mdp::parse_solver_method(solver);
 }
 

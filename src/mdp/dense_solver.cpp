@@ -76,16 +76,16 @@ DenseEvaluation dense_evaluate_policy(const Mdp& mdp, const Policy& policy,
 }
 
 DensePolicyIterationResult dense_policy_iteration(
-    const Mdp& mdp, const std::vector<double>& action_reward,
-    double improve_tol, int max_rounds) {
+    const Mdp& mdp, const std::vector<double>& action_reward) {
+  constexpr double kImproveTol = 1e-10;
+  constexpr int kMaxRounds = 1000;
   const StateId n = mdp.num_states();
   DensePolicyIterationResult result;
   Policy& policy = result.policy;
   policy.resize(n);
   for (StateId s = 0; s < n; ++s) policy[s] = mdp.action_begin(s);
 
-  for (int round = 1; round <= max_rounds; ++round) {
-    result.rounds = round;
+  for (int round = 1; round <= kMaxRounds; ++round) {
     const DenseEvaluation eval =
         dense_evaluate_policy(mdp, policy, action_reward);
     result.gain = eval.gain;
@@ -107,7 +107,7 @@ DensePolicyIterationResult dense_policy_iteration(
              i < mdp.transition_end(a); ++i) {
           q += mdp.prob(i) * eval.bias[mdp.target(i)];
         }
-        if (q > best_q + improve_tol) {
+        if (q > best_q + kImproveTol) {
           best_q = q;
           best_a = a;
         }

@@ -7,9 +7,11 @@
 //
 // That is n+1 linear equations in n+1 unknowns (h, g). We solve them with
 // partial-pivoting Gaussian elimination — O(n³), intended for models with
-// up to a few thousand states where it serves as the exact reference the
-// iterative solvers are validated against. dense_policy_iteration combines
-// it with Howard improvement for an exact optimal gain.
+// up to a few thousand states. dense_policy_iteration combines it with
+// Howard improvement for an exact optimal gain. Both are test oracles
+// only: the tests check the certified vi/gs gain intervals and
+// Algorithm 1's strategies against them; no `--solver` value selects
+// them.
 #pragma once
 
 #include <vector>
@@ -32,14 +34,15 @@ DenseEvaluation dense_evaluate_policy(const Mdp& mdp, const Policy& policy,
 struct DensePolicyIterationResult {
   double gain = 0.0;
   Policy policy;
-  int rounds = 0;
   bool converged = false;
 };
 
-/// Howard policy iteration with exact dense evaluation.
+/// Howard policy iteration with exact dense evaluation. An action replaces
+/// the incumbent only when its Q-value is higher by more than 1e-10, so
+/// numerically tied actions cannot make it cycle; it gives up after 1000
+/// rounds with converged = false.
 DensePolicyIterationResult dense_policy_iteration(
-    const Mdp& mdp, const std::vector<double>& action_reward,
-    double improve_tol = 1e-10, int max_rounds = 1000);
+    const Mdp& mdp, const std::vector<double>& action_reward);
 
 /// Solves a general dense linear system A·x = b in place (partial
 /// pivoting). Exposed for reuse by the single-tree baseline's absorbing

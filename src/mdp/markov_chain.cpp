@@ -19,6 +19,11 @@ void validate_policy(const Mdp& mdp, const Policy& policy) {
 
 namespace {
 
+// stationary_distribution's lazy power iteration.
+constexpr double kStationaryTol = 1e-12;  // L1 change at which it stops.
+constexpr int kStationaryMaxIterations = 5'000'000;
+constexpr double kStationaryTau = 0.5;    // Laziness τ of τI + (1−τ)P.
+
 template <typename SuccessorsFn>
 std::vector<bool> bfs(StateId num_states, StateId from, SuccessorsFn&& succ) {
   std::vector<bool> seen(num_states, false);
@@ -65,11 +70,9 @@ std::vector<bool> reachable_states(const Mdp& mdp, const Policy& policy,
   });
 }
 
-StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy,
-                                         const StationaryOptions& options) {
+StationaryResult stationary_distribution(const Mdp& mdp,
+                                         const Policy& policy) {
   validate_policy(mdp, policy);
-  SM_REQUIRE(options.tau >= 0.0 && options.tau < 1.0,
-             "tau must lie in [0,1): ", options.tau);
   const StateId n = mdp.num_states();
 
   StationaryResult result;
@@ -78,10 +81,10 @@ StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy,
   mu[mdp.initial_state()] = 1.0;
   std::vector<double> next(n, 0.0);
 
-  const double tau = options.tau;
+  const double tau = kStationaryTau;
   const double one_minus_tau = 1.0 - tau;
 
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+  for (int iter = 1; iter <= kStationaryMaxIterations; ++iter) {
     // next = μ · (τI + (1−τ)P); the lazy mix has the same fixpoint as P
     // but is aperiodic, so power iteration converges.
     for (StateId s = 0; s < n; ++s) next[s] = tau * mu[s];
@@ -98,7 +101,7 @@ StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy,
     for (StateId s = 0; s < n; ++s) l1 += std::fabs(next[s] - mu[s]);
     mu.swap(next);
     result.iterations = iter;
-    if (l1 < options.tol) {
+    if (l1 < kStationaryTol) {
       result.converged = true;
       break;
     }

@@ -27,12 +27,6 @@ std::vector<bool> reachable_states(const Mdp& mdp, StateId from);
 std::vector<bool> reachable_states(const Mdp& mdp, const Policy& policy,
                                    StateId from);
 
-struct StationaryOptions {
-  double tol = 1e-12;       ///< L1 change at which power iteration stops.
-  int max_iterations = 5'000'000;
-  double tau = 0.5;         ///< Laziness: P' = τI + (1−τ)P (same fixpoint).
-};
-
 struct StationaryResult {
   std::vector<double> distribution;  ///< μ with μP = μ, Σμ = 1.
   int iterations = 0;
@@ -40,11 +34,11 @@ struct StationaryResult {
 };
 
 /// Stationary distribution of the chain induced by `policy`, computed by
-/// lazy power iteration started from the initial state. For a unichain
+/// lazy power iteration started from the initial state; it stops once
+/// one iteration changes μ by less than 1e-12 in L1. For a unichain
 /// model this converges to the unique stationary distribution of the
 /// recurrent class reachable from the initial state.
-StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy,
-                                         const StationaryOptions& options = {});
+StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy);
 
 /// Long-run average of a per-action reward under `policy`:
 /// Σ_s μ(s) · reward[policy(s)].

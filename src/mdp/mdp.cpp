@@ -7,14 +7,9 @@
 namespace mdp {
 
 std::vector<double> Mdp::beta_rewards(double beta) const {
-  std::vector<double> r;
-  beta_rewards_into(beta, r);
+  std::vector<double> r(num_actions());
+  for (ActionId a = 0; a < num_actions(); ++a) r[a] = beta_reward(a, beta);
   return r;
-}
-
-void Mdp::beta_rewards_into(double beta, std::vector<double>& out) const {
-  out.resize(num_actions());
-  for (ActionId a = 0; a < num_actions(); ++a) out[a] = beta_reward(a, beta);
 }
 
 std::size_t Mdp::memory_bytes() const {

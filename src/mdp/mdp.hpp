@@ -78,11 +78,6 @@ class Mdp {
   /// Expected immediate rewards of all actions under r_β, in action order.
   std::vector<double> beta_rewards(double beta) const;
 
-  /// Same, written into `out` (resized to num_actions). Lets callers that
-  /// solve for many β values (Algorithm 1's bisection) reuse one buffer
-  /// instead of allocating a fresh vector per step.
-  void beta_rewards_into(double beta, std::vector<double>& out) const;
-
   /// Approximate heap footprint, for state-space reporting.
   std::size_t memory_bytes() const;
 

@@ -9,6 +9,7 @@
 
 #include "analysis/algorithm1.hpp"
 #include "analysis/errev.hpp"
+#include "mdp/dense_solver.hpp"
 #include "mdp/solve.hpp"
 #include "selfish/build.hpp"
 
@@ -62,7 +63,7 @@ TEST(Algorithm1, MeanPayoffMonotoneInBeta) {
   double previous = 1e100;
   for (double beta = 0.0; beta <= 1.0; beta += 0.2) {
     const auto solve =
-        mdp::solve_mean_payoff(model.mdp, model.mdp.beta_rewards(beta));
+        mdp::value_iteration(model.mdp, model.mdp.beta_rewards(beta));
     ASSERT_TRUE(solve.converged);
     EXPECT_LE(solve.gain, previous + 1e-7) << "beta=" << beta;
     previous = solve.gain;
@@ -77,33 +78,37 @@ TEST(Algorithm1, RootOfMeanPayoffIsERRev) {
   options.epsilon = 1e-5;
   const auto result = analysis::analyze(model, options);
   const auto at_lo =
-      mdp::solve_mean_payoff(model.mdp, model.mdp.beta_rewards(result.beta_lo));
+      mdp::value_iteration(model.mdp, model.mdp.beta_rewards(result.beta_lo));
   EXPECT_GE(at_lo.gain, -1e-6);
   EXPECT_LE(at_lo.gain, 1e-2);  // small: β_lo is within ε of the root
 }
 
-TEST(Algorithm1, PolicyIterationSolverAgrees) {
-  const auto model = small_model();
-  analysis::AnalysisOptions vi_options, pi_options;
-  vi_options.epsilon = 1e-4;
-  pi_options.epsilon = 1e-4;
-  pi_options.solver.method = mdp::SolverMethod::kPolicyIteration;
-  const auto vi = analysis::analyze(model, vi_options);
-  const auto pi = analysis::analyze(model, pi_options);
-  EXPECT_NEAR(vi.errev_of_policy, pi.errev_of_policy, 1e-6);
-  EXPECT_NEAR(vi.errev_lower_bound, pi.errev_lower_bound, 2e-4);
-}
-
-TEST(Algorithm1, DenseSolverAgreesOnTinyModel) {
+TEST(Algorithm1, DenseOracleConfirmsBracketAndStrategy) {
+  // Theorem 3.1 checked against the exact dense oracle, for both solver
+  // methods: the optimal gain MP*_β is ≥ 0 at β_lo and ≤ 0 at β_hi, and
+  // the returned strategy's own gain at β_lo is ≥ 0 (part 2), i.e.
+  // ERRev(σ) ≥ β_lo.
   const auto model = selfish::build_model(
       selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 3});
-  analysis::AnalysisOptions vi_options, dense_options;
-  vi_options.epsilon = 1e-4;
-  dense_options.epsilon = 1e-4;
-  dense_options.solver.method = mdp::SolverMethod::kDensePolicyIteration;
-  const auto vi = analysis::analyze(model, vi_options);
-  const auto dense = analysis::analyze(model, dense_options);
-  EXPECT_NEAR(vi.errev_of_policy, dense.errev_of_policy, 1e-6);
+  for (const auto method :
+       {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kGaussSeidel}) {
+    SCOPED_TRACE(mdp::to_string(method));
+    analysis::AnalysisOptions options;
+    options.epsilon = 1e-4;
+    options.solver.method = method;
+    const auto result = analysis::analyze(model, options);
+    const auto rewards_lo = model.mdp.beta_rewards(result.beta_lo);
+    const auto rewards_hi = model.mdp.beta_rewards(result.beta_hi);
+    const auto optimum_lo = mdp::dense_policy_iteration(model.mdp, rewards_lo);
+    const auto optimum_hi = mdp::dense_policy_iteration(model.mdp, rewards_hi);
+    ASSERT_TRUE(optimum_lo.converged);
+    ASSERT_TRUE(optimum_hi.converged);
+    EXPECT_GE(optimum_lo.gain, -1e-6);
+    EXPECT_LE(optimum_hi.gain, 1e-6);
+    EXPECT_GE(
+        mdp::dense_evaluate_policy(model.mdp, result.policy, rewards_lo).gain,
+        -1e-6);
+  }
 }
 
 TEST(Algorithm1, WarmStartPreservesResult) {

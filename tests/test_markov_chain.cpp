@@ -1,10 +1,12 @@
-// Stationary distributions, reachability and policy validation.
+// Stationary distributions, counter rates, reachability and policy
+// validation.
 #include <gtest/gtest.h>
 
 #include "support/check.hpp"
 
 #include "mdp/builder.hpp"
 #include "mdp/markov_chain.hpp"
+#include "mdp/policy_evaluation.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -128,6 +130,16 @@ TEST(MarkovChain, StationaryIgnoresTransientStates) {
   EXPECT_NEAR(result.distribution[0], 0.0, 1e-9);
   EXPECT_NEAR(result.distribution[1], 0.5, 1e-9);
   EXPECT_NEAR(result.distribution[2], 0.5, 1e-9);
+}
+
+TEST(PolicyEvaluation, CounterRatesMatchStructure) {
+  const mdp::Mdp m = test_helpers::two_state_cycle();
+  const mdp::Policy policy{0, 1};
+  const auto rates = mdp::evaluate_policy_counters(m, policy);
+  // One adversary and one honest finalization per 2-step period.
+  EXPECT_NEAR(rates.adversary, 0.5, 1e-9);
+  EXPECT_NEAR(rates.honest, 0.5, 1e-9);
+  EXPECT_NEAR(rates.ratio(), 0.5, 1e-9);
 }
 
 }  // namespace

@@ -36,9 +36,9 @@ void expect_identical(const mdp::MeanPayoffResult& kernel,
   EXPECT_TRUE(same_bytes(kernel.values, reference.values)) << label;
 }
 
-selfish::SelfishModel build(int d, int f, int l = 4) {
+selfish::SelfishModel build(int d, int f) {
   return selfish::build_model(
-      selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = d, .f = f, .l = l});
+      selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = d, .f = f, .l = 4});
 }
 
 TEST(BellmanKernel, BitIdenticalToLegacyOnSelfishModels) {
@@ -98,26 +98,20 @@ TEST(BellmanKernel, BitIdenticalToLegacyOnHandAndRandomModels) {
 }
 
 TEST(BellmanKernel, FacadeBitIdenticalForAllSolverMethods) {
-  // pi/dense fall back to the reference path inside the kernel overload,
-  // so the facade contract — solve_mean_payoff(kernel, β) ≡
-  // solve_mean_payoff(m, beta_rewards(β)) — holds for every method. Dense
-  // is O(n³): use the small l=3 model for it.
-  for (const auto method :
-       {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kGaussSeidel,
-        mdp::SolverMethod::kPolicyIteration,
-        mdp::SolverMethod::kDensePolicyIteration}) {
-    const bool dense = method == mdp::SolverMethod::kDensePolicyIteration;
-    const auto model = dense ? build(1, 1, 3) : build(2, 1);
-    const mdp::BellmanKernel kernel(model.mdp);
-    mdp::SolveOptions options;
-    options.method = method;
-    const double beta = 0.41;
-    expect_identical(
-        mdp::solve_mean_payoff(kernel, beta, options),
-        mdp::solve_mean_payoff(model.mdp, model.mdp.beta_rewards(beta),
-                               options),
-        "method=" + mdp::to_string(method));
-  }
+  // The facade contract: solve_mean_payoff(kernel, β) with method vi or
+  // gs ≡ the matching reference solver on beta_rewards(β).
+  const auto model = build(2, 1);
+  const mdp::BellmanKernel kernel(model.mdp);
+  const double beta = 0.41;
+  const auto rewards = model.mdp.beta_rewards(beta);
+  mdp::SolveOptions options;
+  options.method = mdp::SolverMethod::kValueIteration;
+  expect_identical(mdp::solve_mean_payoff(kernel, beta, options),
+                   mdp::value_iteration(model.mdp, rewards), "method=vi");
+  options.method = mdp::SolverMethod::kGaussSeidel;
+  expect_identical(mdp::solve_mean_payoff(kernel, beta, options),
+                   mdp::gauss_seidel_value_iteration(model.mdp, rewards),
+                   "method=gs");
 }
 
 TEST(BellmanKernel, ThreadCountInvariantByteForByte) {

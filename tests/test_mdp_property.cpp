@@ -1,11 +1,11 @@
-// Property-based cross-validation of the three mean-payoff solvers on
-// randomly generated unichain MDPs, parameterized over seeds and β.
+// Property-based cross-validation of the reference VI and GS solvers
+// against the exact dense oracle on randomly generated unichain MDPs,
+// parameterized over seeds and β.
 #include <gtest/gtest.h>
 
 #include "support/check.hpp"
 
 #include "mdp/dense_solver.hpp"
-#include "mdp/policy_iteration.hpp"
 #include "mdp/solve.hpp"
 #include "mdp/value_iteration.hpp"
 #include "test_helpers.hpp"
@@ -26,17 +26,19 @@ TEST_P(SolverAgreement, AllThreeSolversAgree) {
   const auto rewards = m.beta_rewards(c.beta);
 
   const auto vi = mdp::value_iteration(m, rewards);
-  const auto pi = mdp::policy_iteration(m, rewards);
+  const auto gs = mdp::gauss_seidel_value_iteration(m, rewards);
   const auto dense = mdp::dense_policy_iteration(m, rewards);
   ASSERT_TRUE(vi.converged);
-  ASSERT_TRUE(pi.converged);
+  ASSERT_TRUE(gs.converged);
   ASSERT_TRUE(dense.converged);
 
   EXPECT_NEAR(vi.gain, dense.gain, 2e-5);
-  EXPECT_NEAR(pi.gain, dense.gain, 2e-5);
-  // The certified VI interval must contain the exact optimum.
+  EXPECT_NEAR(gs.gain, dense.gain, 2e-5);
+  // The certified VI and GS intervals must contain the exact optimum.
   EXPECT_LE(vi.gain_lo, dense.gain + 1e-7);
   EXPECT_GE(vi.gain_hi, dense.gain - 1e-7);
+  EXPECT_LE(gs.gain_lo, dense.gain + 1e-7);
+  EXPECT_GE(gs.gain_hi, dense.gain - 1e-7);
 }
 
 TEST_P(SolverAgreement, GreedyPolicyAchievesReportedGain) {
@@ -77,21 +79,28 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SolverFacade, ParsesMethods) {
   EXPECT_EQ(mdp::parse_solver_method("vi"), mdp::SolverMethod::kValueIteration);
-  EXPECT_EQ(mdp::parse_solver_method("pi"), mdp::SolverMethod::kPolicyIteration);
-  EXPECT_EQ(mdp::parse_solver_method("dense"),
-            mdp::SolverMethod::kDensePolicyIteration);
-  EXPECT_THROW(mdp::parse_solver_method("storm"), support::InvalidArgument);
+  EXPECT_EQ(mdp::parse_solver_method("gs"), mdp::SolverMethod::kGaussSeidel);
   EXPECT_EQ(mdp::to_string(mdp::SolverMethod::kValueIteration), "vi");
+  // Only vi and gs are solver methods; the dense oracle above is not.
+  for (const std::string name : {"pi", "dense", "storm"}) {
+    try {
+      mdp::parse_solver_method(name);
+      ADD_FAILURE() << name << " parsed";
+    } catch (const support::InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown solver method: " + name + " (expected vi | gs)");
+    }
+  }
 }
 
 TEST(SolverFacade, AllMethodsSolveTheChoiceModel) {
   const mdp::Mdp m = test_helpers::two_action_choice();
+  const mdp::BellmanKernel kernel(m);
   for (const auto method :
-       {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kPolicyIteration,
-        mdp::SolverMethod::kDensePolicyIteration}) {
+       {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kGaussSeidel}) {
     mdp::SolveOptions options;
     options.method = method;
-    const auto result = mdp::solve_mean_payoff(m, m.beta_rewards(0.4), options);
+    const auto result = mdp::solve_mean_payoff(kernel, 0.4, options);
     ASSERT_TRUE(result.converged) << mdp::to_string(method);
     EXPECT_NEAR(result.gain, 0.6, 1e-5) << mdp::to_string(method);
   }

@@ -3,8 +3,8 @@
 // structural facts the analysis relies on.
 #include <gtest/gtest.h>
 
-#include "analysis/errev.hpp"
 #include "mdp/markov_chain.hpp"
+#include "mdp/policy_evaluation.hpp"
 #include "selfish/build.hpp"
 #include "support/rng.hpp"
 
@@ -37,7 +37,7 @@ TEST_P(RandomPolicies, EveryPolicyHasWellDefinedRevenue) {
 
   for (int trial = 0; trial < 5; ++trial) {
     const auto policy = random_policy(model.mdp, rng);
-    const auto rates = analysis::counter_rates(model, policy);
+    const auto rates = mdp::evaluate_policy_counters(model.mdp, policy);
     // Rates are non-negative and the chain keeps finalizing blocks
     // (unichain + the paper's δ lower bound, halved for decision steps).
     EXPECT_GE(rates.adversary, -1e-12);

@@ -264,11 +264,11 @@ TEST(ServeProtocol, SchemaFrontEndsBuildTheSameJobs) {
         "--stats=false"}},
       {"sweep",
        {"--p=0.2", "--gamma=0.4", "--d=1", "--f=2", "--l=3",
-        "--burn-lost-races=true", "--epsilon=0.002", "--solver=pi",
+        "--burn-lost-races=true", "--epsilon=0.002", "--solver=gs",
         "--pmin=0.1", "--pmax=0.2", "--step=0.025"}},
       {"threshold",
        {"--p=0.2", "--gamma=0.25", "--d=3", "--f=2", "--l=2",
-        "--burn-lost-races=true", "--epsilon=0.01", "--solver=dense",
+        "--burn-lost-races=true", "--epsilon=0.01", "--solver=gs",
         "--margin=0.01", "--ptol=0.002"}},
       {"upper-bound",
        {"--p=0.35", "--gamma=0.75", "--d=1", "--f=2", "--l=3",
@@ -354,6 +354,13 @@ TEST(ServeProtocol, RejectsMalformedAndInvalidRequests) {
   reply = reply_of(service, "{\"id\":2,\"kind\":\"point\",\"p\":1.5}");
   EXPECT_FALSE(reply.find("ok")->as_bool());
   EXPECT_EQ(reply.find("id")->as_number(), 2.0);
+
+  // Removed solver methods are unknown names, like any typo.
+  reply = reply_of(service, "{\"kind\":\"point\",\"solver\":\"pi\"}");
+  EXPECT_FALSE(reply.find("ok")->as_bool());
+  EXPECT_NE(reply.find("error")->as_string().find(
+                "unknown solver method: pi (expected vi | gs)"),
+            std::string::npos);
 
   // Out-of-range kind-specific options.
   EXPECT_FALSE(

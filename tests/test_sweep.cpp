@@ -26,6 +26,20 @@ TEST(Grid, RejectsBadArguments) {
                support::InvalidArgument);
 }
 
+TEST(Grid, SizeCappedAtCsvResolution) {
+  // [0, 1] at the CSV's 6-decimal resolution is the largest grid; one
+  // point more, or a step too small to ever reach hi, is refused before
+  // the grid is allocated instead of exhausting memory.
+  EXPECT_EQ(analysis::linspace_grid(0.0, 1.0, 1e-6).size(),
+            analysis::kMaxGridPoints);
+  EXPECT_THROW(analysis::linspace_grid(0.0, 1.000001, 1e-6),
+               support::InvalidArgument);
+  EXPECT_THROW(analysis::linspace_grid(0.0, 1.0, 1e-300),
+               support::InvalidArgument);
+  EXPECT_THROW(analysis::linspace_grid(0.5, 0.6, 1e-300),
+               support::InvalidArgument);
+}
+
 TEST(Sweep, ProducesOnePointPerResource) {
   selfish::AttackParams base{.p = 0.0, .gamma = 0.5, .d = 2, .f = 1, .l = 4};
   analysis::AnalysisOptions options;

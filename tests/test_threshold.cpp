@@ -1,6 +1,8 @@
 // Fairness thresholds: the profitability frontier of the optimal attack.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/threshold.hpp"
 #include "support/check.hpp"
 
@@ -66,6 +68,24 @@ TEST(Threshold, ProbesAreRecordedAndConsistent) {
   }
   ASSERT_FALSE(result.always_fair);
   EXPECT_LT(result.p_lo, result.p_hi);
+}
+
+TEST(Threshold, ToleranceBelowDoubleSpacingTerminates) {
+  // The d=2,f=1 frontier lies near p = 0.054, where adjacent doubles are
+  // ~6.9e-18 apart: a 1e-17 tolerance already bisects down to neighbouring
+  // doubles, and 1e-300 must stop at the same bracket rather than probe
+  // the same p forever.
+  const selfish::AttackParams base{.p = 0.0, .gamma = 0.5, .d = 2, .f = 1, .l = 3};
+  analysis::ThresholdOptions options;
+  options.p_tolerance = 1e-17;
+  const auto reference = analysis::fairness_threshold(base, options);
+  options.p_tolerance = 1e-300;
+  const auto tiny = analysis::fairness_threshold(base, options);
+  ASSERT_FALSE(tiny.always_fair);
+  EXPECT_EQ(tiny.p_lo, reference.p_lo);
+  EXPECT_EQ(tiny.p_hi, reference.p_hi);
+  EXPECT_EQ(tiny.probes.size(), reference.probes.size());
+  EXPECT_EQ(std::nextafter(tiny.p_lo, 1.0), tiny.p_hi);
 }
 
 TEST(Threshold, RejectsBadOptions) {
