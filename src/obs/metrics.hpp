@@ -10,7 +10,7 @@
 //      thread-local id (a sum over shards reads the total); histogram and
 //      gauge updates are single relaxed atomics. No instrument-path
 //      operation takes a lock — the registry mutex guards registration
-//      only, which happens once per metric per process.
+//      only: at first use, or when an owned instrument (below) is built.
 //   2. Observability must be byte-invariant: nothing in this module feeds
 //      back into any artifact (CSV, rendered report, served body), and
 //      `engine::JobKey` never sees a metric field. CI pins artifacts
@@ -22,6 +22,13 @@
 // Naming scheme: selfish_<subsystem>_<name>[_<unit>], subsystems mdp |
 // engine | net | serve. Counters end in _total; histograms carry their
 // unit (_seconds, _gbps); gauges name the instantaneous quantity.
+//
+// Owned instruments (OwnedCounter, OwnedGauge) are for counts that one
+// object reports as its own, such as a serve::Service's `stats` reply.
+// Each holds its owner's count and forwards every update into the
+// process-wide family of the same name. The family is then the sum over
+// every owner in the process, and each owner keeps its own number even
+// when several share a process or obs is switched off.
 #pragma once
 
 #include <array>
@@ -240,5 +247,54 @@ Histogram& histogram(const std::string& name, const std::string& help,
 
 /// Prometheus text exposition of the global registry.
 std::string prometheus_text();
+
+/// One owner's monotonic count, forwarded into the global counter family
+/// `name` (registered on construction). value() is the owner's count; it
+/// moves whether or not obs is enabled, the family only while enabled.
+class OwnedCounter {
+ public:
+  OwnedCounter(const char* name, const char* help)
+      : family_(counter(name, help)) {}
+  OwnedCounter(const OwnedCounter&) = delete;
+  OwnedCounter& operator=(const OwnedCounter&) = delete;
+
+  void add(std::uint64_t n = 1) {
+    own_.fetch_add(n, std::memory_order_relaxed);
+    family_.add(n);
+  }
+
+  std::uint64_t value() const { return own_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::uint64_t> own_{0};
+  Counter& family_;
+};
+
+/// One owner's instantaneous level, forwarded into the global gauge
+/// family `name` as deltas, so the family is the sum over live owners
+/// (the destructor withdraws this owner's share).
+class OwnedGauge {
+ public:
+  OwnedGauge(const char* name, const char* help)
+      : family_(gauge(name, help)) {}
+  ~OwnedGauge() { family_.add(-value()); }
+  OwnedGauge(const OwnedGauge&) = delete;
+  OwnedGauge& operator=(const OwnedGauge&) = delete;
+
+  void add(std::int64_t delta) {
+    own_.fetch_add(delta, std::memory_order_relaxed);
+    family_.add(delta);
+  }
+
+  void set(std::int64_t v) {
+    family_.add(v - own_.exchange(v, std::memory_order_relaxed));
+  }
+
+  std::int64_t value() const { return own_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::int64_t> own_{0};
+  Gauge& family_;
+};
 
 }  // namespace obs

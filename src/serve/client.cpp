@@ -24,13 +24,18 @@ namespace serve {
 
 namespace {
 
+/// Reconnect attempts per drop before the operation throws.
+constexpr int kMaxRetries = 3;
+constexpr double kBackoffBaseSeconds = 0.05;
+constexpr double kBackoffMaxSeconds = 1.0;
+
 /// Jittered exponential backoff: attempt 0 waits ~base, each further
 /// attempt doubles, capped, with the actual sleep drawn uniformly from
 /// [delay/2, delay] so a fleet of clients dropped together does not
 /// reconnect in lockstep.
-double backoff_seconds(const ClientOptions& options, int attempt) {
-  double delay = options.backoff_base_seconds * std::pow(2.0, attempt);
-  delay = std::min(delay, options.backoff_max_seconds);
+double backoff_seconds(int attempt) {
+  const double delay = std::min(
+      kBackoffBaseSeconds * std::pow(2.0, attempt), kBackoffMaxSeconds);
   static thread_local std::mt19937 rng{std::random_device{}()};
   std::uniform_real_distribution<double> jitter(0.5, 1.0);
   return delay * jitter(rng);
@@ -117,17 +122,11 @@ void Client::reconnect_session() {
     fd_ = -1;
   }
   buffer_.clear();  // a partial reply line from the dead connection
-  if (!outstanding_.empty() && !options_.resend_on_reconnect) {
-    throw support::Error(
-        "connection lost with " + std::to_string(outstanding_.size()) +
-        " requests in flight (resend_on_reconnect disabled)");
-  }
-  std::string last_error = "no attempts allowed";
-  const int attempts = std::max(1, options_.max_retries);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  std::string last_error;
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          backoff_seconds(options_, attempt - 1)));
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(backoff_seconds(attempt - 1)));
     }
     try {
       connect_now();
@@ -154,12 +153,12 @@ void Client::reconnect_session() {
   }
   throw support::Error("cannot reconnect to " + host_ + ":" +
                        std::to_string(port_) + " after " +
-                       std::to_string(attempts) + " attempts: " + last_error);
+                       std::to_string(kMaxRetries) + " attempts: " +
+                       last_error);
 }
 
 void Client::send_bytes(const std::string& wire) {
-  const int attempts = std::max(1, options_.max_retries) + 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     if (fd_ < 0) reconnect_session();
     if (send_all(fd_, wire)) return;
     ::close(fd_);

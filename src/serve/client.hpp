@@ -7,9 +7,10 @@
 // with the request's session id), and matches replies to requests by the
 // echoed `id` — the v1 contract under the event-driven server, which may
 // answer pipelined requests out of order. A dropped connection
-// reconnects transparently with capped retries and jittered exponential
-// backoff, re-sending still-unanswered requests (every analysis kind is
-// a pure query, so replay is safe).
+// reconnects transparently, up to 3 attempts with jittered exponential
+// backoff from 0.05 s doubling to at most 1 s, and re-sends
+// still-unanswered requests (every analysis kind is a pure query, so
+// replay is safe).
 #pragma once
 
 #include <cstdint>
@@ -35,15 +36,6 @@ struct Reply {
 };
 
 struct ClientOptions {
-  /// Reconnect attempts per drop before the operation throws.
-  int max_retries = 3;
-  /// First retry delay; doubles per attempt (with jitter) up to the max.
-  double backoff_base_seconds = 0.05;
-  double backoff_max_seconds = 1.0;
-  /// Re-send unanswered pipelined requests after a reconnect. Safe for
-  /// the analysis kinds (pure queries); disable when replaying a request
-  /// must not happen twice.
-  bool resend_on_reconnect = true;
   /// Deployment shared secret for secured servers (see fleet/auth).
   /// Nonempty = the session runs the ping HMAC challenge/response right
   /// after every (re)connect, before anything else is sent.
@@ -98,7 +90,7 @@ class Client {
   /// read positionally, which only a quiet connection guarantees.
   void handshake_now();
   /// Capped, jitter-backoff reconnect loop; re-sends outstanding
-  /// requests when options allow (throws if they don't and any exist).
+  /// requests.
   void reconnect_session();
   void send_bytes(const std::string& wire);  ///< With reconnect retries.
   bool read_line(std::string& line);  ///< False on EOF / connection loss.

@@ -212,46 +212,41 @@ std::string render_ping(const Json& id, const Service& service,
   return finish_reply(std::move(members));
 }
 
-std::string render_stats(const Json& id, const ServiceStats& stats,
+std::string render_stats(const Json& id, const Service& service,
                          const Wire& wire, const std::string& trace_id) {
+  const auto count = [](const auto& instrument) {
+    return Json(static_cast<double>(instrument.value()));
+  };
+  const ServiceCounters& counters = service.counters();
   JsonMembers members = reply_head(id, true, trace_id);
   members.emplace_back("kind", Json("stats"));
-  members.emplace_back("requests",
-                       Json(static_cast<double>(stats.requests)));
-  members.emplace_back("lru_hits",
-                       Json(static_cast<double>(stats.lru_hits)));
-  members.emplace_back("store_hits",
-                       Json(static_cast<double>(stats.store_hits)));
-  members.emplace_back("solves", Json(static_cast<double>(stats.solves)));
-  members.emplace_back("coalesced",
-                       Json(static_cast<double>(stats.coalesced)));
-  members.emplace_back("errors", Json(static_cast<double>(stats.errors)));
-  members.emplace_back("rejected",
-                       Json(static_cast<double>(stats.rejected)));
-  members.emplace_back("lru_evictions",
-                       Json(static_cast<double>(stats.lru_evictions)));
-  members.emplace_back("lru_bytes",
-                       Json(static_cast<double>(stats.lru_bytes)));
-  members.emplace_back("lru_entries",
-                       Json(static_cast<double>(stats.lru_entries)));
+  members.emplace_back("requests", count(counters.requests));
+  members.emplace_back("lru_hits", count(counters.lru_hits));
+  members.emplace_back("store_hits", count(counters.store_hits));
+  members.emplace_back("solves", count(counters.solves));
+  members.emplace_back("coalesced", count(counters.coalesced));
+  members.emplace_back("errors", count(counters.errors));
+  members.emplace_back("rejected", count(counters.rejected));
+  members.emplace_back("lru_evictions", count(counters.lru_evictions));
+  members.emplace_back("lru_bytes", count(counters.lru_bytes));
+  members.emplace_back("lru_entries", count(counters.lru_entries));
   // Cross-process single-flight counters: summing `executions` across all
   // replicas sharing one cache dir must equal the number of distinct cold
   // keys — the fleet-smoke CI job asserts exactly that.
   JsonMembers fleet;
-  fleet.emplace_back("executions",
-                     Json(static_cast<double>(stats.fleet_executions)));
-  fleet.emplace_back("waits", Json(static_cast<double>(stats.fleet_waits)));
-  fleet.emplace_back("takeovers",
-                     Json(static_cast<double>(stats.fleet_takeovers)));
+  fleet.emplace_back("executions", count(counters.fleet_executions));
+  fleet.emplace_back("waits", count(counters.fleet_waits));
+  fleet.emplace_back("takeovers", count(counters.fleet_takeovers));
   members.emplace_back("fleet", Json::object(std::move(fleet)));
   // Millisecond resolution keeps the canonical-double rendering short.
   members.emplace_back(
       "uptime_seconds",
-      Json(std::round(stats.uptime_seconds * 1e3) / 1e3));
+      Json(std::round(service.uptime_seconds() * 1e3) / 1e3));
   JsonMembers kind_counts;
-  kind_counts.reserve(stats.kinds.size());
-  for (const auto& [kind, count] : stats.kinds) {
-    kind_counts.emplace_back(kind, Json(static_cast<double>(count)));
+  kind_counts.reserve(service.kind_counts().size());
+  for (const auto& [kind, value] : service.kind_counts()) {
+    const auto n = static_cast<double>(value.load(std::memory_order_relaxed));
+    kind_counts.emplace_back(kind, Json(n));
   }
   members.emplace_back("kinds", Json::object(std::move(kind_counts)));
   // Worst-N latency exemplars per kind: each entry names a trace id a
@@ -275,18 +270,10 @@ std::string render_stats(const Json& id, const ServiceStats& stats,
   // present only when a transport is attached — the transport-free test
   // path has nothing meaningful to report here.
   if (wire.stats != nullptr) {
-    const auto count = [](const std::atomic<std::uint64_t>& value) {
-      return Json(
-          static_cast<double>(value.load(std::memory_order_relaxed)));
-    };
-    const auto level = [](const std::atomic<std::int64_t>& value) {
-      return Json(
-          static_cast<double>(value.load(std::memory_order_relaxed)));
-    };
     JsonMembers transport;
-    transport.emplace_back("connections", level(wire.stats->connections));
+    transport.emplace_back("connections", count(wire.stats->connections));
     transport.emplace_back("accepted", count(wire.stats->accepted));
-    transport.emplace_back("inflight", level(wire.stats->inflight));
+    transport.emplace_back("inflight", count(wire.stats->inflight));
     transport.emplace_back("busy", count(wire.stats->busy));
     transport.emplace_back("idle_closed", count(wire.stats->idle_closed));
     members.emplace_back("transport", Json::object(std::move(transport)));
@@ -550,7 +537,7 @@ HandledLine handle_request(Service& service, const std::string& line,
         return handled;
       }
       if (request.kind == "stats") {
-        handled.reply = render_stats(id, service.stats(), wire, trace_echo);
+        handled.reply = render_stats(id, service, wire, trace_echo);
         return handled;
       }
       if (request.kind == "metrics") {

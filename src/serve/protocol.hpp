@@ -46,6 +46,11 @@
 // HMAC-SHA256(secret, challenge) in hex, and until that verifies every
 // non-ping request is refused with code "auth_required". See fleet/auth.
 //
+// The `stats` reply reads one Service's counters (and, behind a
+// transport, one Server's TransportStats); each count in it is that
+// instance's own, while `metrics` reports each selfish_serve_* family as
+// the sum over every Service and Server in the process.
+//
 // This module is transport-free: handle_request maps a request line to a
 // response line given a Service, so tests exercise the full protocol
 // without sockets and the server stays a pure byte shuttle.
@@ -58,6 +63,7 @@
 #include <string_view>
 
 #include "engine/generic.hpp"
+#include "obs/metrics.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
 
@@ -133,16 +139,23 @@ struct TransportLimits {
   double idle_timeout_seconds = 0.0;    ///< 0 = connections never expire.
 };
 
-/// Transport-side counters surfaced through the `stats` admin kind (the
-/// Service's own counters cover the serving core; these cover the
-/// reactor). All relaxed atomics — written by the reactor, read by any
-/// worker rendering a stats reply.
+/// One Server's transport counts, surfaced through the `stats` admin kind
+/// (ServiceCounters cover the serving core; these cover the reactor).
+/// Like ServiceCounters, each member is this Server's own count and feeds
+/// the selfish_serve_* family of the same name.
 struct TransportStats {
-  std::atomic<std::uint64_t> accepted{0};     ///< Connections ever opened.
-  std::atomic<std::uint64_t> busy{0};         ///< Lines refused with `busy`.
-  std::atomic<std::uint64_t> idle_closed{0};  ///< Idle-timeout closes.
-  std::atomic<std::int64_t> connections{0};   ///< Currently open.
-  std::atomic<std::int64_t> inflight{0};      ///< Dispatched, not replied.
+  obs::OwnedGauge connections{"selfish_serve_connections",
+                              "Currently open client connections"};
+  obs::OwnedCounter accepted{"selfish_serve_accepted_total",
+                             "Client connections ever accepted"};
+  obs::OwnedGauge inflight{
+      "selfish_serve_transport_inflight",
+      "Request lines dispatched to the worker pool, reply not yet queued"};
+  obs::OwnedCounter busy{
+      "selfish_serve_busy_total",
+      "Request lines refused with `busy` by an in-flight cap"};
+  obs::OwnedCounter idle_closed{"selfish_serve_idle_closed_total",
+                                "Connections closed by the idle timeout"};
 };
 
 /// Per-connection authentication state on a secured server. The

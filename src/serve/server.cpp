@@ -25,33 +25,6 @@ namespace serve {
 
 namespace {
 
-/// Transport-level metrics (the serving core's counters live in
-/// service.cpp). Registered at static init so a fresh scrape lists the
-/// family at zero.
-struct TransportMetrics {
-  obs::Gauge& connections = obs::gauge(
-      "selfish_serve_connections", "Currently open client connections");
-  obs::Counter& accepted = obs::counter(
-      "selfish_serve_accepted_total", "Client connections ever accepted");
-  obs::Gauge& inflight = obs::gauge(
-      "selfish_serve_transport_inflight",
-      "Request lines dispatched to the worker pool, reply not yet queued");
-  obs::Counter& busy = obs::counter(
-      "selfish_serve_busy_total",
-      "Request lines refused with `busy` by an in-flight cap");
-  obs::Counter& idle_closed = obs::counter(
-      "selfish_serve_idle_closed_total",
-      "Connections closed by the idle timeout");
-};
-
-TransportMetrics& transport_metrics() {
-  static TransportMetrics metrics;
-  return metrics;
-}
-
-[[maybe_unused]] const TransportMetrics& g_registered_transport_metrics =
-    transport_metrics();
-
 /// Builds the one-shot HTTP response for a GET request line on the NDJSON
 /// port ("GET /path HTTP/1.x" — the path is the second token). On a
 /// secured server /metrics is refused (HTTP has no leg in the HMAC
@@ -100,6 +73,13 @@ Server::Server(ServerOptions options,
       workers_(support::resolve_thread_count(options_.workers)) {
   SM_REQUIRE(options_.port >= 0 && options_.port <= 65535,
              "port out of range: ", options_.port);
+  SM_REQUIRE(options_.max_inflight >= 0,
+             "max_inflight must be non-negative (0 = off), got ",
+             options_.max_inflight);
+  SM_REQUIRE(options_.max_inflight_per_connection >= 0,
+             "max_inflight_per_connection must be non-negative (0 = off), "
+             "got ",
+             options_.max_inflight_per_connection);
   if (!options_.auth_secret_file.empty()) {
     options_.auth_secret = fleet::load_secret_file(options_.auth_secret_file);
   }
@@ -188,7 +168,7 @@ void Server::start() {
 }
 
 std::size_t Server::live_connections() {
-  const std::int64_t n = tstats_.connections.load(std::memory_order_relaxed);
+  const std::int64_t n = tstats_.connections.value();
   return n > 0 ? static_cast<std::size_t>(n) : 0;
 }
 
@@ -285,10 +265,8 @@ void Server::accept_ready() {
       continue;
     }
     connections_.emplace(fd, std::move(connection));
-    tstats_.accepted.fetch_add(1, std::memory_order_relaxed);
-    tstats_.connections.fetch_add(1, std::memory_order_relaxed);
-    transport_metrics().accepted.add(1);
-    transport_metrics().connections.add(1);
+    tstats_.accepted.add();
+    tstats_.connections.add(1);
     obs::log_debug("serve", "connection accepted",
                    {{"fd", Json(static_cast<double>(fd))}});
   }
@@ -423,8 +401,7 @@ void Server::handle_http_line(Connection* connection) {
 
 void Server::dispatch_line(const ConnectionPtr& connection, std::string line) {
   Connection* c = connection.get();
-  const std::int64_t global =
-      tstats_.inflight.load(std::memory_order_relaxed);
+  const std::int64_t global = tstats_.inflight.value();
   const bool over_global =
       options_.max_inflight > 0 && global >= options_.max_inflight;
   const bool over_connection =
@@ -434,15 +411,13 @@ void Server::dispatch_line(const ConnectionPtr& connection, std::string line) {
     // Refuse now, with a reply the client can match by id, instead of
     // queueing without bound. The named scope tells operators which cap
     // to raise.
-    tstats_.busy.fetch_add(1, std::memory_order_relaxed);
-    transport_metrics().busy.add(1);
+    tstats_.busy.add();
     enqueue_output(c, render_busy(line, over_global ? "server" : "connection"));
     return;
   }
 
   c->inflight += 1;
-  tstats_.inflight.fetch_add(1, std::memory_order_relaxed);
-  transport_metrics().inflight.add(1);
+  tstats_.inflight.add(1);
   workers_.submit([this, connection, line = std::move(line)] {
     // Per-call Wire: the shared limits/stats plus *this* connection's
     // auth session (the held ConnectionPtr keeps it alive).
@@ -471,8 +446,7 @@ void Server::drain_completions() {
     batch.swap(completions_);
   }
   for (Completion& completion : batch) {
-    tstats_.inflight.fetch_sub(1, std::memory_order_relaxed);
-    transport_metrics().inflight.add(-1);
+    tstats_.inflight.add(-1);
     Connection* c = completion.connection.get();
     if (c->closed.load(std::memory_order_acquire)) {
       // The client left before its reply was ready. A shutdown request
@@ -580,8 +554,7 @@ void Server::close_scheduled() {
   for (Connection* connection : close_queue_) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, connection->fd, nullptr);
     ::close(connection->fd);
-    tstats_.connections.fetch_sub(1, std::memory_order_relaxed);
-    transport_metrics().connections.add(-1);
+    tstats_.connections.add(-1);
     obs::log_debug("serve", "connection closed",
                    {{"fd", Json(static_cast<double>(connection->fd))}});
     connections_.erase(connection->fd);  // may free `connection`
@@ -598,8 +571,7 @@ void Server::close_idle_connections() {
     if (c->closing || c->inflight > 0) continue;
     if (c->out_offset < c->out.size()) continue;  // still owes bytes
     if (now - c->last_activity < limit) continue;
-    tstats_.idle_closed.fetch_add(1, std::memory_order_relaxed);
-    transport_metrics().idle_closed.add(1);
+    tstats_.idle_closed.add();
     obs::log_debug("serve", "idle connection closed",
                    {{"fd", Json(static_cast<double>(fd))}});
     schedule_close(c);

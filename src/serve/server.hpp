@@ -23,8 +23,9 @@
 // the connection after an error reply; and connections idle past the
 // timeout are closed and counted. All limits live in ServerOptions, are
 // advertised by the `ping` capability handshake, and are observable via
-// `stats` (transport section) and the selfish_serve_{busy,idle_closed,
-// connections,transport_inflight} metrics.
+// `stats` (transport section: this Server's counts) and the
+// selfish_serve_{busy,idle_closed,connections,transport_inflight} metrics
+// (the sums over every Server in the process).
 //
 // The same port speaks a sliver of HTTP for operability: a connection
 // whose first bytes are an HTTP GET is answered once and closed —
@@ -69,7 +70,8 @@ struct ServerOptions {
   /// <= 0 means all hardware threads.
   int workers = 0;
   /// Global cap on dispatched-but-unanswered requests; excess lines get
-  /// an immediate `busy` reply instead of queueing unboundedly. 0 = off.
+  /// an immediate `busy` reply instead of queueing unboundedly. 0 = off;
+  /// negative caps are rejected at construction.
   int max_inflight = 256;
   /// Same cap per connection (one pipelining client cannot monopolize
   /// the pool). 0 = off.
@@ -110,8 +112,8 @@ class Server {
 
   Service& service() { return *service_; }
 
-  /// Transport-side counters (connections, busy refusals, idle closes);
-  /// the `stats` admin kind reports the same numbers to clients.
+  /// This Server's transport counts (connections, busy refusals, idle
+  /// closes); the `stats` admin kind reports the same numbers to clients.
   const TransportStats& transport_stats() const { return tstats_; }
 
   /// Runs the reactor on the calling thread until stop() — or a client's

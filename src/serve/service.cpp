@@ -14,62 +14,16 @@ namespace serve {
 
 namespace {
 
-/// Process-global serve metrics, mirroring the per-instance ServiceStats
-/// atomics (two relaxed increments per event — both cheap). Registered at
-/// static init so a fresh `metrics` scrape lists the family at zero.
-struct ServeMetrics {
-  obs::Counter& requests = obs::counter(
-      "selfish_serve_requests_total",
-      "Analysis executions plus protocol rejections");
-  obs::Counter& lru_hits = obs::counter(
-      "selfish_serve_lru_hits_total", "Requests answered from the LRU");
-  obs::Counter& store_hits = obs::counter(
-      "selfish_serve_store_hits_total",
-      "Requests answered from the disk store");
-  obs::Counter& solves = obs::counter(
-      "selfish_serve_solves_total", "Requests that computed a fresh artifact");
-  obs::Counter& coalesced = obs::counter(
-      "selfish_serve_coalesced_total",
-      "Requests that joined an identical in-flight computation");
-  obs::Counter& errors = obs::counter(
-      "selfish_serve_errors_total", "Executor or dispatch failures");
-  obs::Counter& rejected = obs::counter(
-      "selfish_serve_rejected_total", "Protocol-level rejections");
-  obs::Counter& lru_evictions = obs::counter(
-      "selfish_serve_lru_evictions_total",
-      "Entries evicted past the LRU byte budget");
-  obs::Gauge& lru_bytes = obs::gauge(
-      "selfish_serve_lru_bytes", "Current LRU payload residency in bytes");
-  obs::Gauge& lru_entries = obs::gauge(
-      "selfish_serve_lru_entries", "Artifacts resident in the LRU");
-  obs::Gauge& inflight = obs::gauge(
-      "selfish_serve_inflight", "Queries currently inside execute()");
-  obs::Counter& fleet_executions = obs::counter(
-      "selfish_serve_fleet_executions_total",
-      "Cold jobs this replica executed under a fleet lease");
-  obs::Counter& fleet_waits = obs::counter(
-      "selfish_serve_fleet_waits_total",
-      "Cold jobs resolved by another replica's flight while this one waited");
-  obs::Counter& fleet_takeovers = obs::counter(
-      "selfish_serve_fleet_takeovers_total",
-      "Stale (crashed-holder) leases this replica claimed");
-};
-
-ServeMetrics& serve_metrics() {
-  static ServeMetrics metrics;
-  return metrics;
-}
-
-[[maybe_unused]] const ServeMetrics& g_registered_serve_metrics =
-    serve_metrics();
-
 /// RAII in-flight gauge bump: exception-safe across execute()'s throws.
 class InflightGuard {
  public:
-  InflightGuard() { serve_metrics().inflight.add(1); }
-  ~InflightGuard() { serve_metrics().inflight.add(-1); }
+  explicit InflightGuard(obs::Gauge& gauge) : gauge_(gauge) { gauge_.add(1); }
+  ~InflightGuard() { gauge_.add(-1); }
   InflightGuard(const InflightGuard&) = delete;
   InflightGuard& operator=(const InflightGuard&) = delete;
+
+ private:
+  obs::Gauge& gauge_;
 };
 
 }  // namespace
@@ -92,7 +46,9 @@ Service::Service(ServiceOptions options,
     : options_(std::move(options)),
       registry_(registry),
       store_(options_.cache_dir),
-      pool_(support::resolve_thread_count(options_.threads)) {
+      pool_(support::resolve_thread_count(options_.threads)),
+      inflight_(obs::gauge("selfish_serve_inflight",
+                           "Queries currently inside execute()")) {
   context_.cache_dir = options_.cache_dir;
   context_.threads = support::resolve_thread_count(options_.job_threads);
   // Freeze the per-kind count table: one slot per executor kind plus the
@@ -122,19 +78,16 @@ void Service::lru_insert(const std::string& key, const PayloadPtr& payload,
   if (payload->size() > options_.lru_bytes) return;
   lru_.push_front(LruEntry{key, payload, seconds});
   lru_index_[key] = lru_.begin();
-  lru_bytes_ += payload->size();
-  while (lru_bytes_ > options_.lru_bytes) {
+  obs::OwnedGauge& resident = counters_.lru_bytes;
+  resident.add(static_cast<std::int64_t>(payload->size()));
+  while (static_cast<std::size_t>(resident.value()) > options_.lru_bytes) {
     const LruEntry& victim = lru_.back();
-    lru_bytes_ -= victim.payload->size();
+    resident.add(-static_cast<std::int64_t>(victim.payload->size()));
     lru_index_.erase(victim.key);
     lru_.pop_back();
-    lru_evictions_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().lru_evictions.add(1);
+    counters_.lru_evictions.add();
   }
-  lru_bytes_now_.store(lru_bytes_, std::memory_order_relaxed);
-  lru_entries_now_.store(lru_.size(), std::memory_order_relaxed);
-  serve_metrics().lru_bytes.set(static_cast<std::int64_t>(lru_bytes_));
-  serve_metrics().lru_entries.set(static_cast<std::int64_t>(lru_.size()));
+  counters_.lru_entries.set(static_cast<std::int64_t>(lru_.size()));
 }
 
 engine::GenericOutcome Service::run_shared(const engine::JobKey& key,
@@ -165,43 +118,33 @@ engine::GenericOutcome Service::run_shared(const engine::JobKey& key,
         return waited.has_value();
       },
       [&] { executed = engine::run_generic(registry_, store_, context_, job); });
-  if (report.takeovers > 0) {
-    fleet_takeovers_.fetch_add(report.takeovers, std::memory_order_relaxed);
-    serve_metrics().fleet_takeovers.add(
-        static_cast<std::int64_t>(report.takeovers));
-  }
+  counters_.fleet_takeovers.add(report.takeovers);
   if (report.role == fleet::FlightRole::kWaited) {
-    fleet_waits_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().fleet_waits.add(1);
+    counters_.fleet_waits.add();
     engine::GenericOutcome outcome;
     outcome.result = std::move(*waited);
     outcome.cached = true;
     return outcome;
   }
-  if (!executed.cached) {
-    fleet_executions_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().fleet_executions.add(1);
-  }
+  if (!executed.cached) counters_.fleet_executions.add();
   return executed;
 }
 
 QueryOutcome Service::execute(const engine::GenericJob& job) {
-  const InflightGuard inflight;
+  const InflightGuard inflight(inflight_);
   // The service-layer span of the request tree. It is current while the
   // leader's pool job is submitted below, so the engine/kernel spans the
   // job opens nest under it (ThreadPool::submit captures the context).
   obs::Span span("serve.execute");
   span.attr("kind", serve::Json(job.kind));
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  serve_metrics().requests.add(1);
+  counters_.requests.add();
   note_kind(job.kind);
 
   // Unknown kinds must reject on the caller's thread, before a flight is
   // created (the pool would otherwise own the throw).
   const engine::Executor* executor = registry_.find(job.kind);
   if (executor == nullptr) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().errors.add(1);
+    counters_.errors.add();
     throw support::InvalidArgument("unknown job kind " + job.kind);
   }
 
@@ -223,15 +166,13 @@ QueryOutcome Service::execute(const engine::GenericJob& job) {
         slot = std::make_shared<Flight>();
         leader = true;
       } else {
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
-        serve_metrics().coalesced.add(1);
+        counters_.coalesced.add();
       }
       flight = slot;
     }
   }
   if (lru_payload != nullptr) {
-    lru_hits_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().lru_hits.add(1);
+    counters_.lru_hits.add();
     QueryOutcome outcome;
     outcome.payload = std::move(lru_payload);
     outcome.seconds = lru_seconds;
@@ -260,17 +201,14 @@ QueryOutcome Service::execute(const engine::GenericJob& job) {
         error = e.what();
       }
       if (failed) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        serve_metrics().errors.add(1);
+        counters_.errors.add();
         obs::log_error("serve", "job failed",
                        {{"kind", serve::Json(job.kind)},
                         {"error", serve::Json(error)}});
       } else if (source == Source::kStore) {
-        store_hits_.fetch_add(1, std::memory_order_relaxed);
-        serve_metrics().store_hits.add(1);
+        counters_.store_hits.add();
       } else {
-        solves_.fetch_add(1, std::memory_order_relaxed);
-        serve_metrics().solves.add(1);
+        counters_.solves.add();
       }
       {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -304,35 +242,10 @@ QueryOutcome Service::execute(const engine::GenericJob& job) {
 }
 
 void Service::note_rejected() {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  rejected_.fetch_add(1, std::memory_order_relaxed);
-  serve_metrics().requests.add(1);
-  serve_metrics().rejected.add(1);
+  counters_.requests.add();
+  counters_.rejected.add();
 }
 
 void Service::note_admin(const std::string& kind) { note_kind(kind); }
-
-ServiceStats Service::stats() const {
-  ServiceStats out;
-  out.requests = requests_.load(std::memory_order_relaxed);
-  out.lru_hits = lru_hits_.load(std::memory_order_relaxed);
-  out.store_hits = store_hits_.load(std::memory_order_relaxed);
-  out.solves = solves_.load(std::memory_order_relaxed);
-  out.coalesced = coalesced_.load(std::memory_order_relaxed);
-  out.errors = errors_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.lru_evictions = lru_evictions_.load(std::memory_order_relaxed);
-  out.fleet_executions = fleet_executions_.load(std::memory_order_relaxed);
-  out.fleet_waits = fleet_waits_.load(std::memory_order_relaxed);
-  out.fleet_takeovers = fleet_takeovers_.load(std::memory_order_relaxed);
-  out.lru_bytes = lru_bytes_now_.load(std::memory_order_relaxed);
-  out.lru_entries = lru_entries_now_.load(std::memory_order_relaxed);
-  out.uptime_seconds = uptime_.seconds();
-  out.kinds.reserve(kind_counts_.size());
-  for (const auto& [kind, count] : kind_counts_) {
-    out.kinds.emplace_back(kind, count.load(std::memory_order_relaxed));
-  }
-  return out;
-}
 
 }  // namespace serve

@@ -18,6 +18,11 @@
 // connections the transport accepts; connection threads block on the
 // flight of their query, they never occupy a pool slot themselves (so
 // pool starvation cannot deadlock the transport).
+//
+// Each count the `stats` reply reports is one member of ServiceCounters:
+// an obs::OwnedCounter or OwnedGauge that holds this Service's own count
+// and feeds the selfish_serve_* family of the same name, so `stats` reads
+// per Service and `metrics` reads the process-wide sum.
 #pragma once
 
 #include <array>
@@ -31,12 +36,11 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "engine/generic.hpp"
 #include "engine/store.hpp"
 #include "fleet/lease.hpp"
+#include "obs/metrics.hpp"
 #include "support/parallel.hpp"
 #include "support/timer.hpp"
 
@@ -86,34 +90,47 @@ struct QueryOutcome {
   bool cached = false;  ///< Any layer short of a fresh solve.
 };
 
-/// Monotonic counters since service start. Snapshotting these never
-/// touches the LRU mutex — every source field is a relaxed atomic, so a
-/// `stats`/`metrics` poll cannot contend with request handling (reads may
-/// interleave with concurrent updates; each field is individually exact).
-struct ServiceStats {
-  std::uint64_t requests = 0;
-  std::uint64_t lru_hits = 0;
-  std::uint64_t store_hits = 0;
-  std::uint64_t solves = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t errors = 0;    ///< Executor/dispatch failures.
-  std::uint64_t rejected = 0;  ///< Protocol-level rejections (note_rejected).
-  std::uint64_t lru_evictions = 0;
+/// One Service's counts since construction, each declared once with the
+/// selfish_serve_* family it feeds. Every member is updated with relaxed
+/// atomics, so a `stats` poll never touches the LRU mutex.
+struct ServiceCounters {
+  obs::OwnedCounter requests{"selfish_serve_requests_total",
+                             "Analysis executions plus protocol rejections"};
+  obs::OwnedCounter lru_hits{"selfish_serve_lru_hits_total",
+                             "Requests answered from the LRU"};
+  obs::OwnedCounter store_hits{"selfish_serve_store_hits_total",
+                               "Requests answered from the disk store"};
+  obs::OwnedCounter solves{"selfish_serve_solves_total",
+                           "Requests that computed a fresh artifact"};
+  obs::OwnedCounter coalesced{
+      "selfish_serve_coalesced_total",
+      "Requests that joined an identical in-flight computation"};
+  obs::OwnedCounter errors{"selfish_serve_errors_total",
+                           "Executor or dispatch failures"};
+  /// Protocol-level rejections (note_rejected).
+  obs::OwnedCounter rejected{"selfish_serve_rejected_total",
+                             "Protocol-level rejections"};
+  obs::OwnedCounter lru_evictions{"selfish_serve_lru_evictions_total",
+                                  "Entries evicted past the LRU byte budget"};
+  /// The LRU's payload residency: the only copy, read by the eviction loop.
+  obs::OwnedGauge lru_bytes{"selfish_serve_lru_bytes",
+                            "Current LRU payload residency in bytes"};
+  obs::OwnedGauge lru_entries{"selfish_serve_lru_entries",
+                              "Artifacts resident in the LRU"};
   /// Fleet single-flight view (cache_dir set): leases this replica won
   /// and executed under, store entries it observed another flight
   /// complete (its own solve skipped), and stale leases it took over.
   /// Summed across replicas, fleet_executions equals the number of
   /// distinct cold JobKeys — the "exactly one solve fleet-wide" check.
-  std::uint64_t fleet_executions = 0;
-  std::uint64_t fleet_waits = 0;
-  std::uint64_t fleet_takeovers = 0;
-  std::size_t lru_bytes = 0;    ///< Current LRU payload residency.
-  std::size_t lru_entries = 0;
-  double uptime_seconds = 0.0;  ///< Since Service construction.
-  /// Requests per kind (analysis kinds via execute(), admin kinds via
-  /// note_admin()), sorted by kind name. Every kind the service can
-  /// answer appears, zeros included.
-  std::vector<std::pair<std::string, std::uint64_t>> kinds;
+  obs::OwnedCounter fleet_executions{
+      "selfish_serve_fleet_executions_total",
+      "Cold jobs this replica executed under a fleet lease"};
+  obs::OwnedCounter fleet_waits{
+      "selfish_serve_fleet_waits_total",
+      "Cold jobs resolved by another replica's flight while this one waited"};
+  obs::OwnedCounter fleet_takeovers{
+      "selfish_serve_fleet_takeovers_total",
+      "Stale (crashed-holder) leases this replica claimed"};
 };
 
 class Service {
@@ -144,7 +161,16 @@ class Service {
   /// meaning: analysis executions plus rejections.
   void note_admin(const std::string& kind);
 
-  ServiceStats stats() const;
+  /// This Service's own counts, as the `stats` reply reports them.
+  const ServiceCounters& counters() const { return counters_; }
+  double uptime_seconds() const { return uptime_.seconds(); }
+  /// Requests per kind (analysis kinds via execute(), admin kinds via
+  /// note_admin()), sorted by kind name. Every kind the service can
+  /// answer appears, zeros included.
+  const std::map<std::string, std::atomic<std::uint64_t>>& kind_counts()
+      const {
+    return kind_counts_;
+  }
   const ServiceOptions& options() const { return options_; }
   const engine::ResultStore& store() const { return store_; }
   /// The executor registry this service dispatches to (the `ping`
@@ -200,25 +226,10 @@ class Service {
   mutable std::mutex mutex_;
   std::list<LruEntry> lru_;  ///< Front = most recent.
   std::unordered_map<std::string, std::list<LruEntry>::iterator> lru_index_;
-  std::size_t lru_bytes_ = 0;
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
 
-  // Stats counters live outside mutex_ (relaxed atomics) so stats() is a
-  // pure read; lru_bytes_now_/lru_entries_now_ mirror the mutex-guarded
-  // LRU state for the same reason.
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> lru_hits_{0};
-  std::atomic<std::uint64_t> store_hits_{0};
-  std::atomic<std::uint64_t> solves_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> lru_evictions_{0};
-  std::atomic<std::uint64_t> fleet_executions_{0};
-  std::atomic<std::uint64_t> fleet_waits_{0};
-  std::atomic<std::uint64_t> fleet_takeovers_{0};
-  std::atomic<std::size_t> lru_bytes_now_{0};
-  std::atomic<std::size_t> lru_entries_now_{0};
+  ServiceCounters counters_;
+  obs::Gauge& inflight_;  ///< selfish_serve_inflight: queries in execute().
   /// Per-kind request counts. The key set is frozen at construction
   /// (executor kinds + admin kinds), so concurrent lookups never mutate
   /// the map and need no lock; the values are atomics.

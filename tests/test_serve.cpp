@@ -16,6 +16,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -64,6 +65,46 @@ std::size_t count_store_entries(const std::string& dir) {
     if (entry.is_regular_file()) ++count;
   }
   return count;
+}
+
+/// Every unlabeled series of the process-wide scrape, by name: among them
+/// the selfish_serve_* families a Service's and a Server's counts feed.
+std::map<std::string, double> scraped_families() {
+  std::map<std::string, double> values;
+  std::istringstream scrape(obs::prometheus_text());
+  std::string line;
+  while (std::getline(scrape, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (line.find('{') != std::string::npos) continue;  // labeled series
+    const std::size_t space = line.find(' ');
+    values[line.substr(0, space)] = std::stod(line.substr(space + 1));
+  }
+  return values;
+}
+
+/// Each owned instrument's count equals how far its family moved between
+/// the two scrapes (its owner being the only one in the process).
+template <typename Owned>
+void expect_families_moved(
+    const std::map<std::string, double>& before,
+    const std::map<std::string, double>& after,
+    std::initializer_list<std::pair<const char*, const Owned*>> owned) {
+  for (const auto& [name, own] : owned) {
+    EXPECT_EQ(after.at(name) - before.at(name),
+              static_cast<double>(own->value()))
+        << name;
+  }
+}
+
+/// The transport counts a `stats` reply reports, against their families.
+void expect_transport_families_moved(
+    const serve::Server& server, const std::map<std::string, double>& before) {
+  const serve::TransportStats& transport = server.transport_stats();
+  expect_families_moved<obs::OwnedCounter>(
+      before, scraped_families(),
+      {{"selfish_serve_accepted_total", &transport.accepted},
+       {"selfish_serve_busy_total", &transport.busy},
+       {"selfish_serve_idle_closed_total", &transport.idle_closed}});
 }
 
 /// Tiny model shared by the end-to-end tests (milliseconds per solve).
@@ -520,7 +561,7 @@ TEST(ServeCache, ThresholdAndUpperBoundRoundTripThroughStore) {
     threshold_body =
         serve::handle_line(service, threshold_request);
     upper_body = serve::handle_line(service, upper_request);
-    EXPECT_EQ(service.stats().solves, 2u);
+    EXPECT_EQ(service.counters().solves.value(), 2u);
   }
   const std::size_t entries = count_store_entries(scratch.path);
   EXPECT_EQ(entries, 2u);  // one artifact each, no stray writes
@@ -533,8 +574,8 @@ TEST(ServeCache, ThresholdAndUpperBoundRoundTripThroughStore) {
         serve::handle_line(service, threshold_request);
     const std::string upper_again =
         serve::handle_line(service, upper_request);
-    EXPECT_EQ(service.stats().solves, 0u);
-    EXPECT_EQ(service.stats().store_hits, 2u);
+    EXPECT_EQ(service.counters().solves.value(), 0u);
+    EXPECT_EQ(service.counters().store_hits.value(), 2u);
 
     const serve::Reply first = serve::decode_reply(threshold_body);
     const serve::Reply second = serve::decode_reply(threshold_again);
@@ -569,7 +610,7 @@ TEST(ServeCache, LruDisabledStillServesFromStore) {
       serve::decode_reply(serve::handle_line(service, request));
   EXPECT_EQ(first.body, second.body);
   EXPECT_EQ(second.source, "store");
-  EXPECT_EQ(service.stats().lru_hits, 0u);
+  EXPECT_EQ(service.counters().lru_hits.value(), 0u);
 }
 
 // ----------------------------------------------------------- coalescing
@@ -624,7 +665,7 @@ TEST(ServeSingleFlight, ConcurrentIdenticalQueriesExecuteOnce) {
   }
   EXPECT_EQ(solved, 1);
   EXPECT_EQ(coalesced, kClients - 1);
-  EXPECT_EQ(service.stats().coalesced,
+  EXPECT_EQ(service.counters().coalesced.value(),
             static_cast<std::uint64_t>(kClients - 1));
 
   // Executor failures propagate to every waiter and are not cached.
@@ -637,7 +678,7 @@ TEST(ServeSingleFlight, ConcurrentIdenticalQueriesExecuteOnce) {
   bad.kind = "failing";
   bad.options = "x=1";
   EXPECT_THROW(service.execute(bad), support::Error);
-  EXPECT_EQ(service.stats().errors, 1u);
+  EXPECT_EQ(service.counters().errors.value(), 1u);
   EXPECT_EQ(count_store_entries(scratch.path), 1u);
 }
 
@@ -668,12 +709,126 @@ TEST(ServeLru, EvictsPastByteBudgetAndFallsBackToStore) {
   query('a');
   query('b');
   query('c');  // evicts 'a'
-  EXPECT_EQ(service.stats().lru_evictions, 1u);
+  EXPECT_EQ(service.counters().lru_evictions.value(), 1u);
   EXPECT_EQ(query('c').source, serve::Source::kLru);
   const serve::QueryOutcome again = query('a');  // store, not re-solve
   EXPECT_EQ(again.source, serve::Source::kStore);
   EXPECT_EQ(*again.payload, std::string(1024, 'a'));
   EXPECT_EQ(executions.load(), 3);
+}
+
+// ------------------------------------------- stats counts vs families
+
+TEST(ServeCounters, EachCountMovesItsFamily) {
+  ScratchDir scratch("sm_serve_counters_test");
+  // "blob" artifacts are 1 KiB, except "big", which overflows the LRU
+  // budget and so comes back from the store on repeat. "slow" holds its
+  // flight open until the test has seen a second request join it.
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  std::atomic<int> slow_started{0};
+  engine::ExecutorRegistry registry;
+  registry.add("blob", [](const engine::GenericJob& job,
+                          const engine::ExecContext&) {
+    engine::GenericResult result;
+    result.payload = std::string(job.options == "big" ? 4096 : 1024, 'x');
+    return result;
+  });
+  registry.add("slow", [&](const engine::GenericJob&,
+                           const engine::ExecContext&) {
+    slow_started.fetch_add(1);
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return gate_open; });
+    engine::GenericResult result;
+    result.payload = std::string(1024, 's');
+    return result;
+  });
+  registry.add("failing", [](const engine::GenericJob&,
+                             const engine::ExecContext&)
+                   -> engine::GenericResult {
+    throw support::Error("deliberate failure");
+  });
+
+  serve::ServiceOptions options;
+  options.cache_dir = scratch.path;
+  options.threads = 2;
+  options.lru_bytes = 2048;  // room for two 1 KiB artifacts
+  serve::Service service(options, registry);
+  const serve::ServiceCounters& counters = service.counters();
+  const std::map<std::string, double> before = scraped_families();
+
+  const auto query = [&](std::string kind, std::string options_text) {
+    engine::GenericJob job;
+    job.kind = std::move(kind);
+    job.options = std::move(options_text);
+    return service.execute(job);
+  };
+  EXPECT_EQ(query("blob", "a").source, serve::Source::kSolve);
+  EXPECT_EQ(query("blob", "a").source, serve::Source::kLru);
+  EXPECT_EQ(query("blob", "big").source, serve::Source::kSolve);
+  EXPECT_EQ(query("blob", "big").source, serve::Source::kStore);
+  {
+    std::thread leader([&] { query("slow", "x"); });
+    while (slow_started.load() == 0) std::this_thread::yield();
+    std::thread joiner([&] { query("slow", "x"); });
+    while (counters.coalesced.value() == 0) std::this_thread::yield();
+    {
+      const std::lock_guard<std::mutex> lock(gate_mutex);
+      gate_open = true;
+    }
+    gate_cv.notify_all();
+    leader.join();
+    joiner.join();
+  }
+  EXPECT_EQ(query("blob", "b").source, serve::Source::kSolve);  // evicts a
+  EXPECT_THROW(query("failing", "x"), support::Error);
+  EXPECT_FALSE(serve::decode_reply(serve::handle_line(service, "{")).ok);
+
+  // One of each event, and every request resolved exactly one way.
+  EXPECT_EQ(counters.lru_hits.value(), 1u);
+  EXPECT_EQ(counters.store_hits.value(), 1u);
+  EXPECT_EQ(counters.coalesced.value(), 1u);
+  EXPECT_EQ(counters.errors.value(), 1u);
+  EXPECT_EQ(counters.rejected.value(), 1u);
+  EXPECT_EQ(counters.lru_evictions.value(), 1u);
+  EXPECT_EQ(counters.requests.value(),
+            counters.lru_hits.value() + counters.store_hits.value() +
+                counters.solves.value() + counters.coalesced.value() +
+                counters.errors.value() + counters.rejected.value());
+
+  // The only Service in the process: each family moved by its count.
+  const std::map<std::string, double> after = scraped_families();
+  expect_families_moved<obs::OwnedCounter>(
+      before, after,
+      {{"selfish_serve_requests_total", &counters.requests},
+       {"selfish_serve_lru_hits_total", &counters.lru_hits},
+       {"selfish_serve_store_hits_total", &counters.store_hits},
+       {"selfish_serve_solves_total", &counters.solves},
+       {"selfish_serve_coalesced_total", &counters.coalesced},
+       {"selfish_serve_errors_total", &counters.errors},
+       {"selfish_serve_rejected_total", &counters.rejected},
+       {"selfish_serve_lru_evictions_total", &counters.lru_evictions},
+       {"selfish_serve_fleet_executions_total", &counters.fleet_executions},
+       {"selfish_serve_fleet_waits_total", &counters.fleet_waits},
+       {"selfish_serve_fleet_takeovers_total", &counters.fleet_takeovers}});
+  expect_families_moved<obs::OwnedGauge>(
+      before, after,
+      {{"selfish_serve_lru_bytes", &counters.lru_bytes},
+       {"selfish_serve_lru_entries", &counters.lru_entries}});
+
+  // With obs off, an LRU hit still counts for `stats`, and no family moves.
+  const std::uint64_t requests = counters.requests.value();
+  {
+    struct ObsOff {
+      ObsOff() { obs::set_enabled(false); }
+      ~ObsOff() { obs::set_enabled(true); }
+    } off;
+    EXPECT_EQ(query("blob", "b").source, serve::Source::kLru);
+  }
+  EXPECT_EQ(counters.requests.value(), requests + 1);
+  EXPECT_EQ(counters.lru_hits.value(), 2u);
+  EXPECT_EQ(scraped_families(), after);
 }
 
 // ----------------------------------------------- trace ids and exemplars
@@ -938,6 +1093,7 @@ TEST(ServeTransport, InflightCapReturnsBusy) {
   options.workers = 2;
   options.service.threads = 2;
   serve::Server server(options, registry);
+  const std::map<std::string, double> before = scraped_families();
   server.start();
   {
     serve::Client client("127.0.0.1", server.port());
@@ -962,7 +1118,7 @@ TEST(ServeTransport, InflightCapReturnsBusy) {
         << busy.error;
 
     // The transport counted the refusal and the stats reply reports it.
-    EXPECT_GE(server.transport_stats().busy.load(), 1u);
+    EXPECT_GE(server.transport_stats().busy.value(), 1u);
 
     {
       std::lock_guard<std::mutex> lock(gate_mutex);
@@ -981,6 +1137,17 @@ TEST(ServeTransport, InflightCapReturnsBusy) {
     EXPECT_GE(transport->find("accepted")->as_number(), 1.0);
   }
   server.stop();
+  expect_transport_families_moved(server, before);
+}
+
+TEST(ServeTransport, NegativeInflightCapsAreRejected) {
+  serve::ServerOptions options;
+  options.port = 0;
+  options.max_inflight = -1;
+  EXPECT_THROW(serve::Server{options}, support::InvalidArgument);
+  options.max_inflight = 0;
+  options.max_inflight_per_connection = -7;
+  EXPECT_THROW(serve::Server{options}, support::InvalidArgument);
 }
 
 // ----------------------------------------- transport: idle + reconnects
@@ -990,6 +1157,7 @@ TEST(ServeTransport, IdleConnectionsAreClosedAndSessionsReconnect) {
   options.port = 0;
   options.idle_timeout_seconds = 0.15;
   serve::Server server(options);
+  const std::map<std::string, double> before = scraped_families();
   server.start();
   {
     serve::Client client("127.0.0.1", server.port());
@@ -1003,7 +1171,7 @@ TEST(ServeTransport, IdleConnectionsAreClosedAndSessionsReconnect) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     EXPECT_EQ(server.live_connections(), 0u);
-    EXPECT_GE(server.transport_stats().idle_closed.load(), 1u);
+    EXPECT_GE(server.transport_stats().idle_closed.value(), 1u);
 
     // The session notices the dead connection on its next use and
     // reconnects transparently (capped retries, jittered backoff).
@@ -1018,6 +1186,7 @@ TEST(ServeTransport, IdleConnectionsAreClosedAndSessionsReconnect) {
               1.0);
   }
   server.stop();
+  expect_transport_families_moved(server, before);
 }
 
 // ------------------------------- transport: partial writes and framing
@@ -1169,8 +1338,8 @@ TEST(ServeTransport, ManyConnectionsSoak) {
     EXPECT_EQ(replies, kConnections * kDepth);
     // Every session answered, so every socket is reactor-owned by now —
     // all concurrently open (none were closed yet).
-    EXPECT_GE(server.transport_stats().connections.load(), kConnections);
-    EXPECT_GE(server.transport_stats().accepted.load(),
+    EXPECT_GE(server.transport_stats().connections.value(), kConnections);
+    EXPECT_GE(server.transport_stats().accepted.value(),
               static_cast<std::uint64_t>(kConnections) + 1);
 
     // The straggler's second half still frames correctly after 768

@@ -42,6 +42,7 @@
 #include "net/scenario.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "selfish/build.hpp"
 #include "selfish/cache.hpp"
@@ -530,24 +531,23 @@ int cmd_serve(int argc, const char* const* argv) {
   dump_watcher.join();
   server.stop();
 
-  const serve::ServiceStats stats = server.service().stats();
+  const auto count = [](const obs::OwnedCounter& counter) {
+    return static_cast<unsigned long long>(counter.value());
+  };
+  const serve::ServiceCounters& counters = server.service().counters();
   std::fprintf(stderr,
                "serve: %llu requests — %llu lru, %llu store, %llu solved, "
                "%llu coalesced, %llu errors, %llu rejected\n",
-               static_cast<unsigned long long>(stats.requests),
-               static_cast<unsigned long long>(stats.lru_hits),
-               static_cast<unsigned long long>(stats.store_hits),
-               static_cast<unsigned long long>(stats.solves),
-               static_cast<unsigned long long>(stats.coalesced),
-               static_cast<unsigned long long>(stats.errors),
-               static_cast<unsigned long long>(stats.rejected));
+               count(counters.requests), count(counters.lru_hits),
+               count(counters.store_hits), count(counters.solves),
+               count(counters.coalesced), count(counters.errors),
+               count(counters.rejected));
   const serve::TransportStats& transport = server.transport_stats();
   std::fprintf(stderr,
                "serve: transport — %llu connections accepted, %llu busy "
                "refusals, %llu idle closes\n",
-               static_cast<unsigned long long>(transport.accepted.load()),
-               static_cast<unsigned long long>(transport.busy.load()),
-               static_cast<unsigned long long>(transport.idle_closed.load()));
+               count(transport.accepted), count(transport.busy),
+               count(transport.idle_closed));
   return 0;
 }
 
@@ -764,7 +764,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown command: %s\n\n", command.c_str());
     print_usage();
     return 1;
-  } catch (const support::Error& e) {
+  } catch (const std::exception& e) {
+    // support::Error, and std::bad_alloc from an allocation sized by the
+    // options (network --runs=2147483647 sizes its results up front).
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
