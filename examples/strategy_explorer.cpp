@@ -9,7 +9,6 @@
 
 #include "analysis/algorithm1.hpp"
 #include "analysis/policy_stats.hpp"
-#include "mdp/markov_chain.hpp"
 #include "selfish/build.hpp"
 #include "support/check.hpp"
 #include "support/options.hpp"
@@ -45,13 +44,13 @@ int main(int argc, char** argv) {
               params.to_string().c_str(), result.errev_of_policy);
 
   // Only show decision states the strategy actually visits (stationary
-  // probability > 0 under the computed policy), most frequent first.
-  const auto stationary =
-      mdp::stationary_distribution(model.mdp, result.policy);
+  // probability > 0 under the computed policy), most frequent first. The
+  // analysis already solved that chain for the ERRev above.
+  const std::vector<double>& stationary = result.stationary.distribution;
   std::vector<mdp::StateId> order(model.mdp.num_states());
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) order[s] = s;
   std::sort(order.begin(), order.end(), [&](mdp::StateId a, mdp::StateId b) {
-    return stationary.distribution[a] > stationary.distribution[b];
+    return stationary[a] > stationary[b];
   });
 
   std::printf("%-44s %-10s %-22s\n", "state (C, O, type)", "visit %",
@@ -61,11 +60,11 @@ int main(int argc, char** argv) {
   for (const mdp::StateId s : order) {
     const auto state = model.space.state_of(s);
     if (state.type == selfish::StepType::kMining) continue;  // forced mine
-    if (stationary.distribution[s] < 1e-9) continue;
+    if (stationary[s] < 1e-9) continue;
     const auto action = model.action_of(result.policy[s]);
     std::printf("%-44s %-10.4f %-22s\n",
                 state.to_string(params).c_str(),
-                100.0 * stationary.distribution[s],
+                100.0 * stationary[s],
                 action.to_string().c_str());
     if (++rows >= max_rows) break;
   }
@@ -74,7 +73,8 @@ int main(int argc, char** argv) {
               "type=honest state means: accept the pending\nhonest block; "
               "a release at such a state races or overrides it.)\n", rows);
 
-  const auto stats = analysis::compute_policy_stats(model, result.policy);
+  const auto stats =
+      analysis::compute_policy_stats(model, result.policy, stationary);
   std::printf("\nAggregate behavior:\n%s", stats.to_string().c_str());
   return 0;
 }

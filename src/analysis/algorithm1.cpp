@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "analysis/errev.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
 
@@ -70,7 +69,8 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
   result.final_values = std::move(final_solve.values);
 
   if (options.evaluate_exact_errev) {
-    result.errev_of_policy = exact_errev(model, result.policy);
+    result.stationary = mdp::stationary_distribution(m, result.policy);
+    result.errev_of_policy = result.stationary.rates.ratio();
   } else {
     result.errev_of_policy = std::nan("");
   }

@@ -11,7 +11,8 @@
 // band. On top of the paper's algorithm we (a) warm-start the value vector
 // across binary-search steps (the solves differ only in β, so values barely
 // move), (b) evaluate the *exact* ERRev of the returned strategy via
-// the stationary counter rates g_A/(g_A+g_H), and (c) run every
+// the stationary counter rates g_A/(g_A+g_H), keeping that one solve in
+// the result for the report's strategy statistics, and (c) run every
 // solve on one mdp::BellmanKernel per analysis — a view over the model's
 // arrays with the β-reward fused into the backup, whose sweeps fan out over
 // AnalysisOptions::solver.threads workers with bit-identical results at
@@ -31,8 +32,8 @@ struct AnalysisOptions {
   double epsilon = 1e-3;
   /// Mean-payoff solver configuration for each binary-search step.
   mdp::SolveOptions solver;
-  /// Also evaluate the exact ERRev of the returned strategy (one
-  /// stationary-distribution solve; disable for pure-runtime benches).
+  /// Also evaluate the returned strategy (one stationary solve, kept in
+  /// AnalysisResult::stationary; disable for pure-runtime benches).
   bool evaluate_exact_errev = true;
 };
 
@@ -43,6 +44,9 @@ struct AnalysisResult {
   /// Exact ERRev(σ) of `policy` (g_A/(g_A+g_H)); NaN when not evaluated.
   double errev_of_policy = 0.0;
   mdp::Policy policy;              ///< ε-optimal selfish-mining strategy.
+  /// The chain `policy` induces, solved once: errev_of_policy is its
+  /// rates.ratio(). Empty distribution when not evaluated.
+  mdp::StationaryResult stationary;
   int search_iterations = 0;       ///< Binary-search steps performed.
   long solver_iterations = 0;      ///< Total inner solver iterations.
   double seconds = 0.0;            ///< Wall-clock time of the analysis.

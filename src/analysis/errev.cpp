@@ -4,7 +4,7 @@ namespace analysis {
 
 double exact_errev(const selfish::SelfishModel& model,
                    const mdp::Policy& policy) {
-  return mdp::evaluate_policy_counters(model.mdp, policy).ratio();
+  return mdp::stationary_distribution(model.mdp, policy).rates.ratio();
 }
 
 }  // namespace analysis

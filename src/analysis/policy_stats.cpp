@@ -9,10 +9,13 @@
 namespace analysis {
 
 PolicyStats compute_policy_stats(const selfish::SelfishModel& model,
-                                 const mdp::Policy& policy, double cutoff) {
+                                 const mdp::Policy& policy,
+                                 const std::vector<double>& stationary,
+                                 double cutoff) {
   mdp::validate_policy(model.mdp, policy);
-  const auto stationary = mdp::stationary_distribution(model.mdp, policy);
-  SM_ENSURE(stationary.converged, "stationary distribution did not converge");
+  SM_REQUIRE(stationary.size() == model.mdp.num_states(),
+             "stationary distribution has ", stationary.size(),
+             " entries for ", model.mdp.num_states(), " states");
   const selfish::AttackParams& params = model.params;
 
   PolicyStats stats;
@@ -21,7 +24,7 @@ PolicyStats compute_policy_stats(const selfish::SelfishModel& model,
   std::map<std::tuple<int, int, bool>, double> release_freq;
 
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
-    const double mu = stationary.distribution[s];
+    const double mu = stationary[s];
     if (mu < cutoff) continue;
     const selfish::State state = model.space.state_of(s);
 

@@ -3,8 +3,9 @@
 // Aggregates what the optimal play actually does in the long run: how often
 // each decision type withholds vs releases, which (depth, length) releases
 // carry the revenue, how deep races and overrides reach, and the expected
-// amount of withheld blocks. Powers strategy_explorer and the qualitative
-// assertions about strategy shape in the tests.
+// amount of withheld blocks, weighted by a stationary distribution the
+// caller already holds (AnalysisResult::stationary). Powers the `analyze`
+// report, strategy_explorer and the strategy-shape assertions in the tests.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +45,11 @@ struct PolicyStats {
   std::string to_string() const;
 };
 
-/// Computes the statistics from the stationary distribution of `policy`
-/// (states with stationary probability < cutoff are ignored).
+/// Computes the statistics of `policy` from `stationary`, the stationary
+/// distribution of its chain (states below `cutoff` are ignored).
 PolicyStats compute_policy_stats(const selfish::SelfishModel& model,
                                  const mdp::Policy& policy,
+                                 const std::vector<double>& stationary,
                                  double cutoff = 1e-12);
 
 }  // namespace analysis

@@ -40,7 +40,16 @@ std::string render_analysis_report(const selfish::AttackParams& params,
                    result.search_iterations, result.solver_iterations,
                    result.seconds);
   if (include_stats) {
-    report += compute_policy_stats(model, result.policy).to_string();
+    // Only a result analysed with evaluate_exact_errev off lacks a solve.
+    mdp::StationaryResult solved;
+    const mdp::StationaryResult* stationary = &result.stationary;
+    if (stationary->distribution.empty()) {
+      solved = mdp::stationary_distribution(model.mdp, result.policy);
+      stationary = &solved;
+    }
+    report += compute_policy_stats(model, result.policy,
+                                   stationary->distribution)
+                  .to_string();
   }
   return report;
 }

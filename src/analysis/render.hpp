@@ -18,7 +18,9 @@ namespace analysis {
 
 /// The `selfish-mining analyze` report: model summary, certified ERRev
 /// bracket, search/solve counters, and (optionally) the strategy's
-/// structural statistics. The third line ends with the analysis wall-clock
+/// structural statistics from `result.stationary` (solved here only when
+/// evaluate_exact_errev was off). The third line ends with the analysis
+/// wall-clock
 /// — the one volatile token; consumers that byte-compare across runs strip
 /// it (see the serve-smoke CI job).
 std::string render_analysis_report(const selfish::AttackParams& params,

@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -14,6 +16,18 @@ namespace analysis {
 namespace {
 
 constexpr const char* kMagic = "selfish-mining-strategy v1";
+
+bool is_decision_state(const selfish::SelfishModel& model, mdp::StateId s) {
+  return model.space.state_of(s).type != selfish::StepType::kMining;
+}
+
+std::size_t count_decision_states(const selfish::SelfishModel& model) {
+  std::size_t count = 0;
+  for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
+    if (is_decision_state(model, s)) ++count;
+  }
+  return count;
+}
 
 }  // namespace
 
@@ -29,17 +43,10 @@ void save_strategy(const selfish::SelfishModel& model,
                 params.burn_lost_races ? 1 : 0);
   out << header;
 
-  std::size_t decision_states = 0;
+  out << "states " << count_decision_states(model) << '\n';
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
-    if (model.space.state_of(s).type != selfish::StepType::kMining) {
-      ++decision_states;
-    }
-  }
-  out << "states " << decision_states << '\n';
-  for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
-    const selfish::State state = model.space.state_of(s);
-    if (state.type == selfish::StepType::kMining) continue;
-    out << state.pack(params) << ' '
+    if (!is_decision_state(model, s)) continue;
+    out << model.space.state_of(s).pack(params) << ' '
         << model.mdp.action_label(policy[s]) << '\n';
   }
 }
@@ -77,36 +84,47 @@ mdp::Policy load_strategy(const selfish::SelfishModel& model,
   std::size_t expected = 0;
   SM_REQUIRE(std::sscanf(line.c_str(), "states %zu", &expected) == 1,
              "malformed states line: ", line);
+  const std::size_t decision_states = count_decision_states(model);
+  SM_REQUIRE(expected == decision_states, "strategy file lists ", expected,
+             " states but the model has ", decision_states,
+             " decision states");
 
-  // Default everything to the first action (mine); decision states are
-  // overwritten from the file.
+  // Mining states only mine; each decision state is set by its one entry.
   mdp::Policy policy(model.mdp.num_states());
+  std::vector<bool> listed(model.mdp.num_states(), false);
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
     policy[s] = model.mdp.action_begin(s);
   }
 
   std::size_t loaded = 0;
-  while (std::getline(in, line)) {
+  for (std::size_t line_no = 4; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
     std::uint64_t key = 0;
     std::uint32_t label = 0;
     SM_REQUIRE(std::sscanf(line.c_str(), "%" SCNu64 " %" SCNu32, &key,
                            &label) == 2,
-               "malformed strategy entry: ", line);
-    const selfish::State state = selfish::State::unpack(key, params);
-    const mdp::StateId id = model.space.id_of(state);
+               "malformed strategy entry on line ", line_no, ": ", line);
+    const std::optional<mdp::StateId> id = model.space.find(key);
+    SM_REQUIRE(id.has_value() && is_decision_state(model, *id), "line ",
+               line_no, ": key ", key, " is not a decision state of ",
+               params.to_string());
+    SM_REQUIRE(!listed[*id], "line ", line_no, ": state ",
+               model.space.state_of(*id).to_string(params),
+               " is listed twice");
+    listed[*id] = true;
     bool found = false;
-    for (mdp::ActionId a = model.mdp.action_begin(id);
-         a < model.mdp.action_end(id); ++a) {
+    for (mdp::ActionId a = model.mdp.action_begin(*id);
+         a < model.mdp.action_end(*id); ++a) {
       if (model.mdp.action_label(a) == label) {
-        policy[id] = a;
+        policy[*id] = a;
         found = true;
         break;
       }
     }
-    SM_REQUIRE(found, "action ",
+    SM_REQUIRE(found, "line ", line_no, ": action ",
                selfish::Action::decode(label).to_string(),
-               " is not available in state ", state.to_string(params));
+               " is not available in state ",
+               model.space.state_of(*id).to_string(params));
     ++loaded;
   }
   SM_REQUIRE(loaded == expected, "strategy file advertised ", expected,

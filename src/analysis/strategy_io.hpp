@@ -4,8 +4,10 @@
 // attack parameters (the strategy is only meaningful for the exact model it
 // was computed on), followed by one `state-key action-code` pair per
 // *decision* state (mining states always mine and are omitted). Loading
-// validates the header against the target model and rebuilds a full
-// mdp::Policy. This lets an expensive analysis (e.g. d=4, f=2) be computed
+// validates the header against the target model, requires exactly one
+// entry per decision state, and rebuilds a full mdp::Policy, so a doctored
+// file is refused rather than loaded as a different strategy. This lets
+// an expensive analysis (e.g. d=4, f=2) be computed
 // once and replayed in the simulator or the explorer.
 #pragma once
 
@@ -26,9 +28,11 @@ std::string strategy_to_string(const selfish::SelfishModel& model,
                                const mdp::Policy& policy);
 
 /// Parses a strategy produced by save_strategy and validates it against
-/// `model` (parameters must match exactly; every decision state must be
-/// covered; every action must be available in its state). Throws
-/// support::InvalidArgument on any mismatch or malformed input.
+/// `model`: the parameters must match exactly; `states N` must equal the
+/// model's number of decision states; each entry must name a decision
+/// state (not a mining state, not a key outside the model) not listed
+/// before, and an action available there. Throws support::InvalidArgument,
+/// naming the line, on any mismatch or malformed input.
 mdp::Policy load_strategy(const selfish::SelfishModel& model,
                           std::istream& in);
 

@@ -55,9 +55,9 @@ std::vector<Endpoint> parse_endpoints(const std::string& csv) {
   return endpoints;
 }
 
-Router::Router(std::vector<Endpoint> replicas, RouterOptions options)
+Router::Router(std::vector<Endpoint> replicas, serve::ClientOptions client)
     : replicas_(std::move(replicas)),
-      options_(std::move(options)),
+      client_(std::move(client)),
       ring_(member_names(replicas_)),
       sessions_(replicas_.size()) {}
 
@@ -78,7 +78,7 @@ std::vector<std::size_t> Router::route(const std::string& line) const {
 serve::Client& Router::session(std::size_t index) {
   if (sessions_[index] == nullptr) {
     sessions_[index] = std::make_unique<serve::Client>(
-        replicas_[index].host, replicas_[index].port, options_.client);
+        replicas_[index].host, replicas_[index].port, client_);
   }
   return *sessions_[index];
 }

@@ -14,6 +14,8 @@
 // the first reachable replica in member-list order. Lines that do not
 // parse are forwarded verbatim to the same place — the server owns the
 // error reply, keeping the router byte-transparent end to end.
+// Every replica session takes the one serve::ClientOptions (the auth
+// secret) the Router is given; the router has no options of its own.
 #pragma once
 
 #include <cstdint>
@@ -38,16 +40,12 @@ Endpoint parse_endpoint(const std::string& text);
 /// list. Throws on an empty list or a malformed element.
 std::vector<Endpoint> parse_endpoints(const std::string& csv);
 
-struct RouterOptions {
-  /// Per-replica session options (retries, backoff, auth secret).
-  serve::ClientOptions client;
-};
-
 class Router {
  public:
   /// Does not connect: sessions are established on first use, so a
   /// router over a partially-down fleet still serves (failover).
-  explicit Router(std::vector<Endpoint> replicas, RouterOptions options = {});
+  explicit Router(std::vector<Endpoint> replicas,
+                  serve::ClientOptions client = {});
 
   const Ring& ring() const { return ring_; }
   const std::vector<Endpoint>& replicas() const { return replicas_; }
@@ -76,7 +74,7 @@ class Router {
   auto with_failover(const std::string& line, Fn&& fn);
 
   std::vector<Endpoint> replicas_;
-  RouterOptions options_;
+  serve::ClientOptions client_;
   Ring ring_;
   std::vector<std::unique_ptr<serve::Client>> sessions_;
   std::uint64_t failovers_ = 0;

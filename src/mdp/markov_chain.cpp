@@ -84,7 +84,8 @@ StationaryResult stationary_distribution(const Mdp& mdp,
   const double tau = kStationaryTau;
   const double one_minus_tau = 1.0 - tau;
 
-  for (int iter = 1; iter <= kStationaryMaxIterations; ++iter) {
+  bool converged = false;
+  for (int iter = 1; iter <= kStationaryMaxIterations && !converged; ++iter) {
     // next = μ · (τI + (1−τ)P); the lazy mix has the same fixpoint as P
     // but is aperiodic, so power iteration converges.
     for (StateId s = 0; s < n; ++s) next[s] = tau * mu[s];
@@ -101,33 +102,23 @@ StationaryResult stationary_distribution(const Mdp& mdp,
     for (StateId s = 0; s < n; ++s) l1 += std::fabs(next[s] - mu[s]);
     mu.swap(next);
     result.iterations = iter;
-    if (l1 < kStationaryTol) {
-      result.converged = true;
-      break;
-    }
+    converged = l1 < kStationaryTol;
   }
+  SM_ENSURE(converged, "stationary distribution did not converge in ",
+            kStationaryMaxIterations, " iterations");
 
   // Guard against drift: renormalize to a probability vector.
   double total = 0.0;
   for (double x : mu) total += x;
   SM_ENSURE(total > 0.0, "stationary mass vanished");
   for (double& x : mu) x /= total;
-  return result;
-}
 
-double policy_gain(const Mdp& mdp, const Policy& policy,
-                   const std::vector<double>& action_reward,
-                   const std::vector<double>& stationary) {
-  validate_policy(mdp, policy);
-  SM_REQUIRE(action_reward.size() == mdp.num_actions(),
-             "reward vector size mismatch");
-  SM_REQUIRE(stationary.size() == mdp.num_states(),
-             "stationary vector size mismatch");
-  double gain = 0.0;
-  for (StateId s = 0; s < mdp.num_states(); ++s) {
-    gain += stationary[s] * action_reward[policy[s]];
+  for (StateId s = 0; s < n; ++s) {
+    const ActionId a = policy[s];
+    result.rates.adversary += mu[s] * mdp.expected_adversary(a);
+    result.rates.honest += mu[s] * mdp.expected_honest(a);
   }
-  return gain;
+  return result;
 }
 
 }  // namespace mdp

@@ -1,8 +1,8 @@
 // Markov-chain analyses of an MDP under a fixed positional strategy.
 //
-// Used for (a) the exact ERRev of a computed strategy via the renewal
-// ratio g_A / (g_A + g_H) and (b) structural sanity checks (reachability,
-// unichain validation) exercised by the tests.
+// Used for (a) evaluating a computed strategy: one stationary solve gives
+// both the exact ERRev g_A / (g_A + g_H) and the strategy's statistics;
+// and (b) structural sanity checks (reachability, unichain validation).
 #pragma once
 
 #include <cstdint>
@@ -27,23 +27,31 @@ std::vector<bool> reachable_states(const Mdp& mdp, StateId from);
 std::vector<bool> reachable_states(const Mdp& mdp, const Policy& policy,
                                    StateId from);
 
+/// Long-run rates of the two finalization counters under a strategy.
+struct CounterRates {
+  double adversary = 0.0;  ///< Long-run finalized adversary blocks / step.
+  double honest = 0.0;     ///< Long-run finalized honest blocks / step.
+
+  /// ERRev of the policy: adversary / (adversary + honest).
+  /// Well-defined for the selfish-mining models, where the total
+  /// finalization rate is bounded below by (1−p)/(1−p+p·d·f) > 0.
+  double ratio() const { return adversary / (adversary + honest); }
+};
+
 struct StationaryResult {
   std::vector<double> distribution;  ///< μ with μP = μ, Σμ = 1.
+  /// Σ_s μ(s) · expected_{adversary,honest}(policy(s)).
+  CounterRates rates;
   int iterations = 0;
-  bool converged = false;
 };
 
 /// Stationary distribution of the chain induced by `policy`, computed by
-/// lazy power iteration started from the initial state; it stops once
-/// one iteration changes μ by less than 1e-12 in L1. For a unichain
-/// model this converges to the unique stationary distribution of the
-/// recurrent class reachable from the initial state.
+/// lazy power iteration started from the initial state, and the counter
+/// rates averaged over it. It stops once one iteration changes μ by less
+/// than 1e-12 in L1, and throws support::InternalError if its iteration
+/// cap comes first. For a unichain model this converges to the unique
+/// stationary distribution of the recurrent class reachable from the
+/// initial state.
 StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy);
-
-/// Long-run average of a per-action reward under `policy`:
-/// Σ_s μ(s) · reward[policy(s)].
-double policy_gain(const Mdp& mdp, const Policy& policy,
-                   const std::vector<double>& action_reward,
-                   const std::vector<double>& stationary);
 
 }  // namespace mdp

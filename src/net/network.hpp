@@ -77,8 +77,9 @@ struct NetworkConfig {
   /// unchanged-rate exponential clock is distribution-preserving by
   /// memorylessness — but the lazy mode skips one RNG draw plus one
   /// heap push/pop per delivered block, which dominates event-loop cost
-  /// at scale. Off = the original resample-after-every-event behavior
-  /// (kept for A/B validation; tests pin the statistical equivalence).
+  /// at scale. Off = the original resample-after-every-event behavior,
+  /// kept as the reference path test_net_clock pins the lazy clock
+  /// against; no scenario or CLI flag turns it off.
   bool lazy_clock_reschedule = true;
   /// When > 0, a send dropped on a partition-cut edge is retried: the
   /// sender re-announces the block to the same destination at

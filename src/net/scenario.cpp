@@ -511,7 +511,6 @@ NetworkResult run_scenario(const PreparedScenario& prepared,
   config.warmup_heights = scenario.warmup_heights;
   config.confirm_depth = scenario.confirm_depth;
   config.seed = seed;
-  config.lazy_clock_reschedule = scenario.lazy_clock_reschedule;
   return run_network(config, std::move(setups));
 }
 

@@ -51,9 +51,6 @@ struct Scenario {
   std::uint64_t blocks = 100'000;
   std::uint32_t warmup_heights = 200;
   int confirm_depth = 12;
-  /// See NetworkConfig::lazy_clock_reschedule (default on; off restores
-  /// the resample-after-every-event clock for A/B validation).
-  bool lazy_clock_reschedule = true;
 
   /// Combined relative hashrate of the non-honest miners.
   double attacker_power() const;

@@ -16,14 +16,20 @@ mdp::StateId StateSpace::intern(const State& s) {
 }
 
 mdp::StateId StateSpace::id_of(const State& s) const {
-  const auto it = index_.find(s.pack(params_));
-  SM_REQUIRE(it != index_.end(), "state not in the enumerated space: ",
+  const std::optional<mdp::StateId> id = find(s.pack(params_));
+  SM_REQUIRE(id.has_value(), "state not in the enumerated space: ",
              s.to_string(params_));
-  return it->second;
+  return *id;
 }
 
 bool StateSpace::contains(const State& s) const {
-  return index_.find(s.pack(params_)) != index_.end();
+  return find(s.pack(params_)).has_value();
+}
+
+std::optional<mdp::StateId> StateSpace::find(std::uint64_t key) const {
+  const auto it = index_.find(key);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
 }
 
 State StateSpace::state_of(mdp::StateId id) const {

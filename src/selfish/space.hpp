@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +34,10 @@ class StateSpace {
 
   /// True if the canonical state has been interned.
   bool contains(const State& s) const;
+
+  /// Id of the state whose packed key is `key`, or nullopt when no
+  /// interned state packs to it (e.g. a key read from a file).
+  std::optional<mdp::StateId> find(std::uint64_t key) const;
 
   State state_of(mdp::StateId id) const;
 

@@ -6,7 +6,6 @@
 
 #include "mdp/builder.hpp"
 #include "mdp/markov_chain.hpp"
-#include "mdp/policy_evaluation.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -63,7 +62,6 @@ TEST(MarkovChain, ReachabilityUnderPolicy) {
 TEST(MarkovChain, StationaryOfCycleIsUniform) {
   const mdp::Mdp m = test_helpers::two_state_cycle();
   const auto result = mdp::stationary_distribution(m, {0, 1});
-  ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.distribution[0], 0.5, 1e-9);
   EXPECT_NEAR(result.distribution[1], 0.5, 1e-9);
 }
@@ -81,7 +79,6 @@ TEST(MarkovChain, StationaryOfBiasedChain) {
   b.add_transition(1, 0.5);
   const mdp::Mdp m = b.build(0);
   const auto result = mdp::stationary_distribution(m, {0, 1});
-  ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.distribution[0], 1.0 / 3.0, 1e-9);
   EXPECT_NEAR(result.distribution[1], 2.0 / 3.0, 1e-9);
 }
@@ -94,22 +91,12 @@ TEST(MarkovChain, StationarySumsToOne) {
     policy[s] = m.action_begin(s);
   }
   const auto result = mdp::stationary_distribution(m, policy);
-  ASSERT_TRUE(result.converged);
   double total = 0.0;
   for (double x : result.distribution) {
     EXPECT_GE(x, 0.0);
     total += x;
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(MarkovChain, PolicyGainIsStationaryAverage) {
-  const mdp::Mdp m = test_helpers::two_state_cycle();
-  const mdp::Policy policy{0, 1};
-  const auto st = mdp::stationary_distribution(m, policy);
-  const auto rewards = m.beta_rewards(0.0);
-  const double gain = mdp::policy_gain(m, policy, rewards, st.distribution);
-  EXPECT_NEAR(gain, 0.5, 1e-9);
 }
 
 TEST(MarkovChain, StationaryIgnoresTransientStates) {
@@ -126,7 +113,6 @@ TEST(MarkovChain, StationaryIgnoresTransientStates) {
   b.add_transition(1, 1.0);
   const mdp::Mdp m = b.build(0);
   const auto result = mdp::stationary_distribution(m, {0, 1, 2});
-  ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.distribution[0], 0.0, 1e-9);
   EXPECT_NEAR(result.distribution[1], 0.5, 1e-9);
   EXPECT_NEAR(result.distribution[2], 0.5, 1e-9);
@@ -135,7 +121,7 @@ TEST(MarkovChain, StationaryIgnoresTransientStates) {
 TEST(PolicyEvaluation, CounterRatesMatchStructure) {
   const mdp::Mdp m = test_helpers::two_state_cycle();
   const mdp::Policy policy{0, 1};
-  const auto rates = mdp::evaluate_policy_counters(m, policy);
+  const auto rates = mdp::stationary_distribution(m, policy).rates;
   // One adversary and one honest finalization per 2-step period.
   EXPECT_NEAR(rates.adversary, 0.5, 1e-9);
   EXPECT_NEAR(rates.honest, 0.5, 1e-9);

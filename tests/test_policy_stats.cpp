@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/algorithm1.hpp"
+#include "analysis/errev.hpp"
 #include "analysis/policy_stats.hpp"
+#include "analysis/render.hpp"
 #include "baselines/honest.hpp"
 #include "support/check.hpp"
 
@@ -21,10 +23,16 @@ mdp::Policy always_mine(const selfish::SelfishModel& model) {
   return policy;
 }
 
+analysis::PolicyStats stats_of(const selfish::SelfishModel& model,
+                               const mdp::Policy& policy) {
+  return analysis::compute_policy_stats(
+      model, policy,
+      mdp::stationary_distribution(model.mdp, policy).distribution);
+}
+
 TEST(PolicyStats, AlwaysMineNeverReleases) {
   const auto model = model_21();
-  const auto stats =
-      analysis::compute_policy_stats(model, always_mine(model));
+  const auto stats = stats_of(model, always_mine(model));
   EXPECT_DOUBLE_EQ(stats.release_rate_after_adversary_block, 0.0);
   EXPECT_DOUBLE_EQ(stats.release_rate_after_honest_block, 0.0);
   EXPECT_TRUE(stats.releases.empty());
@@ -38,7 +46,7 @@ TEST(PolicyStats, ReleaseImmediatelyHasNoWithholdingInD1) {
   const auto model = selfish::build_model(
       selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 4});
   const auto policy = baselines::release_immediately_policy(model);
-  const auto stats = analysis::compute_policy_stats(model, policy);
+  const auto stats = stats_of(model, policy);
   EXPECT_DOUBLE_EQ(stats.release_rate_after_adversary_block, 1.0);
   // Everything is published on arrival: at most the one fresh block is
   // ever private, and the strategy never races.
@@ -54,7 +62,8 @@ TEST(PolicyStats, OptimalStrategyWithholdsAndRaces) {
   analysis::AnalysisOptions options;
   options.epsilon = 1e-4;
   const auto result = analysis::analyze(model, options);
-  const auto stats = analysis::compute_policy_stats(model, result.policy);
+  const auto stats = analysis::compute_policy_stats(
+      model, result.policy, result.stationary.distribution);
   // The optimal attack is not release-immediately (it withholds) and it
   // does race pending honest blocks.
   EXPECT_LT(stats.release_rate_after_adversary_block, 1.0);
@@ -68,7 +77,8 @@ TEST(PolicyStats, RaceFlagRequiresPendingTie) {
   analysis::AnalysisOptions options;
   options.epsilon = 1e-4;
   const auto result = analysis::analyze(model, options);
-  const auto stats = analysis::compute_policy_stats(model, result.policy);
+  const auto stats = analysis::compute_policy_stats(
+      model, result.policy, result.stationary.distribution);
   for (const auto& release : stats.releases) {
     if (release.race) {
       EXPECT_EQ(release.length, release.depth);
@@ -80,8 +90,7 @@ TEST(PolicyStats, RaceFlagRequiresPendingTie) {
 
 TEST(PolicyStats, ToStringMentionsKeyNumbers) {
   const auto model = model_21();
-  const auto stats =
-      analysis::compute_policy_stats(model, always_mine(model));
+  const auto stats = stats_of(model, always_mine(model));
   const std::string text = stats.to_string();
   EXPECT_NE(text.find("release rate"), std::string::npos);
   EXPECT_NE(text.find("withheld"), std::string::npos);
@@ -89,9 +98,35 @@ TEST(PolicyStats, ToStringMentionsKeyNumbers) {
 
 TEST(PolicyStats, RejectsForeignPolicy) {
   const auto model = model_21();
+  const std::vector<double> uniform(model.mdp.num_states(),
+                                    1.0 / model.mdp.num_states());
   mdp::Policy bogus(model.mdp.num_states(), 0);
-  EXPECT_THROW(analysis::compute_policy_stats(model, bogus),
+  EXPECT_THROW(analysis::compute_policy_stats(model, bogus, uniform),
                support::InvalidArgument);
+  EXPECT_THROW(analysis::compute_policy_stats(model, always_mine(model), {}),
+               support::InvalidArgument);
+}
+
+TEST(PolicyStats, ReportReadsTheAnalysisSolve) {
+  // analyze keeps its strategy's stationary solve and the report reads
+  // it; a result analysed without exact evaluation makes the report
+  // solve the chain itself. Both paths print the same bytes.
+  const auto model = model_21();
+  const auto evaluated = analysis::analyze(model);
+  EXPECT_FALSE(evaluated.stationary.distribution.empty());
+  EXPECT_EQ(evaluated.errev_of_policy,
+            analysis::exact_errev(model, evaluated.policy));
+
+  analysis::AnalysisOptions off;
+  off.evaluate_exact_errev = false;
+  auto bare = analysis::analyze(model, off);
+  EXPECT_TRUE(bare.stationary.distribution.empty());
+  bare.errev_of_policy = analysis::exact_errev(model, bare.policy);
+  bare.seconds = evaluated.seconds;  // line 3 prints it
+  EXPECT_EQ(analysis::render_analysis_report(model.params, model, evaluated,
+                                             true),
+            analysis::render_analysis_report(model.params, model, bare,
+                                             true));
 }
 
 }  // namespace
@@ -104,9 +139,12 @@ TEST(PolicyStats, CutoffDropsRareStates) {
   analysis::AnalysisOptions options;
   options.epsilon = 1e-4;
   const auto result = analysis::analyze(model, options);
+  const auto& stationary = result.stationary.distribution;
   const auto fine = analysis::compute_policy_stats(model, result.policy,
+                                                   stationary,
                                                    /*cutoff=*/1e-12);
   const auto coarse = analysis::compute_policy_stats(model, result.policy,
+                                                     stationary,
                                                      /*cutoff=*/0.05);
   // A brutal cutoff can only remove contribution mass.
   EXPECT_LE(coarse.mean_withheld_blocks, fine.mean_withheld_blocks + 1e-12);

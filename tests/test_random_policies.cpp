@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "mdp/markov_chain.hpp"
-#include "mdp/policy_evaluation.hpp"
 #include "selfish/build.hpp"
 #include "support/rng.hpp"
 
@@ -37,7 +36,7 @@ TEST_P(RandomPolicies, EveryPolicyHasWellDefinedRevenue) {
 
   for (int trial = 0; trial < 5; ++trial) {
     const auto policy = random_policy(model.mdp, rng);
-    const auto rates = mdp::evaluate_policy_counters(model.mdp, policy);
+    const auto rates = mdp::stationary_distribution(model.mdp, policy).rates;
     // Rates are non-negative and the chain keeps finalizing blocks
     // (unichain + the paper's δ lower bound, halved for decision steps).
     EXPECT_GE(rates.adversary, -1e-12);

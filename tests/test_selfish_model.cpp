@@ -7,7 +7,6 @@
 #include "analysis/errev.hpp"
 #include "baselines/honest.hpp"
 #include "mdp/markov_chain.hpp"
-#include "mdp/policy_evaluation.hpp"
 #include "selfish/build.hpp"
 #include "test_helpers.hpp"
 
@@ -124,7 +123,7 @@ TEST(SelfishModel, NeverReleasingEarnsZero) {
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
     always_mine[s] = model.mdp.action_begin(s);
   }
-  const auto rates = mdp::evaluate_policy_counters(model.mdp, always_mine);
+  const auto rates = mdp::stationary_distribution(model.mdp, always_mine).rates;
   EXPECT_NEAR(rates.adversary, 0.0, 1e-10);
   EXPECT_GT(rates.honest, 0.0);
 }
@@ -145,7 +144,7 @@ TEST(SelfishModel, TotalFinalizationRateBoundedBelow) {
     last_action[s] = model.mdp.action_end(s) - 1;
   }
   for (const auto& policy : {always_mine, last_action}) {
-    const auto rates = mdp::evaluate_policy_counters(model.mdp, policy);
+    const auto rates = mdp::stationary_distribution(model.mdp, policy).rates;
     EXPECT_GE(rates.adversary + rates.honest, delta - 1e-9);
   }
 }
@@ -157,7 +156,7 @@ TEST(SelfishModel, ZeroResourceAdversaryEarnsNothing) {
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
     policy[s] = model.mdp.action_begin(s);
   }
-  const auto rates = mdp::evaluate_policy_counters(model.mdp, policy);
+  const auto rates = mdp::stationary_distribution(model.mdp, policy).rates;
   EXPECT_DOUBLE_EQ(rates.adversary, 0.0);
   // With p = 0 every mining step is won by honest miners and every decision
   // step incorporates the block: one finalization per two MDP steps.

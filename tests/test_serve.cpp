@@ -19,6 +19,7 @@
 #include <initializer_list>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -300,7 +301,7 @@ TEST(ServeProtocol, SchemaFrontEndsBuildTheSameJobs) {
   // Every field of every kind set away from its default.
   const std::map<std::string, std::vector<std::string>> populated = {
       {"point",
-       {"--p=0.25", "--gamma=0.3", "--d=1", "--f=1", "--l=2",
+       {"--p=0.25", "--gamma=0.3", "--d=1", "--f=2", "--l=2",
         "--burn-lost-races=true", "--epsilon=0.01", "--solver=gs",
         "--stats=false"}},
       {"sweep",
@@ -323,6 +324,10 @@ TEST(ServeProtocol, SchemaFrontEndsBuildTheSameJobs) {
         "--partition-frac=0.25", "--asymmetry=3", "--runs=2",
         "--seed=3000000000", "--epsilon=0.01"}},
   };
+  // Fields a kind reads but leaves out of its job: sweep and threshold
+  // scan p themselves, and upper-bound scans l.
+  const std::set<std::string> ignored = {"sweep --p", "threshold --p",
+                                         "upper-bound --l"};
   ASSERT_EQ(engine::job_kinds().size(), defaults.size());
   for (const engine::JobKind& kind : engine::job_kinds()) {
     SCOPED_TRACE(kind.name);
@@ -339,6 +344,19 @@ TEST(ServeProtocol, SchemaFrontEndsBuildTheSameJobs) {
     const engine::JobKey cli = key_from_flags(kind, flags);
     EXPECT_EQ(cli.canonical, key_from_request(kind.name, flags).canonical);
     EXPECT_NE(cli.canonical, expected.canonical);
+
+    // Each field on its own changes the key too, so a field the schema
+    // visits but the job leaves out cannot alias two requests' artifacts.
+    for (const std::string& flag : flags) {
+      SCOPED_TRACE(flag);
+      const std::string name = flag.substr(0, flag.find('='));
+      const engine::JobKey alone = key_from_flags(kind, {flag});
+      if (ignored.count(std::string(kind.name) + " " + name) != 0) {
+        EXPECT_EQ(alone.canonical, expected.canonical);
+      } else {
+        EXPECT_NE(alone.canonical, expected.canonical);
+      }
+    }
   }
 
   // Counts take whole numbers in [0, 2^53] on both paths.

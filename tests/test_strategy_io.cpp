@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/algorithm1.hpp"
 #include "analysis/errev.hpp"
@@ -19,6 +21,42 @@ mdp::Policy optimal_policy(const selfish::SelfishModel& model) {
   analysis::AnalysisOptions options;
   options.epsilon = 1e-4;
   return analysis::analyze(model, options).policy;
+}
+
+/// A saved strategy split into its three header lines and its entries.
+struct StrategyText {
+  std::vector<std::string> header, entries;
+
+  std::string join() const {
+    std::string text;
+    for (const auto* lines : {&header, &entries}) {
+      for (const std::string& line : *lines) text += line + '\n';
+    }
+    return text;
+  }
+};
+
+StrategyText split(const std::string& text) {
+  StrategyText out;
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    (out.header.size() < 3 ? out.header : out.entries).push_back(line);
+  }
+  return out;
+}
+
+/// Expects loading `text` to throw support::InvalidArgument whose message
+/// contains `what`.
+void expect_refused(const selfish::SelfishModel& model,
+                    const std::string& text, const std::string& what) {
+  try {
+    analysis::strategy_from_string(model, text);
+    ADD_FAILURE() << "loaded without error; expected: " << what;
+  } catch (const support::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StrategyIo, RoundTripPreservesPolicyBehavior) {
@@ -93,6 +131,63 @@ TEST(StrategyIo, SavedStrategyOmitsMiningStates) {
   }
   EXPECT_EQ(advertised, decision);
   EXPECT_LT(decision, model.mdp.num_states());
+}
+
+TEST(StrategyIo, RejectsRepeatedEntries) {
+  // Every entry replaced by the first: the count still matches, but all
+  // other decision states would silently mine.
+  const auto model = make_model();
+  StrategyText text =
+      split(analysis::strategy_to_string(model, optimal_policy(model)));
+  for (std::string& entry : text.entries) entry = text.entries.front();
+  expect_refused(model, text.join(), "line 5: state ");
+  expect_refused(model, text.join(), " is listed twice");
+}
+
+TEST(StrategyIo, RejectsFileCoveringFewerStates) {
+  // Cut to 5 entries, with a states line that agrees with the cut.
+  const auto model = make_model();
+  StrategyText text =
+      split(analysis::strategy_to_string(model, optimal_policy(model)));
+  text.header[2] = "states 5";
+  text.entries.resize(5);
+  expect_refused(model, text.join(), "strategy file lists 5 states");
+}
+
+TEST(StrategyIo, RejectsMiningStateEntry) {
+  // One release entry replaced by an entry for a mining state: the count
+  // still matches, but the replaced decision state would silently mine.
+  const auto model = make_model();
+  const auto policy = optimal_policy(model);
+  StrategyText text = split(analysis::strategy_to_string(model, policy));
+  mdp::StateId mining = 0;
+  while (model.space.state_of(mining).type != selfish::StepType::kMining) {
+    ++mining;
+  }
+  const std::string mining_entry =
+      std::to_string(model.space.state_of(mining).pack(model.params)) + ' ' +
+      std::to_string(model.mdp.action_label(model.mdp.action_begin(mining)));
+  std::size_t replaced = 0;
+  for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
+    if (model.space.state_of(s).type == selfish::StepType::kMining) continue;
+    if (model.action_of(policy[s]).kind == selfish::Action::Kind::kRelease) {
+      break;
+    }
+    ++replaced;
+  }
+  ASSERT_LT(replaced, text.entries.size());
+  text.entries[replaced] = mining_entry;
+  expect_refused(model, text.join(), " is not a decision state of ");
+}
+
+TEST(StrategyIo, OutOfRangeKeyIsInvalidArgument) {
+  // Cells above l: bad input, not a library invariant.
+  const auto model = make_model();
+  StrategyText text =
+      split(analysis::strategy_to_string(model, optimal_policy(model)));
+  text.entries[1] = "18446744073709551615 0";
+  expect_refused(model, text.join(),
+                 "line 5: key 18446744073709551615 is not a decision state");
 }
 
 }  // namespace

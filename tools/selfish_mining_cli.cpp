@@ -298,9 +298,6 @@ int cmd_network(int argc, const char* const* argv) {
   options.declare("cache-dir", "",
                   "experiment-engine result store for the per-point "
                   "Algorithm 1 preparations (reruns skip re-analysis)");
-  options.declare("resample-clock", "false",
-                  "restore the legacy resample-mining-clock-after-every-"
-                  "event loop (default reschedules only on lane changes)");
   declare_common_options(options);
   if (!parse_or_help(options, argc, argv)) {
     std::fputs(("\nscenario families:\n" + net::scenario_help()).c_str(),
@@ -318,13 +315,8 @@ int cmd_network(int argc, const char* const* argv) {
   batch_options.epsilon = query.epsilon;
   batch_options.cache_dir = options.get_string("cache-dir");
 
-  auto grid = net::make_scenarios(query.scenario, query.options);
-  if (options.get_bool("resample-clock")) {
-    for (net::Scenario& scenario : grid) {
-      scenario.lazy_clock_reschedule = false;
-    }
-  }
-  const auto aggregates = net::run_batch(grid, batch_options);
+  const auto aggregates = net::run_batch(
+      net::make_scenarios(query.scenario, query.options), batch_options);
 
   if (options.get_bool("csv")) {
     net::write_batch_csv(aggregates, std::cout);
@@ -671,10 +663,8 @@ int cmd_query(int argc, const char* const* argv) {
   std::unique_ptr<fleet::Router> router;
   std::unique_ptr<serve::Client> client;
   if (options.was_set("fleet")) {
-    fleet::RouterOptions router_options;
-    router_options.client = client_options;
     router = std::make_unique<fleet::Router>(
-        fleet::parse_endpoints(options.get_string("fleet")), router_options);
+        fleet::parse_endpoints(options.get_string("fleet")), client_options);
   } else {
     client = std::make_unique<serve::Client>(options.get_string("host"),
                                              options.get_int("port"),
