@@ -33,19 +33,4 @@ WindowQuality window_quality(const std::vector<Owner>& owners,
   return quality;
 }
 
-OwnershipCount count_segment(const BlockStore& store, BlockId ancestor,
-                             BlockId tip) {
-  SM_REQUIRE(store.is_ancestor(ancestor, tip),
-             "count_segment requires blocks on one chain");
-  OwnershipCount count;
-  for (BlockId cur = tip; cur != ancestor; cur = store.get(cur).parent) {
-    if (store.get(cur).owner == Owner::kAdversary) {
-      ++count.adversary;
-    } else {
-      ++count.honest;
-    }
-  }
-  return count;
-}
-
 }  // namespace chain

@@ -1,9 +1,11 @@
-// Chain-quality accounting over a finished (or snapshotted) chain.
+// Chain-quality accounting: owner counts of a chain segment and the
+// sliding-window (μ, ℓ)-quality of a finished owner sequence.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "chain/block_store.hpp"
+#include "chain/block.hpp"
 
 namespace chain {
 
@@ -23,11 +25,6 @@ struct OwnershipCount {
   /// Chain quality = 1 − relative revenue (paper §2.2); 1 if empty.
   double chain_quality() const { return 1.0 - relative_revenue(); }
 };
-
-/// Counts block ownership on the path from `tip` down to (excluding)
-/// `ancestor`. Requires `ancestor` to be an ancestor of `tip`.
-OwnershipCount count_segment(const BlockStore& store, BlockId ancestor,
-                             BlockId tip);
 
 /// (μ, ℓ)-chain quality of a finished owner sequence (paper §2.2): a chain
 /// satisfies (μ, ℓ)-chain quality when every window of ℓ consecutive

@@ -5,6 +5,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 #include "support/timer.hpp"
 
 namespace engine {
@@ -33,7 +34,7 @@ JobKey generic_job_key(const GenericJob& job) {
   JobKey key;
   key.canonical = job.kind + "/v" + std::to_string(kCodeVersionSalt) + "|" +
                   job.options;
-  key.hash = fnv1a64(key.canonical.data(), key.canonical.size());
+  key.hash = support::fnv1a64(key.canonical.data(), key.canonical.size());
   return key;
 }
 

@@ -3,18 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 
-namespace engine {
+#include "support/hash.hpp"
 
-std::uint64_t fnv1a64(const void* data, std::size_t size,
-                      std::uint64_t basis) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = basis;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+namespace engine {
 
 std::string canonical_double(double value) {
   // %.17g round-trips every finite double; the C locale of printf keeps
@@ -64,7 +55,7 @@ JobKey analysis_job_key(const AnalysisJob& job, const JobKey* warm_parent) {
   key.canonical +=
       "|warm=" + (warm_parent == nullptr ? std::string("cold")
                                          : warm_parent->hex());
-  key.hash = fnv1a64(key.canonical.data(), key.canonical.size());
+  key.hash = support::fnv1a64(key.canonical.data(), key.canonical.size());
   return key;
 }
 

@@ -58,10 +58,6 @@ struct JobKey {
   std::uint64_t seed() const { return hash; }
 };
 
-/// FNV-1a 64-bit over `size` bytes starting at `data`.
-std::uint64_t fnv1a64(const void* data, std::size_t size,
-                      std::uint64_t basis = 0xcbf29ce484222325ULL);
-
 /// Exact decimal rendering of a double (round-trippable, locale-free) for
 /// canonical key strings.
 std::string canonical_double(double value);

@@ -5,13 +5,14 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "support/binary_io.hpp"
+#include "support/hash.hpp"
 
 namespace engine {
 
@@ -186,7 +187,7 @@ std::optional<std::string> read_frame(const std::string& path,
   if (!in.good()) return reject();
   std::uint64_t checksum = 0;
   if (!read_pod(in, checksum) ||
-      checksum != fnv1a64(payload.data(), payload.size())) {
+      checksum != support::fnv1a64(payload.data(), payload.size())) {
     return reject();
   }
   // Frame = 16-byte header + payload + 8-byte checksum.
@@ -194,9 +195,8 @@ std::optional<std::string> read_frame(const std::string& path,
   return payload;
 }
 
-/// Writes one framed entry to `path` via a unique temp file renamed into
-/// place: concurrent writers (including separate processes sharing one
-/// cache directory) and crashes leave complete entries or nothing.
+/// Writes one framed entry to `path` atomically (support::write_atomically):
+/// concurrent writers and crashes leave complete entries or nothing.
 /// Returns false on any IO failure (best effort; callers swallow it).
 bool write_frame(const std::string& path, std::uint64_t magic,
                  const std::string& payload) {
@@ -204,31 +204,17 @@ bool write_frame(const std::string& path, std::uint64_t magic,
   std::filesystem::create_directories(
       std::filesystem::path(path).parent_path(), ec);
   if (ec) return false;
-
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << ::getpid() << "."
-           << std::this_thread::get_id();
-  const std::string tmp = tmp_name.str();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.good()) return false;
-    write_pod(out, magic);
-    write_pod<std::uint64_t>(out, payload.size());
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    write_pod<std::uint64_t>(out, fnv1a64(payload.data(), payload.size()));
-    if (!out.good()) {
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  store_metrics().written_bytes.add(payload.size() + 24);
-  return true;
+  const bool written =
+      support::write_atomically(path, [&](std::ostream& out) {
+        write_pod(out, magic);
+        write_pod<std::uint64_t>(out, payload.size());
+        out.write(payload.data(),
+                  static_cast<std::streamsize>(payload.size()));
+        write_pod<std::uint64_t>(
+            out, support::fnv1a64(payload.data(), payload.size()));
+      });
+  if (written) store_metrics().written_bytes.add(payload.size() + 24);
+  return written;
 }
 
 /// Journal appends interleave from many worker threads of one process.

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "engine/job.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 
 namespace fleet {
 
@@ -29,7 +29,7 @@ Ring::Ring(std::vector<std::string> members) : members_(std::move(members)) {
   SM_REQUIRE(!members_.empty(), "a fleet ring needs at least one member");
   member_hashes_.reserve(members_.size());
   for (const std::string& member : members_) {
-    member_hashes_.push_back(engine::fnv1a64(member.data(), member.size()));
+    member_hashes_.push_back(support::fnv1a64(member.data(), member.size()));
   }
 }
 

@@ -2,89 +2,47 @@
 
 #include <istream>
 #include <ostream>
-#include <span>
 
-#include "support/check.hpp"
+#include "support/binary_io.hpp"
 
 namespace mdp {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x53454c4d44503032ULL;  // "SELMDP02"
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  SM_REQUIRE(in.good(), "truncated MDP stream");
-  return value;
-}
-
-template <typename T>
-void write_vector(std::ostream& out, std::span<const T> v) {
-  write_pod<std::uint64_t>(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size_bytes()));
-}
-
-/// Bytes between the read position and the end of the stream. Measured by
-/// seeking: in_avail() would count only what a file stream has buffered.
-std::uint64_t bytes_left(std::istream& in) {
-  const std::streampos here = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::streampos end = in.tellg();
-  in.seekg(here);
-  SM_REQUIRE(here >= 0 && end >= here && in.good(), "unseekable MDP stream");
-  return static_cast<std::uint64_t>(end - here);
-}
-
-/// Reads a length-prefixed array into `v`. The length is checked against
-/// the rest of the stream before anything is allocated, so a corrupt
-/// length field fails the load instead of requesting gigabytes.
-template <typename T>
-void read_vector(std::istream& in, std::vector<T>& v) {
-  const auto size = read_pod<std::uint64_t>(in);
-  SM_REQUIRE(size <= bytes_left(in) / sizeof(T),
-             "implausible array length in MDP stream: ", size);
-  v.resize(size);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(size * sizeof(T)));
-  SM_REQUIRE(in.good(), "truncated MDP stream");
-}
+constexpr std::uint64_t kMagic = 0x53454c4d44503033ULL;  // "SELMDP03"
 
 }  // namespace
 
 void save_binary(const Mdp& m, std::ostream& out) {
-  write_pod(out, kMagic);
-  write_pod<std::uint32_t>(out, m.initial_);
-  write_pod<std::uint64_t>(out, m.num_states());
-  write_vector<ActionId>(out, m.action_begin_);
-  write_vector<std::uint32_t>(out, m.action_label_);
-  write_vector<std::uint32_t>(out, m.tr_begin_);
-  write_vector<StateId>(out, m.targets_);
-  write_vector<double>(out, m.probs_);
-  write_vector<RewardCounts>(out, m.counts_);
+  support::BinaryWriter writer(out);
+  writer.pod(kMagic);
+  writer.pod<std::uint32_t>(m.initial_);
+  writer.pod<std::uint64_t>(m.num_states());
+  writer.array<ActionId>(m.action_begin_);
+  writer.array<std::uint32_t>(m.action_label_);
+  writer.array<std::uint32_t>(m.tr_begin_);
+  writer.array<StateId>(m.targets_);
+  writer.array<double>(m.probs_);
+  writer.array<RewardCounts>(m.counts_);
+  writer.checksum();
 }
 
 Mdp load_binary(std::istream& in) {
-  SM_REQUIRE(read_pod<std::uint64_t>(in) == kMagic,
+  support::BinaryReader reader(in, "MDP stream");
+  SM_REQUIRE(reader.pod<std::uint64_t>() == kMagic,
              "not an MDP binary stream (bad magic)");
   Mdp m;
-  m.initial_ = read_pod<std::uint32_t>(in);
-  const auto num_states = read_pod<std::uint64_t>(in);
-  read_vector(in, m.action_begin_);
+  m.initial_ = reader.pod<std::uint32_t>();
+  const auto num_states = reader.pod<std::uint64_t>();
+  reader.array(m.action_begin_);
   SM_REQUIRE(m.action_begin_.size() - 1 == num_states,
              "state count mismatch in MDP stream");
-  read_vector(in, m.action_label_);
-  read_vector(in, m.tr_begin_);
-  read_vector(in, m.targets_);
-  read_vector(in, m.probs_);
-  read_vector(in, m.counts_);
+  reader.array(m.action_label_);
+  reader.array(m.tr_begin_);
+  reader.array(m.targets_);
+  reader.array(m.probs_);
+  reader.array(m.counts_);
+  reader.checksum();
   // The builder's checks (stochastic rows, in-range targets, non-empty
   // states and actions) plus consistent offset ladders. The rows were
   // renormalized when the model was built, so they load as stored.

@@ -3,11 +3,11 @@
 // from a strategy file via analysis/strategy_io) inside the network
 // simulator.
 //
-// The agent mirrors the concrete protocol world of sim/simulator.cpp over
-// the network's shared block arena: it keeps its local public chain plus
-// the live private forks of the (d, f, l) model, exposes one mining lane
-// per live target (NaS multi-fork mining), derives the canonical abstract
-// (C, O, type) view at every decision point, and executes the strategy's
+// The agent runs the concrete protocol world of sim::simulate — one
+// sim::ForkWindow over the network's shared block arena: its local public
+// chain plus the live private forks of the (d, f, l) model, one mining
+// lane per live target (NaS multi-fork mining) and the canonical abstract
+// (C, O, type) view at every decision point — and executes the strategy's
 // release actions as real broadcasts. In a zero-delay network under
 // TiePolicy::kGammaShared this reproduces the MDP's semantics exactly, so
 // the measured relative revenue converges to the analysis-predicted ERRev

@@ -1,14 +1,15 @@
 // Agent implementations: longest-chain honest miner, the classic SM1
-// (Eyal–Sirer) selfish miner, and the MDP-strategy attacker that mirrors
-// the concrete protocol world of sim/simulator.cpp over network events.
+// (Eyal–Sirer) selfish miner, and the MDP-strategy attacker, which drives
+// sim::simulate's concrete protocol world (sim::ForkWindow) with network
+// events.
 #include <algorithm>
-#include <array>
 #include <utility>
 #include <vector>
 
 #include "net/mdp_miner.hpp"
 #include "net/miner.hpp"
 #include "selfish/actions.hpp"
+#include "sim/fork_window.hpp"
 #include "sim/strategies.hpp"
 #include "support/check.hpp"
 
@@ -211,20 +212,19 @@ class Sm1Miner final : public Miner {
 
 // ----------------------------------------------------- MDP strategy replay
 
-/// Mirrors sim/simulator.cpp's World over the network arena: local public
-/// chain (index = height), live private forks of the (d, f, l) model, and
-/// the exact release/acceptance semantics of DESIGN.md §3.
+/// Replays a sim::Strategy over a sim::ForkWindow — the world sim::simulate
+/// runs — driven by network events. The agent keeps only what is its own:
+/// the tie policy, broadcasts and its waste count.
 class MdpStrategyMiner final : public Miner {
  public:
   MdpStrategyMiner(const StrategyMinerConfig& config,
                    std::shared_ptr<const selfish::SelfishModel> model,
                    std::shared_ptr<const mdp::Policy> policy)
-      : params_(config.params),
+      : window_(config.params),
         tie_policy_(config.tie_policy),
         gamma_(config.gamma),
         model_(std::move(model)),
         policy_(std::move(policy)) {
-    params_.validate();
     SM_REQUIRE(tie_policy_ != TiePolicy::kGammaPerMiner,
                "the MDP-strategy agent needs a tie outcome known at "
                "release time: use kGammaShared (or kFirstSeen for gamma=0)");
@@ -235,269 +235,86 @@ class MdpStrategyMiner final : public Miner {
     } else {
       strategy_ = sim::make_builtin_strategy(config.strategy);
     }
-    public_chain_.push_back(kGenesis);
   }
 
-  std::uint32_t lanes() const override {
-    return static_cast<std::uint32_t>(mining_targets().size());
-  }
+  std::uint32_t lanes() const override { return window_.lanes(); }
 
   void on_mined(std::uint32_t lane, MinerContext& ctx) override {
-    arena_ = &ctx.arena;
-    const auto targets = mining_targets();
-    SM_ENSURE(lane < targets.size(), "mining lane out of range");
-    apply_win(targets[lane], ctx.arena);
+    // A proof mined into a capped fork is thrown away.
+    if (!window_.grow(lane, id(), ctx.arena)) ++wasted_;
     decide(selfish::StepType::kAdversaryFound, kGenesis, ctx);
   }
 
   void on_block(BlockId block, MinerContext& ctx) override {
-    arena_ = &ctx.arena;
-    const std::uint32_t h = ctx.arena.height(block);
-    if (ctx.arena.get(block).parent == public_chain_.back()) {
+    if (ctx.arena.get(block).parent == window_.tip()) {
       // The pending-honest decision point of the abstract model: a block
       // extending our public tip arrived and we may match or override it
       // before (from our point of view) incorporating it.
       decide(selfish::StepType::kHonestFound, block, ctx);
       return;
     }
-    if (h > local_height()) {
-      adopt_rival_chain(block, ctx.arena);
+    // A rival chain overtook our view (only possible with delays or
+    // competing attackers). Equal or lower rival blocks: first-seen.
+    if (ctx.arena.height(block) > window_.height()) {
+      window_.adopt(block, ctx.arena);
     }
-    // Equal or lower rival blocks: first-seen, nothing to do.
   }
 
-  BlockId tip() const override { return public_chain_.back(); }
+  BlockId tip() const override { return window_.tip(); }
 
   std::uint64_t wasted_blocks() const override { return wasted_; }
 
  private:
-  struct Fork {
-    BlockId root = kGenesis;
-    std::vector<BlockId> blocks;  ///< blocks[0] is the child of root.
-    std::size_t length() const { return blocks.size(); }
-  };
-
-  struct Target {
-    bool new_fork = false;
-    int depth = 0;
-    std::size_t fork_index = 0;
-  };
-
-  std::uint32_t local_height() const {
-    return static_cast<std::uint32_t>(public_chain_.size()) - 1;
-  }
-
-  int depth_of_root(BlockId root, const BlockArena& arena) const {
-    return static_cast<int>(local_height() - arena.height(root)) + 1;
-  }
-
-  /// Live forks at `depth`, longest first (index = canonical slot).
-  std::vector<std::size_t> forks_at_depth(int depth,
-                                          const BlockArena& arena) const {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < forks_.size(); ++i) {
-      if (depth_of_root(forks_[i].root, arena) == depth) out.push_back(i);
-    }
-    std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
-      return forks_[a].length() > forks_[b].length();
-    });
-    return out;
-  }
-
-  /// One lane per live fork (capped forks still occupy a proof lane) plus
-  /// one new-fork lane per depth with a free slot and an existing root —
-  /// mirroring World::mining_targets (the early-chain root guard only
-  /// matters below height d, inside the warmup window).
-  std::vector<Target> mining_targets() const {
-    std::vector<Target> targets;
-    std::array<int, selfish::kMaxDepth + 1> count_at_depth{};
-    for (std::size_t i = 0; i < forks_.size(); ++i) {
-      const int depth = depth_of_root(forks_[i].root, *arena_);
-      count_at_depth[depth] += 1;
-      targets.push_back(Target{false, depth, i});
-    }
-    for (int depth = 1; depth <= params_.d; ++depth) {
-      if (count_at_depth[depth] < params_.f &&
-          static_cast<std::uint32_t>(depth) <= local_height() + 1) {
-        targets.push_back(Target{true, depth, 0});
-      }
-    }
-    return targets;
-  }
-
-  void apply_win(const Target& target, BlockArena& arena) {
-    if (target.new_fork) {
-      const std::uint32_t root_height =
-          local_height() - static_cast<std::uint32_t>(target.depth - 1);
-      Fork fork;
-      fork.root = public_chain_[root_height];
-      fork.blocks.push_back(arena.add(fork.root, id()));
-      forks_.push_back(std::move(fork));
-      return;
-    }
-    Fork& fork = forks_[target.fork_index];
-    if (static_cast<int>(fork.length()) >= params_.l) {
-      ++wasted_;  // mined into a capped fork: the proof is thrown away
-      return;
-    }
-    const BlockId fork_tip = fork.blocks.empty() ? fork.root
-                                                 : fork.blocks.back();
-    fork.blocks.push_back(arena.add(fork_tip, id()));
-  }
-
-  /// Canonical abstract (C, O, type) view of the local world.
-  selfish::State view(selfish::StepType type, const BlockArena& arena) const {
-    selfish::State s{};
-    for (int depth = 1; depth <= params_.d; ++depth) {
-      const auto at_depth = forks_at_depth(depth, arena);
-      SM_ENSURE(static_cast<int>(at_depth.size()) <= params_.f,
-                "more live forks at one depth than slots");
-      for (std::size_t j = 0; j < at_depth.size(); ++j) {
-        s.c[depth - 1][j] =
-            static_cast<std::uint8_t>(forks_[at_depth[j]].length());
-      }
-    }
-    for (int depth = 1; depth <= params_.d - 1; ++depth) {
-      if (static_cast<std::uint32_t>(depth) > local_height()) continue;
-      const std::uint32_t height = local_height() - (depth - 1);
-      if (height == 0) continue;  // genesis counts as honest
-      if (arena.get(public_chain_[height]).miner == id()) {
-        s.owner_bits |= static_cast<std::uint8_t>(1u << (depth - 1));
-      }
-    }
-    s.type = type;
-    s.canonicalize(params_);
-    return s;
-  }
-
   /// Consults the strategy at a decision point and executes its action.
   /// `pending` is the just-arrived honest block for kHonestFound (not yet
-  /// part of the local public chain, exactly like World's pending).
+  /// part of the window's public chain).
   void decide(selfish::StepType type, BlockId pending, MinerContext& ctx) {
-    arena_ = &ctx.arena;
-    const selfish::Action action = strategy_->decide(view(type, ctx.arena));
+    const selfish::Action action =
+        strategy_->decide(window_.view(type, id(), ctx.arena));
     if (action.kind == selfish::Action::Kind::kMine) {
-      if (type == selfish::StepType::kHonestFound) incorporate(pending, ctx);
+      if (type == selfish::StepType::kHonestFound) window_.extend(pending);
       return;
     }
     const int i = action.depth;
     const int k = action.length;
-    if (type == selfish::StepType::kAdversaryFound) {
-      SM_REQUIRE(k >= i, "release shorter than the public chain");
-      release(i, action.slot, k, ctx);
-      return;
-    }
-    if (k >= i + 1) {
-      // Override: strictly longer than the pending block's chain, so the
-      // network adopts unconditionally and the pending block is orphaned.
-      release(i, action.slot, k, ctx);
+    if (type == selfish::StepType::kAdversaryFound || k >= i + 1) {
+      // No pending block, or an override strictly longer than the pending
+      // block's chain: the network adopts unconditionally.
+      publish(i, action.slot, k, ctx, /*tie_wins=*/false);
       return;
     }
     SM_REQUIRE(k == i, "release shorter than the public chain");
     // Tie race. The coin is sampled here (kGammaShared) or implicitly
     // always lost (kFirstSeen); the released blocks are broadcast either
     // way — the network has seen them, it just may not adopt them.
-    const bool win = tie_policy_ == TiePolicy::kGammaShared &&
-                     ctx.rng.bernoulli(gamma_);
-    if (win) {
-      release(i, action.slot, k, ctx, /*tie_wins=*/true);
-    } else {
-      // Lost race: broadcast the challenged prefix without restructuring —
-      // the fork survives intact one depth deeper (the paper's non-burn
-      // fork-choice rule) and may be re-released longer later.
-      broadcast_fork_prefix(i, action.slot, k, ctx);
-      incorporate(pending, ctx);
+    if (tie_policy_ == TiePolicy::kGammaShared && ctx.rng.bernoulli(gamma_)) {
+      publish(i, action.slot, k, ctx, /*tie_wins=*/true);
+      return;
     }
-  }
-
-  void incorporate(BlockId pending, MinerContext& ctx) {
-    public_chain_.push_back(pending);
-    prune_forks(ctx.arena);
-  }
-
-  /// Publishes the first k blocks of the fork at (depth, slot): truncates
-  /// the local public chain to the fork's root, appends the released
-  /// blocks, re-roots the unreleased remainder, and broadcasts.
-  void release(int depth, int slot, int k, MinerContext& ctx,
-               bool tie_wins = false) {
-    const auto at_depth = forks_at_depth(depth, ctx.arena);
-    SM_REQUIRE(slot >= 0 && slot < static_cast<int>(at_depth.size()),
-               "no fork in slot ", slot, " at depth ", depth);
-    const Fork fork = forks_[at_depth[slot]];
-    forks_.erase(forks_.begin() + static_cast<std::ptrdiff_t>(at_depth[slot]));
-    SM_ENSURE(static_cast<int>(fork.length()) >= k, "fork shorter than k");
-
-    const std::uint32_t root_height = ctx.arena.height(fork.root);
-    public_chain_.resize(root_height + 1);
-    for (int b = 0; b < k; ++b) public_chain_.push_back(fork.blocks[b]);
-    if (static_cast<int>(fork.length()) > k) {
-      Fork remainder;
-      remainder.root = public_chain_.back();
-      remainder.blocks.assign(fork.blocks.begin() + k, fork.blocks.end());
-      forks_.push_back(std::move(remainder));
+    // Lost race: the fork survives intact one depth deeper (the paper's
+    // non-burn fork-choice rule) and may be re-released longer later.
+    for (const BlockId b : window_.prefix(i, action.slot, k)) {
+      ctx.outbox.push_back(b);
     }
-    if (tie_wins) ctx.arena.set_wins_tie(public_chain_.back(), true);
-    for (int b = 0; b < k; ++b) ctx.outbox.push_back(fork.blocks[b]);
-    prune_forks(ctx.arena);
+    window_.extend(pending);
   }
 
-  /// Broadcasts the first k blocks of a fork without publishing them into
-  /// the local chain (a tie release that lost its coin).
-  void broadcast_fork_prefix(int depth, int slot, int k, MinerContext& ctx) {
-    const auto at_depth = forks_at_depth(depth, ctx.arena);
-    SM_REQUIRE(slot >= 0 && slot < static_cast<int>(at_depth.size()),
-               "no fork in slot ", slot, " at depth ", depth);
-    const Fork& fork = forks_[at_depth[slot]];
-    SM_ENSURE(static_cast<int>(fork.length()) >= k, "fork shorter than k");
-    for (int b = 0; b < k; ++b) ctx.outbox.push_back(fork.blocks[b]);
+  /// Releases k blocks of the fork at (depth, slot) into the public chain
+  /// and broadcasts them, pinning the tie coin on the new tip when the
+  /// release won a shared-coin race.
+  void publish(int depth, int slot, int k, MinerContext& ctx, bool tie_wins) {
+    window_.release(depth, slot, k);
+    const std::vector<BlockId>& chain = window_.public_chain();
+    if (tie_wins) ctx.arena.set_wins_tie(chain.back(), true);
+    ctx.outbox.insert(ctx.outbox.end(), chain.end() - k, chain.end());
   }
 
-  /// A rival chain overtook our local view (only possible with delays or
-  /// competing attackers): rebuild the public chain along its ancestry.
-  void adopt_rival_chain(BlockId new_tip, const BlockArena& arena) {
-    const std::uint32_t h = arena.height(new_tip);
-    std::vector<BlockId> path;  // new_tip down to (excluding) common base
-    BlockId cursor = new_tip;
-    while (true) {
-      const std::uint32_t ch = arena.height(cursor);
-      if (ch <= local_height() && ch < public_chain_.size() &&
-          public_chain_[ch] == cursor) {
-        break;  // cursor is on our chain: common ancestor found
-      }
-      SM_ENSURE(cursor != kGenesis, "rival chain does not meet genesis");
-      path.push_back(cursor);
-      cursor = arena.get(cursor).parent;
-    }
-    public_chain_.resize(arena.height(cursor) + 1);
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-      public_chain_.push_back(*it);
-    }
-    SM_ENSURE(local_height() == h, "rival adoption height mismatch");
-    prune_forks(arena);
-  }
-
-  /// Drops forks whose root fell out of the depth-d window or was
-  /// orphaned by a chain rewrite.
-  void prune_forks(const BlockArena& arena) {
-    std::erase_if(forks_, [&](const Fork& fork) {
-      const std::uint32_t root_height = arena.height(fork.root);
-      if (root_height + static_cast<std::uint32_t>(params_.d) <
-          local_height() + 1) {
-        return true;
-      }
-      return public_chain_[root_height] != fork.root;
-    });
-  }
-
-  selfish::AttackParams params_;
+  sim::ForkWindow window_;
   TiePolicy tie_policy_;
   double gamma_;
   std::shared_ptr<const selfish::SelfishModel> model_;
   std::shared_ptr<const mdp::Policy> policy_;
   std::unique_ptr<sim::Strategy> strategy_;
-  const BlockArena* arena_ = nullptr;  ///< For lanes() between events.
-  std::vector<BlockId> public_chain_;  ///< Index = height.
-  std::vector<Fork> forks_;
   std::uint64_t wasted_ = 0;
 };
 

@@ -144,54 +144,28 @@ void Histogram::reset() {
 
 Counter& Registry::counter(const std::string& name, const std::string& help,
                            const std::string& labels) {
-  Series& series = find_or_create(name, help, labels, Type::kCounter);
-  return *series.counter;
+  return *find_or_create(name, help, labels, Type::kCounter, {}).counter;
 }
 
 Gauge& Registry::gauge(const std::string& name, const std::string& help,
                        const std::string& labels) {
-  Series& series = find_or_create(name, help, labels, Type::kGauge);
-  return *series.gauge;
+  return *find_or_create(name, help, labels, Type::kGauge, {}).gauge;
 }
 
 Histogram& Registry::histogram(const std::string& name,
                                const std::string& help,
                                std::vector<double> bounds,
                                const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::unique_ptr<Series>& existing : series_) {
-    if (existing->name == name && existing->labels == labels) {
-      if (existing->type != Type::kHistogram) {
-        throw std::runtime_error("obs: metric '" + name +
-                                 "' re-registered with a different type");
-      }
-      return *existing->histogram;
-    }
-  }
-  auto series = std::make_unique<Series>();
-  series->name = name;
-  series->labels = labels;
-  series->type = Type::kHistogram;
-  series->histogram = std::make_unique<Histogram>(std::move(bounds));
-  Series& ref = *series;
-  series_.push_back(std::move(series));
-  bool family_seen = false;
-  for (auto& [family_name, family] : families_) {
-    if (family_name == name) {
-      family_seen = true;
-      break;
-    }
-  }
-  if (!family_seen) {
-    families_.emplace_back(name, Family{help, Type::kHistogram});
-  }
-  return *ref.histogram;
+  return *find_or_create(name, help, labels, Type::kHistogram,
+                         std::move(bounds))
+              .histogram;
 }
 
 Registry::Series& Registry::find_or_create(const std::string& name,
                                            const std::string& help,
                                            const std::string& labels,
-                                           Type type) {
+                                           Type type,
+                                           std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const std::unique_ptr<Series>& existing : series_) {
     if (existing->name == name && existing->labels == labels) {
@@ -206,23 +180,19 @@ Registry::Series& Registry::find_or_create(const std::string& name,
   series->name = name;
   series->labels = labels;
   series->type = type;
-  if (type == Type::kCounter) {
-    series->counter = std::make_unique<Counter>();
-  } else {
-    series->gauge = std::make_unique<Gauge>();
+  switch (type) {
+    case Type::kCounter: series->counter = std::make_unique<Counter>(); break;
+    case Type::kGauge: series->gauge = std::make_unique<Gauge>(); break;
+    case Type::kHistogram:
+      series->histogram = std::make_unique<Histogram>(std::move(bounds));
+      break;
   }
   Series& ref = *series;
   series_.push_back(std::move(series));
-  bool family_seen = false;
-  for (auto& [family_name, family] : families_) {
-    if (family_name == name) {
-      family_seen = true;
-      break;
-    }
-  }
-  if (!family_seen) {
-    families_.emplace_back(name, Family{help, type});
-  }
+  const bool family_seen =
+      std::any_of(families_.begin(), families_.end(),
+                  [&name](const auto& family) { return family.first == name; });
+  if (!family_seen) families_.emplace_back(name, Family{help, type});
   return ref;
 }
 

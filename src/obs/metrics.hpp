@@ -223,8 +223,11 @@ class Registry {
     Type type = Type::kCounter;
   };
 
+  /// The series (name, labels), created on first use; `bounds` is read
+  /// only when creating a histogram.
   Series& find_or_create(const std::string& name, const std::string& help,
-                         const std::string& labels, Type type);
+                         const std::string& labels, Type type,
+                         std::vector<double> bounds);
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Series>> series_;  ///< Stable addresses.

@@ -3,60 +3,51 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "mdp/serialize.hpp"
+#include "support/binary_io.hpp"
 #include "support/check.hpp"
 
 namespace selfish {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x53454c4d4f443031ULL;  // "SELMOD01"
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  SM_REQUIRE(in.good(), "truncated model stream");
-  return value;
-}
+constexpr std::uint64_t kMagic = 0x53454c4d4f443032ULL;  // "SELMOD02"
 
 }  // namespace
 
 void save_model(const SelfishModel& model, std::ostream& out) {
-  write_pod(out, kMagic);
-  write_pod(out, model.params.p);
-  write_pod(out, model.params.gamma);
-  write_pod<std::int32_t>(out, model.params.d);
-  write_pod<std::int32_t>(out, model.params.f);
-  write_pod<std::int32_t>(out, model.params.l);
-  write_pod<std::uint8_t>(out, model.params.burn_lost_races ? 1 : 0);
+  support::BinaryWriter writer(out);
+  writer.pod(kMagic);
+  writer.pod(model.params.p);
+  writer.pod(model.params.gamma);
+  writer.pod<std::int32_t>(model.params.d);
+  writer.pod<std::int32_t>(model.params.f);
+  writer.pod<std::int32_t>(model.params.l);
+  writer.pod<std::uint8_t>(model.params.burn_lost_races ? 1 : 0);
 
   // The state dictionary: packed keys in id order.
-  write_pod<std::uint64_t>(out, model.space.size());
+  writer.pod<std::uint64_t>(model.space.size());
   for (mdp::StateId s = 0; s < model.space.size(); ++s) {
-    write_pod<std::uint64_t>(out,
-                             model.space.state_of(s).pack(model.params));
+    writer.pod<std::uint64_t>(model.space.state_of(s).pack(model.params));
   }
+  writer.checksum();
   mdp::save_binary(model.mdp, out);
 }
 
 SelfishModel load_model(std::istream& in, const AttackParams& expected) {
   expected.validate();
-  SM_REQUIRE(read_pod<std::uint64_t>(in) == kMagic,
+  support::BinaryReader reader(in, "model stream");
+  SM_REQUIRE(reader.pod<std::uint64_t>() == kMagic,
              "not a selfish-mining model stream (bad magic)");
   AttackParams cached;
-  cached.p = read_pod<double>(in);
-  cached.gamma = read_pod<double>(in);
-  cached.d = read_pod<std::int32_t>(in);
-  cached.f = read_pod<std::int32_t>(in);
-  cached.l = read_pod<std::int32_t>(in);
-  cached.burn_lost_races = read_pod<std::uint8_t>(in) != 0;
+  cached.p = reader.pod<double>();
+  cached.gamma = reader.pod<double>();
+  cached.d = reader.pod<std::int32_t>();
+  cached.f = reader.pod<std::int32_t>();
+  cached.l = reader.pod<std::int32_t>();
+  cached.burn_lost_races = reader.pod<std::uint8_t>() != 0;
   SM_REQUIRE(cached.p == expected.p && cached.gamma == expected.gamma &&
                  cached.d == expected.d && cached.f == expected.f &&
                  cached.l == expected.l &&
@@ -64,11 +55,13 @@ SelfishModel load_model(std::istream& in, const AttackParams& expected) {
              "cached model has different parameters (", cached.to_string(),
              " vs ", expected.to_string(), ")");
 
+  // The keys are checksummed before any is decoded.
+  std::vector<std::uint64_t> keys;
+  reader.array(keys);
+  reader.checksum();
   StateSpace space(cached);
-  const auto num_states = read_pod<std::uint64_t>(in);
-  for (std::uint64_t s = 0; s < num_states; ++s) {
-    const auto key = read_pod<std::uint64_t>(in);
-    const State state = State::unpack(key, cached);
+  for (std::uint64_t s = 0; s < keys.size(); ++s) {
+    const State state = State::unpack(keys[s], cached);
     SM_REQUIRE(state.is_canonical(cached),
                "cached state dictionary holds a non-canonical state");
     const mdp::StateId id = space.intern(state);
@@ -91,13 +84,13 @@ SelfishModel build_or_load_model(const AttackParams& params,
       try {
         return load_model(in, params);
       } catch (const support::Error&) {
-        // Stale or foreign cache: fall through and rebuild.
+        // Stale, foreign or corrupt cache: fall through and rebuild.
       }
     }
   }
   SelfishModel model = build_model(params);
-  std::ofstream out(path, std::ios::binary);
-  if (out.good()) save_model(model, out);  // best effort
+  support::write_atomically(  // best effort
+      path, [&model](std::ostream& out) { save_model(model, out); });
   return model;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -80,6 +81,11 @@ Server::Server(ServerOptions options,
              "max_inflight_per_connection must be non-negative (0 = off), "
              "got ",
              options_.max_inflight_per_connection);
+  SM_REQUIRE(std::isfinite(options_.idle_timeout_seconds) &&
+                 options_.idle_timeout_seconds >= 0,
+             "idle_timeout_seconds must be finite and non-negative "
+             "(0 = off), got ",
+             options_.idle_timeout_seconds);
   if (!options_.auth_secret_file.empty()) {
     options_.auth_secret = fleet::load_secret_file(options_.auth_secret_file);
   }
@@ -217,9 +223,10 @@ int Server::poll_timeout_ms() const {
   // Without an idle timeout the reactor is purely event-driven; with one
   // it must wake periodically to scan, at a fraction of the timeout so
   // expiry is detected within ~25% of the configured value.
+  // Clamped before the conversion: a long timeout must not overflow int.
   if (options_.idle_timeout_seconds <= 0 || connections_.empty()) return -1;
-  const int ms = static_cast<int>(options_.idle_timeout_seconds * 250.0);
-  return std::clamp(ms, 10, 1000);
+  return static_cast<int>(
+      std::clamp(options_.idle_timeout_seconds * 250.0, 10.0, 1000.0));
 }
 
 void Server::accept_ready() {

@@ -84,7 +84,7 @@ struct ServerOptions {
   /// buffer the server out of memory).
   std::size_t max_output_bytes = 8 << 20;
   /// Connections idle longer than this (no bytes, nothing in flight) are
-  /// closed and counted. 0 = never.
+  /// closed and counted. Finite and non-negative; 0 = never.
   double idle_timeout_seconds = 0.0;
   /// Path to the deployment's shared-secret file (see fleet/auth).
   /// Nonempty = secured server: loaded at construction (throws when

@@ -1,11 +1,7 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-#include <optional>
-#include <vector>
-
-#include "chain/block_store.hpp"
 #include "chain/mining.hpp"
+#include "sim/fork_window.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -13,208 +9,8 @@ namespace sim {
 
 namespace {
 
-/// A private fork: a chain of adversary blocks hanging off `root`, which
-/// is (while the fork is live) a block of the public chain.
-struct Fork {
-  chain::BlockId root = chain::kNoBlock;
-  std::vector<chain::BlockId> blocks;  ///< blocks[0] is the child of root.
-
-  std::size_t length() const { return blocks.size(); }
-};
-
-/// The concrete protocol world: public chain + live private forks.
-class World {
- public:
-  explicit World(const selfish::AttackParams& params)
-      : params_(params), mining_(params.p) {
-    public_chain_.push_back(store_.genesis());
-    // Pre-seed d honest blocks so a block exists at every depth ≤ d from
-    // the first step (the abstract model assumes an infinitely deep chain;
-    // these blocks predate the warmup window and are never counted).
-    for (int i = 0; i < params_.d; ++i) {
-      public_chain_.push_back(
-          store_.add_block(public_chain_.back(), chain::Owner::kHonest));
-    }
-  }
-
-  std::uint64_t public_height() const {
-    return static_cast<std::uint64_t>(public_chain_.size()) - 1;
-  }
-  chain::BlockId public_tip() const { return public_chain_.back(); }
-
-  /// Depth (1-based from the tip) of a public block at `height`.
-  int depth_of_height(std::uint64_t height) const {
-    return static_cast<int>(public_height() - height) + 1;
-  }
-
-  /// Live forks at `depth`, sorted by length descending (so a fork's index
-  /// in this list equals its canonical slot in the abstract state).
-  std::vector<const Fork*> forks_at_depth(int depth) const {
-    std::vector<const Fork*> out;
-    for (const Fork& fork : forks_) {
-      if (depth_of(fork) == depth) out.push_back(&fork);
-    }
-    std::sort(out.begin(), out.end(), [](const Fork* a, const Fork* b) {
-      return a->length() > b->length();
-    });
-    return out;
-  }
-
-  /// Abstract (C, O, type) view of the world; always canonical.
-  selfish::State view(selfish::StepType type) const {
-    selfish::State s;
-    for (int depth = 1; depth <= params_.d; ++depth) {
-      const auto at_depth = forks_at_depth(depth);
-      SM_ENSURE(static_cast<int>(at_depth.size()) <= params_.f,
-                "more live forks at one depth than slots");
-      for (std::size_t j = 0; j < at_depth.size(); ++j) {
-        s.c[depth - 1][j] = static_cast<std::uint8_t>(at_depth[j]->length());
-      }
-    }
-    for (int depth = 1; depth <= params_.d - 1; ++depth) {
-      const std::uint64_t height = public_height() - (depth - 1);
-      if (height == 0) continue;  // genesis counts as honest
-      const chain::BlockId id = public_chain_[height];
-      if (store_.get(id).owner == chain::Owner::kAdversary) {
-        s.owner_bits |= static_cast<std::uint8_t>(1u << (depth - 1));
-      }
-    }
-    s.type = type;
-    s.canonicalize(params_);  // already sorted, but cheap and safe
-    return s;
-  }
-
-  /// Mining targets, mirroring selfish::mining_targets: one per live fork
-  /// (a capped fork still occupies a proof lane; its blocks are wasted)
-  /// plus one new-fork lane per depth with an open slot.
-  struct Target {
-    bool new_fork = false;
-    int depth = 0;             ///< For new forks.
-    std::size_t fork_index = 0;  ///< Into forks_, for extensions.
-  };
-
-  std::vector<Target> mining_targets() const {
-    std::vector<Target> targets;
-    std::array<int, selfish::kMaxDepth + 1> count_at_depth{};
-    for (std::size_t idx = 0; idx < forks_.size(); ++idx) {
-      const int depth = depth_of(forks_[idx]);
-      count_at_depth[depth] += 1;
-      targets.push_back(Target{false, depth, idx});
-    }
-    for (int depth = 1; depth <= params_.d; ++depth) {
-      if (count_at_depth[depth] < params_.f) {
-        targets.push_back(Target{true, depth, 0});
-      }
-    }
-    return targets;
-  }
-
-  /// The adversary won the lane `target`: grow the fork (or start one).
-  /// Returns false when the block was wasted on a capped fork.
-  bool apply_adversary_win(const Target& target) {
-    if (target.new_fork) {
-      const std::uint64_t root_height = public_height() - (target.depth - 1);
-      Fork fork;
-      fork.root = public_chain_[root_height];
-      fork.blocks.push_back(
-          store_.add_block(fork.root, chain::Owner::kAdversary));
-      forks_.push_back(std::move(fork));
-      return true;
-    }
-    Fork& fork = forks_[target.fork_index];
-    if (static_cast<int>(fork.length()) >= params_.l) return false;  // wasted
-    const chain::BlockId tip =
-        fork.blocks.empty() ? fork.root : fork.blocks.back();
-    fork.blocks.push_back(store_.add_block(tip, chain::Owner::kAdversary));
-    return true;
-  }
-
-  /// An honest block was found; it stays pending until incorporated.
-  void create_pending() {
-    SM_ENSURE(!pending_.has_value(), "two pending honest blocks");
-    pending_ = store_.add_block(public_tip(), chain::Owner::kHonest);
-  }
-
-  bool has_pending() const { return pending_.has_value(); }
-
-  /// Appends the pending honest block to the public chain and prunes forks
-  /// that fell out of the depth-d window.
-  void incorporate_pending() {
-    SM_ENSURE(pending_.has_value(), "no pending block to incorporate");
-    public_chain_.push_back(*pending_);
-    pending_.reset();
-    prune_forks();
-  }
-
-  void drop_pending() {
-    SM_ENSURE(pending_.has_value(), "no pending block to drop");
-    pending_.reset();
-  }
-
-  /// Publishes the first k blocks of the fork at (depth, canonical slot j):
-  /// the public chain is truncated to the fork's root and the released
-  /// blocks appended; the unreleased remainder survives as a fork on the
-  /// new tip. The caller has already decided acceptance.
-  void accept_release(int depth, int slot, int k) {
-    const Fork fork = take_fork(depth, slot);
-    SM_ENSURE(static_cast<int>(fork.length()) >= k, "fork shorter than k");
-    const std::uint64_t root_height = store_.height(fork.root);
-    // Truncate: blocks above the root are orphaned.
-    public_chain_.resize(root_height + 1);
-    for (int b = 0; b < k; ++b) public_chain_.push_back(fork.blocks[b]);
-    if (static_cast<int>(fork.length()) > k) {
-      Fork remainder;
-      remainder.root = public_chain_.back();
-      remainder.blocks.assign(fork.blocks.begin() + k, fork.blocks.end());
-      forks_.push_back(std::move(remainder));
-    }
-    if (pending_.has_value()) pending_.reset();  // orphaned by the rewrite
-    prune_forks();
-  }
-
-  /// Removes the fork at (depth, canonical slot) without publishing it
-  /// (the burn-lost-races fork-choice variant).
-  void discard_fork(int depth, int slot) { take_fork(depth, slot); }
-
-  const chain::BlockStore& store() const { return store_; }
-  const chain::MiningModel& mining() const { return mining_; }
-  const std::vector<chain::BlockId>& public_chain() const {
-    return public_chain_;
-  }
-
- private:
-  int depth_of(const Fork& fork) const {
-    return depth_of_height(store_.height(fork.root));
-  }
-
-  /// Removes forks whose root left the depth-d window or was orphaned.
-  void prune_forks() {
-    std::erase_if(forks_, [&](const Fork& fork) {
-      const std::uint64_t root_height = store_.height(fork.root);
-      if (root_height + params_.d < public_height() + 1) return true;
-      // Root still on the public chain?
-      return public_chain_[root_height] != fork.root;
-    });
-  }
-
-  /// Removes and returns the fork at (depth, canonical slot).
-  Fork take_fork(int depth, int slot) {
-    const auto at_depth = forks_at_depth(depth);
-    SM_REQUIRE(slot >= 0 && slot < static_cast<int>(at_depth.size()),
-               "no fork in slot ", slot, " at depth ", depth);
-    const Fork* chosen = at_depth[slot];
-    Fork out = *chosen;
-    std::erase_if(forks_, [&](const Fork& f) { return &f == chosen; });
-    return out;
-  }
-
-  selfish::AttackParams params_;
-  chain::BlockStore store_;
-  chain::MiningModel mining_;
-  std::vector<chain::BlockId> public_chain_;  ///< Index = height.
-  std::vector<Fork> forks_;
-  std::optional<chain::BlockId> pending_;
-};
+constexpr chain::NodeId kAttacker = 0;
+constexpr chain::NodeId kHonestNetwork = 1;
 
 }  // namespace
 
@@ -225,22 +21,36 @@ SimulationResult simulate(const selfish::AttackParams& params,
   SM_REQUIRE(options.steps > options.warmup_steps,
              "need more steps than warmup");
   support::Rng rng(options.seed);
-  World world(params);
+  const chain::MiningModel mining(params.p);
+  chain::BlockArena arena;
+  ForkWindow window(params);
+  // Pre-seed d honest blocks so a block exists at every depth <= d from
+  // the first step (the abstract model assumes an infinitely deep chain;
+  // these blocks predate the warmup window and are never counted).
+  for (int i = 0; i < params.d; ++i) {
+    window.extend(arena.add(window.tip(), kHonestNetwork));
+  }
   SimulationResult result;
 
   // Height below which revenue is not counted (fixed after warmup).
   std::uint64_t accounting_floor = 0;
 
-  // Snapshot the stable (depth > d) segment's revenue as of "now".
+  // Public blocks deeper than d are final: the highest final height.
+  const auto final_top = [&]() -> std::uint64_t {
+    return window.height() > static_cast<std::uint32_t>(params.d)
+               ? window.height() - params.d
+               : 0;
+  };
+  const auto owner_at = [&](std::uint64_t height) {
+    return arena.get(window.public_chain()[height]).miner == kAttacker
+               ? chain::Owner::kAdversary
+               : chain::Owner::kHonest;
+  };
+  // Snapshot the final segment's revenue above `floor` as of "now".
   const auto stable_count = [&](std::uint64_t floor) {
     chain::OwnershipCount count;
-    const auto& chain_now = world.public_chain();
-    const std::uint64_t top =
-        world.public_height() > static_cast<std::uint64_t>(params.d)
-            ? world.public_height() - params.d
-            : 0;
-    for (std::uint64_t h = floor + 1; h <= top; ++h) {
-      if (world.store().get(chain_now[h]).owner == chain::Owner::kAdversary) {
+    for (std::uint64_t h = floor + 1; h <= final_top(); ++h) {
+      if (owner_at(h) == chain::Owner::kAdversary) {
         ++count.adversary;
       } else {
         ++count.honest;
@@ -252,10 +62,7 @@ SimulationResult simulate(const selfish::AttackParams& params,
   for (std::uint64_t step = 0; step < options.steps; ++step) {
     if (step == options.warmup_steps) {
       // Everything at depth > d is final; start counting above it.
-      const std::uint64_t h = world.public_height();
-      accounting_floor = (h > static_cast<std::uint64_t>(params.d))
-                             ? h - params.d
-                             : 0;
+      accounting_floor = final_top();
     }
     if (options.trace_interval != 0 && step > options.warmup_steps &&
         (step - options.warmup_steps) % options.trace_interval == 0) {
@@ -264,70 +71,57 @@ SimulationResult simulate(const selfish::AttackParams& params,
           TracePoint{step, count.relative_revenue(), count.total()});
     }
 
-    const auto targets = world.mining_targets();
-    const auto outcome =
-        world.mining().sample_step(rng, static_cast<std::uint32_t>(targets.size()));
-
+    const auto outcome = mining.sample_step(rng, window.lanes());
     selfish::StepType type;
+    chain::BlockId pending = chain::kGenesis;  // the honest block, if found
     if (outcome.adversary_won) {
       ++result.adversary_blocks_mined;
-      if (!world.apply_adversary_win(targets[outcome.target])) {
+      if (!window.grow(outcome.target, kAttacker, arena)) {
         ++result.adversary_blocks_wasted;
       }
       type = selfish::StepType::kAdversaryFound;
     } else {
       ++result.honest_blocks_mined;
-      world.create_pending();
+      pending = arena.add(window.tip(), kHonestNetwork);
       type = selfish::StepType::kHonestFound;
     }
 
-    const selfish::Action action = strategy.decide(world.view(type));
+    const selfish::Action action =
+        strategy.decide(window.view(type, kAttacker, arena));
     if (action.kind == selfish::Action::Kind::kMine) {
-      if (type == selfish::StepType::kHonestFound) {
-        world.incorporate_pending();
-      }
+      if (type == selfish::StepType::kHonestFound) window.extend(pending);
       continue;
     }
 
-    // A release: decide acceptance exactly as the network would.
+    // A release: decide acceptance exactly as the network would. An
+    // accepted release orphans the pending block.
     const int i = action.depth;
     const int k = action.length;
     ++result.releases;
     if (type == selfish::StepType::kAdversaryFound) {
-      SM_REQUIRE(k >= i, "release shorter than the public chain");
-      world.accept_release(i, action.slot, k);
+      window.release(i, action.slot, k);
     } else if (k >= i + 1) {
       ++result.overrides;
-      world.accept_release(i, action.slot, k);
+      window.release(i, action.slot, k);
     } else {
       SM_REQUIRE(k == i, "release shorter than the public chain");
       if (rng.bernoulli(params.gamma)) {
         ++result.races_won;
-        world.accept_release(i, action.slot, k);
+        window.release(i, action.slot, k);
       } else {
         ++result.races_lost;
-        if (params.burn_lost_races) world.discard_fork(i, action.slot);
-        world.incorporate_pending();
+        if (params.burn_lost_races) window.discard(i, action.slot);
+        window.extend(pending);
       }
     }
   }
 
   // Count revenue over the final public chain, excluding the warmup
   // prefix and the still-contested top d blocks.
-  const auto& chain = world.public_chain();
-  const std::uint64_t top =
-      world.public_height() > static_cast<std::uint64_t>(params.d)
-          ? world.public_height() - params.d
-          : 0;
-  for (std::uint64_t h = accounting_floor + 1; h <= top; ++h) {
-    const chain::Owner owner = world.store().get(chain[h]).owner;
-    result.final_owners.push_back(owner);
-    if (owner == chain::Owner::kAdversary) {
-      ++result.revenue.adversary;
-    } else {
-      ++result.revenue.honest;
-    }
+  for (std::uint64_t h = accounting_floor + 1; h <= final_top(); ++h) {
+    result.final_owners.push_back(owner_at(h));
   }
+  result.revenue = stable_count(accounting_floor);
   result.errev = result.revenue.relative_revenue();
   return result;
 }

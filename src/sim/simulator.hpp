@@ -1,10 +1,12 @@
 // Monte-Carlo simulation of the selfish-mining protocol.
 //
-// The simulator executes the blockchain protocol against *concrete* blocks
-// (chain::BlockStore): private forks are real block sequences with real
-// roots, publication truncates and rewrites the public chain, and revenue
-// is counted by walking the final chain — completely independently of the
-// MDP's RewardCounts. It mirrors the semantics of DESIGN.md §3 (pending
+// The simulator executes the blockchain protocol against *concrete*
+// blocks: it drives a sim::ForkWindow (the attacker's public chain and
+// private forks over a chain::BlockArena, the same world the network
+// simulator's strategy miner runs) with the paper's discrete mining steps.
+// Publication truncates and rewrites the public chain, and revenue is
+// counted by walking the final chain — completely independently of the
+// MDP's RewardCounts. It follows the semantics of DESIGN.md §3 (pending
 // honest block, γ tie races, fork window of depth d, fork cap l), so the
 // empirical relative revenue of a strategy must converge to the ERRev the
 // MDP analysis predicts — the cross-validation exercised by tests and the

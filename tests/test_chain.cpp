@@ -1,84 +1,24 @@
-// Blockchain substrate: block store, mining model, chain statistics.
+// Blockchain substrate: mining model and chain statistics (the block
+// arena is covered by test_net_events).
 #include <gtest/gtest.h>
 
-#include "chain/block_store.hpp"
+#include <vector>
+
 #include "chain/mining.hpp"
 #include "chain/stats.hpp"
 #include "support/check.hpp"
 
 namespace {
 
-TEST(BlockStore, GenesisProperties) {
-  chain::BlockStore store;
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.height(store.genesis()), 0u);
-  EXPECT_EQ(store.get(store.genesis()).parent, chain::kNoBlock);
-}
-
-TEST(BlockStore, HeightsIncrement) {
-  chain::BlockStore store;
-  const auto b1 = store.add_block(store.genesis(), chain::Owner::kHonest);
-  const auto b2 = store.add_block(b1, chain::Owner::kAdversary);
-  EXPECT_EQ(store.height(b1), 1u);
-  EXPECT_EQ(store.height(b2), 2u);
-  EXPECT_EQ(store.get(b2).parent, b1);
-}
-
-TEST(BlockStore, AncestorAtHeight) {
-  chain::BlockStore store;
-  chain::BlockId tip = store.genesis();
-  std::vector<chain::BlockId> chain_ids{tip};
-  for (int i = 0; i < 10; ++i) {
-    tip = store.add_block(tip, chain::Owner::kHonest);
-    chain_ids.push_back(tip);
-  }
-  for (std::uint64_t h = 0; h <= 10; ++h) {
-    EXPECT_EQ(store.ancestor_at_height(tip, h), chain_ids[h]);
-  }
-  EXPECT_THROW(store.ancestor_at_height(chain_ids[3], 5),
-               support::InvalidArgument);
-}
-
-TEST(BlockStore, IsAncestorOnForks) {
-  chain::BlockStore store;
-  const auto trunk = store.add_block(store.genesis(), chain::Owner::kHonest);
-  const auto left = store.add_block(trunk, chain::Owner::kHonest);
-  const auto right = store.add_block(trunk, chain::Owner::kAdversary);
-  EXPECT_TRUE(store.is_ancestor(trunk, left));
-  EXPECT_TRUE(store.is_ancestor(trunk, right));
-  EXPECT_TRUE(store.is_ancestor(left, left));
-  EXPECT_FALSE(store.is_ancestor(left, right));
-  EXPECT_FALSE(store.is_ancestor(right, left));
-}
-
-TEST(BlockStore, AdversaryBlocksBetween) {
-  chain::BlockStore store;
-  auto tip = store.genesis();
-  tip = store.add_block(tip, chain::Owner::kAdversary);
-  tip = store.add_block(tip, chain::Owner::kHonest);
-  tip = store.add_block(tip, chain::Owner::kAdversary);
-  EXPECT_EQ(store.adversary_blocks_between(store.genesis(), tip), 2u);
-}
-
-TEST(Stats, CountSegment) {
-  chain::BlockStore store;
-  auto tip = store.genesis();
-  const auto mark = tip = store.add_block(tip, chain::Owner::kHonest);
-  tip = store.add_block(tip, chain::Owner::kAdversary);
-  tip = store.add_block(tip, chain::Owner::kAdversary);
-  tip = store.add_block(tip, chain::Owner::kHonest);
-  const auto count = chain::count_segment(store, mark, tip);
-  EXPECT_EQ(count.adversary, 2u);
-  EXPECT_EQ(count.honest, 1u);
+TEST(Stats, OwnershipCountArithmetic) {
+  const chain::OwnershipCount count{.honest = 1, .adversary = 2};
   EXPECT_EQ(count.total(), 3u);
   EXPECT_NEAR(count.relative_revenue(), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(count.chain_quality(), 1.0 / 3.0, 1e-12);
 }
 
-TEST(Stats, EmptySegment) {
-  chain::BlockStore store;
-  const auto count =
-      chain::count_segment(store, store.genesis(), store.genesis());
+TEST(Stats, EmptyCount) {
+  const chain::OwnershipCount count;
   EXPECT_EQ(count.total(), 0u);
   EXPECT_DOUBLE_EQ(count.relative_revenue(), 0.0);
   EXPECT_DOUBLE_EQ(count.chain_quality(), 1.0);

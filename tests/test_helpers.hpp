@@ -6,9 +6,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/job.hpp"
 #include "mdp/builder.hpp"
 #include "mdp/mdp.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace test_helpers {
@@ -85,7 +85,7 @@ inline mdp::Mdp random_unichain(support::Rng& rng, int num_states,
 inline std::uint64_t model_hash(const mdp::Mdp& m) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   const auto mix = [&hash](auto value) {
-    hash = engine::fnv1a64(&value, sizeof value, hash);
+    hash = support::fnv1a64(&value, sizeof value, hash);
   };
   mix(m.num_states());
   mix(m.initial_state());

@@ -7,12 +7,14 @@
 // Why this must hold: with zero delays and the shared-coin tie policy the
 // network collapses to the abstract protocol of sim/simulator.cpp — the
 // exponential clocks realize the (p, k)-mining step distribution, the
-// agent mirrors the fork window semantics, and the shared coin is the
-// model's atomic gamma race — so the empirical relative revenue is a
-// Monte-Carlo estimate of the exact stationary ERRev.
+// agent runs the simulator's own fork window (sim::ForkWindow), and the
+// shared coin is the model's atomic gamma race — so the empirical
+// relative revenue is a Monte-Carlo estimate of the exact stationary
+// ERRev.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "net/batch.hpp"
 #include "net/scenario.hpp"
@@ -50,6 +52,32 @@ TEST(NetValidation, ZeroDelayReproducesMdpErrevPoint1) {
 
 TEST(NetValidation, ZeroDelayReproducesMdpErrevPoint2) {
   expect_network_matches_analysis(0.25, 0.00);
+}
+
+// Exact result of one zero-delay single-optimal run, recorded before the
+// strategy miner ran on sim::ForkWindow.
+TEST(NetValidation, ZeroDelayRunReproducesRecordedResult) {
+  net::ScenarioOptions options;
+  options.delay = 0.0;
+  options.blocks = 20'000;
+  const auto grid = net::make_scenarios("single-optimal", options);
+  ASSERT_EQ(grid.size(), 1u);
+  const auto result = net::run_scenario(net::prepare_scenario(grid[0]), 99);
+  EXPECT_EQ(result.events, 72719u);
+  EXPECT_EQ(result.mine_events, 20000u);
+  EXPECT_EQ(result.arena_blocks, 19999u);
+  EXPECT_EQ(result.tip_height, 12839u);
+  EXPECT_EQ(result.counted, 11811u);
+  EXPECT_EQ(result.races, 3715u);
+  EXPECT_EQ(result.races_resolved, 1420u);
+  EXPECT_EQ(result.races_challenger_won, 788u);
+  EXPECT_DOUBLE_EQ(result.sim_time, 9118990.5794431027);
+  const std::vector<std::uint64_t> canonical{4815, 2264, 2388, 2344};
+  const std::vector<std::uint64_t> mined{9132, 3578, 3660, 3630};
+  const std::vector<std::uint64_t> wasted{1, 0, 0, 0};
+  EXPECT_EQ(result.canonical, canonical);
+  EXPECT_EQ(result.mined, mined);
+  EXPECT_EQ(result.wasted, wasted);
 }
 
 TEST(NetValidation, AttackerBeatsHonestShareAboveThreshold) {

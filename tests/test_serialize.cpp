@@ -109,6 +109,9 @@ TEST(MdpSerialize, RejectsInconsistentArrays) {
     std::string bytes = saved;
     std::memcpy(bytes.data() + ladder + sizeof(std::uint32_t), &second,
                 sizeof second);
+    // Re-seal the checksum trailer so the load reaches the model checks.
+    const std::size_t trailer = bytes.size() - sizeof(std::uint64_t);
+    overwrite_u64(bytes, trailer, support::fnv1a64(bytes.data(), trailer));
     std::stringstream corrupt(bytes, std::ios::in | std::ios::binary);
     EXPECT_THROW(mdp::load_binary(corrupt), support::InvalidArgument)
         << "ladder entry " << second;
@@ -176,6 +179,40 @@ TEST(ModelCache, CorruptFileIsRebuiltAndRewritten) {
   EXPECT_EQ(test_helpers::model_hash(rebuilt.mdp),
             test_helpers::model_hash(fresh.mdp));
   // The rebuild replaced the corrupt file with a loadable one.
+  std::ifstream in(path, std::ios::binary);
+  const auto reloaded = selfish::load_model(in, params);
+  EXPECT_EQ(test_helpers::model_hash(reloaded.mdp),
+            test_helpers::model_hash(fresh.mdp));
+  std::remove(path.c_str());
+}
+
+TEST(ModelCache, FlippedBitIsRefusedAndRebuilt) {
+  const selfish::AttackParams params{.p = 0.3, .gamma = 0.5, .d = 2, .f = 1, .l = 4};
+  const auto fresh = selfish::build_model(params);
+  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+  selfish::save_model(fresh, stream);
+  const std::string saved = stream.str();
+
+  // One flipped bit at 60 evenly spaced offsets, covering the header, the
+  // state dictionary, every MDP array and both checksums.
+  for (std::size_t i = 0; i < 60; ++i) {
+    const std::size_t offset = i * (saved.size() - 1) / 59;
+    std::string bytes = saved;
+    bytes[offset] = static_cast<char>(bytes[offset] ^ 0x04);
+    std::stringstream corrupt(bytes, std::ios::in | std::ios::binary);
+    EXPECT_THROW(selfish::load_model(corrupt, params),
+                 support::InvalidArgument)
+        << "offset " << offset << " of " << saved.size();
+  }
+
+  // On disk the flipped file is rebuilt and replaced.
+  std::string bytes = saved;
+  bytes[saved.size() / 2] = static_cast<char>(bytes[saved.size() / 2] ^ 0x04);
+  const std::string path = "model_cache_flipped_test.bin";
+  std::ofstream(path, std::ios::binary) << bytes;
+  const auto rebuilt = selfish::build_or_load_model(params, path);
+  EXPECT_EQ(test_helpers::model_hash(rebuilt.mdp),
+            test_helpers::model_hash(fresh.mdp));
   std::ifstream in(path, std::ios::binary);
   const auto reloaded = selfish::load_model(in, params);
   EXPECT_EQ(test_helpers::model_hash(reloaded.mdp),

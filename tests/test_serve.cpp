@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -1166,6 +1167,36 @@ TEST(ServeTransport, NegativeInflightCapsAreRejected) {
   options.max_inflight = 0;
   options.max_inflight_per_connection = -7;
   EXPECT_THROW(serve::Server{options}, support::InvalidArgument);
+}
+
+TEST(ServeTransport, NonFiniteOrNegativeIdleTimeoutIsRejected) {
+  serve::ServerOptions options;
+  options.port = 0;
+  for (const double seconds :
+       {std::numeric_limits<double>::infinity(), -1.0,
+        std::numeric_limits<double>::quiet_NaN()}) {
+    options.idle_timeout_seconds = seconds;
+    EXPECT_THROW(serve::Server{options}, support::InvalidArgument) << seconds;
+  }
+}
+
+TEST(ServeTransport, HugeIdleTimeoutStillAnswersParseablePing) {
+  // 1e7 s is past INT_MAX milliseconds: the reactor must still poll at its
+  // 1 s cap, and ping must carry the limit as a JSON number.
+  serve::ServerOptions options;
+  options.port = 0;
+  options.idle_timeout_seconds = 1e7;
+  serve::Server server(options);
+  server.start();
+  {
+    serve::Client client("127.0.0.1", server.port());
+    const serve::Reply pong = client.ping();
+    ASSERT_TRUE(pong.ok) << pong.error;
+    const serve::Json* limits = pong.raw.find("limits");
+    ASSERT_NE(limits, nullptr);
+    EXPECT_EQ(limits->find("idle_timeout_seconds")->as_number(), 1e7);
+  }
+  server.stop();
 }
 
 // ----------------------------------------- transport: idle + reconnects

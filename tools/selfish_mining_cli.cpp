@@ -458,7 +458,7 @@ int cmd_serve(int argc, const char* const* argv) {
                   "cannot monopolize the pool (0 = off)");
   options.declare("idle-timeout", "0",
                   "seconds after which a connection with no traffic and "
-                  "nothing in flight is closed (0 = never)");
+                  "nothing in flight is closed (finite; 0 = never)");
   options.declare("auth-secret-file", "",
                   "shared-secret file; when set, every non-ping request "
                   "must first pass the HMAC-SHA256 ping challenge and "
@@ -468,9 +468,6 @@ int cmd_serve(int argc, const char* const* argv) {
 
   const int lru_mb = options.get_int("lru-mb");
   SM_REQUIRE(lru_mb >= 0, "--lru-mb must be non-negative, got ", lru_mb);
-  const double idle_timeout = options.get_double("idle-timeout");
-  SM_REQUIRE(idle_timeout >= 0, "--idle-timeout must be non-negative, got ",
-             idle_timeout);
 
   serve::ServerOptions server_options;
   server_options.host = options.get_string("host");
@@ -479,7 +476,7 @@ int cmd_serve(int argc, const char* const* argv) {
   server_options.max_inflight = options.get_int("max-inflight");
   server_options.max_inflight_per_connection =
       options.get_int("max-inflight-per-conn");
-  server_options.idle_timeout_seconds = idle_timeout;
+  server_options.idle_timeout_seconds = options.get_double("idle-timeout");
   server_options.auth_secret_file = options.get_string("auth-secret-file");
   server_options.service.cache_dir = options.get_string("cache-dir");
   server_options.service.threads = options.get_int("threads");
