@@ -39,9 +39,6 @@ support::Options standard_options(int argc, const char* const* argv,
                   "experiment-engine result store shared by the analysis "
                   "grids (reruns are served from cache); also via "
                   "SELFISH_CACHE_DIR");
-  options.declare("store-values", "true",
-                  "persist warm-start value vectors in the result store "
-                  "(turn off to shrink caches for huge models)");
   options.declare("metrics-out", "",
                   "write a Prometheus text snapshot of the obs registry "
                   "to this file at harness exit; also via "
@@ -67,7 +64,6 @@ engine::EngineOptions engine_options(const support::Options& options) {
   engine::EngineOptions engine_options;
   engine_options.cache_dir = options.get_string("cache-dir");
   engine_options.threads = options.get_int("threads");
-  engine_options.store_values = options.get_bool("store-values");
   return engine_options;
 }
 
@@ -75,9 +71,9 @@ analysis::AnalysisOptions analysis_options(const support::Options& options,
                                            bool solver_threads) {
   analysis::AnalysisOptions out;
   engine::read_options(options, out);
-  // Engine-driven grids keep per-solve threads at 1 (the chains already
-  // fan out across --threads); one-solve-at-a-time drivers hand the whole
-  // budget to the kernel's Bellman sweeps instead.
+  // Engine-driven grids keep per-solve threads at 1 (the engine already
+  // fans the points out across --threads); one-solve-at-a-time drivers
+  // hand the whole budget to the kernel's Bellman sweeps instead.
   if (solver_threads) out.solver.threads = options.get_int("threads");
   return out;
 }

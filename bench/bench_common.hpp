@@ -39,18 +39,18 @@ support::Options standard_options(int argc, const char* const* argv,
 void write_metrics_snapshot(const support::Options& options);
 
 /// Experiment-engine configuration from the shared options: --threads
-/// drives the chain fan-out, --cache-dir the result store, --store-values
-/// whether entries persist warm-start value vectors.
+/// drives the per-point fan-out, --cache-dir the result store.
 engine::EngineOptions engine_options(const support::Options& options);
 
 /// Analysis configuration from the shared options (--epsilon, --solver).
 /// `solver_threads` = true additionally routes --threads into the
 /// per-solve Bellman kernel — for harnesses that run one analysis at a
-/// time; engine-driven grids pass false (chains already parallelize).
+/// time; engine-driven grids pass false (the engine already fans the
+/// points out).
 analysis::AnalysisOptions analysis_options(const support::Options& options,
                                            bool solver_threads);
 
-/// One warm-start chain of a p-sweep grid: a (γ, d, f) series.
+/// One series of a p-sweep grid: a (γ, d, f) configuration.
 struct SweepSeries {
   double gamma = 0.5;
   int d = 1, f = 1;

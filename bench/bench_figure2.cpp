@@ -4,10 +4,9 @@
 // configuration (d, f).
 //
 // The whole grid — every (γ, d, f) series × every p — is submitted to the
-// experiment engine as one batch: each series is a warm-start chain (the
-// p-points seed each other's value iteration, as always), and the chains
-// fan out across --threads workers. With --cache-dir, reruns are served
-// from the content-addressed store.
+// experiment engine as one batch: every point is an independent job, and
+// the points fan out across --threads workers. With --cache-dir, reruns
+// are served from the content-addressed store.
 //
 // Output: one CSV block per panel (easy to plot or diff), followed by the
 // qualitative checks the paper highlights.
@@ -43,8 +42,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One engine batch for the whole figure: jobs [series × p], planned into
-  // one warm-start chain per series.
+  // One engine batch for the whole figure: jobs [series × p].
   const auto jobs = bench::sweep_grid_jobs(series, ps, analysis_options);
   engine::Engine engine(bench::engine_options(options));
   const support::Timer timer;
@@ -89,7 +87,7 @@ int main(int argc, char** argv) {
     cached += outcome.cached ? 1 : 0;
     solve_seconds += outcome.result.seconds;
   }
-  std::printf("engine: %zu grid points in %zu chains, %zu from cache; "
+  std::printf("engine: %zu grid points in %zu series, %zu from cache; "
               "%.2f s solve time in %.2f s wall\n\n",
               outcomes.size(), series.size(), cached, solve_seconds, wall);
 

@@ -59,8 +59,8 @@ Workload make_workload(bool full) {
   // overhead. --bench-full deepens the attack to d=3.
   const int d = full ? 3 : 2;
   const int f = 2;
-  // Distinct points across p: separate cache entries, one warm-start
-  // family. The set stays small so the *repeat* factor dominates — the
+  // Distinct points across p: separate cache entries, one attack
+  // configuration. The set stays small so the *repeat* factor dominates — the
   // regime an interactive dashboard or a class of users produces.
   for (const double p : {0.15, 0.25, 0.3, 0.35}) {
     workload.requests.push_back(

@@ -1,18 +1,16 @@
-// Measures what the experiment engine buys over the pre-engine sequential
-// sweep path on a Figure-2-style grid:
+// Measures what the experiment engine buys on one γ series — the grid a
+// `selfish-mining sweep` runs:
 //
-//   sequential  — analysis::sweep_p_sequential per series, one after the
-//                 other on one thread (the old driver).
-//   engine cold — the same grid as one engine batch: warm-start chains in
-//                 parallel on --threads workers, store populated.
-//   engine warm — the batch again against the populated store: every
+//   1 thread    — the series as one engine batch on one worker, store
+//                 populated.
+//   N threads   — the same batch into a fresh store on --threads workers:
+//                 every point is an independent job, so the grid fans out
+//                 even though it is a single series.
+//   warm store  — the batch again against the populated store: every
 //                 point replayed from cache.
 //
-// The cold speedup is the parallel warm-started scheduling win; the warm
-// speedup is the cache win (bounded only by IO). The engine results are
-// checked bit-identical to the sequential ones before any number is
-// reported — the speedup is for the *same* answers.
-#include <cmath>
+// The results of all three runs are checked identical before any number
+// is reported — the speedup is for the *same* answers.
 #include <cstdio>
 #include <filesystem>
 
@@ -21,103 +19,85 @@
 #include "support/check.hpp"
 #include "support/timer.hpp"
 
+namespace {
+
+/// Runs `jobs` on a fresh engine over `cache_dir`; returns the outcomes
+/// and stores the wall-clock time in `seconds`.
+std::vector<engine::JobOutcome> timed_run(
+    const std::vector<engine::AnalysisJob>& jobs, const std::string& cache_dir,
+    int threads, double& seconds) {
+  engine::EngineOptions options;
+  options.cache_dir = cache_dir;
+  options.threads = threads;
+  const engine::Engine engine(options);
+  const support::Timer timer;
+  std::vector<engine::JobOutcome> outcomes = engine.run(jobs);
+  seconds = timer.seconds();
+  return outcomes;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const auto options = bench::standard_options(argc, argv);
   const bool full = options.get_bool("bench-full");
   bench::print_header(
-      "Sweep engine: warm-started + cached grid evaluation vs the "
-      "sequential driver", full);
+      "Sweep engine: one gamma series at 1 thread vs N threads, and cache "
+      "replay", full);
 
-  analysis::AnalysisOptions analysis_options;
-  analysis_options.epsilon = options.get_double("epsilon");
-  analysis_options.solver.method =
-      mdp::parse_solver_method(options.get_string("solver"));
+  const analysis::AnalysisOptions analysis_options =
+      bench::analysis_options(options, /*solver_threads=*/false);
 
-  // A multi-series grid so chain fan-out has something to fan: three
-  // gammas x the (d, f) configurations (d <= 2 by default).
+  // One series, the shape of a `sweep` invocation: d=2,f=2 by default,
+  // d=3,f=2 with --bench-full.
   const auto ps = bench::resource_grid(full);
-  std::vector<bench::SweepSeries> series;
-  for (const double gamma : {0.0, 0.5, 1.0}) {
-    for (const auto& [d, f] : bench::attack_configs(full)) {
-      if (!full && d >= 3) continue;
-      series.push_back(bench::SweepSeries{gamma, d, f});
-    }
-  }
-  const int threads = bench::thread_count(options);
-  std::printf("grid: %zu series x %zu p-points, %d threads\n\n",
-              series.size(), ps.size(), threads);
-
-  // --- sequential reference (the pre-engine path).
-  std::vector<analysis::SweepResult> reference;
-  const support::Timer sequential_timer;
-  for (const bench::SweepSeries& s : series) {
-    const selfish::AttackParams base{
-        .p = 0.0, .gamma = s.gamma, .d = s.d, .f = s.f, .l = 4};
-    reference.push_back(
-        analysis::sweep_p_sequential(base, ps, analysis_options));
-  }
-  const double sequential_seconds = sequential_timer.seconds();
-
-  // --- engine, cold store.
-  std::string cache_dir = options.get_string("cache-dir");
-  const bool temp_cache = cache_dir.empty();
-  if (temp_cache) {
-    cache_dir = (std::filesystem::temp_directory_path() /
-                 "selfish-bench-sweep-cache")
-                    .string();
-    std::filesystem::remove_all(cache_dir);
-  }
-  engine::EngineOptions engine_options;
-  engine_options.cache_dir = cache_dir;
-  engine_options.threads = threads;
-
-  // Per-series sweep_p calls would fan chains out only within one series;
-  // submitting all series as one batch buys cross-series parallelism.
+  const std::vector<bench::SweepSeries> series{
+      bench::SweepSeries{0.5, full ? 3 : 2, 2}};
   const auto jobs = bench::sweep_grid_jobs(series, ps, analysis_options);
+  const int threads = bench::thread_count(options);
+  std::printf("grid: gamma=%.2f d=%d f=%d, %zu p-points, %d threads\n\n",
+              series[0].gamma, series[0].d, series[0].f, ps.size(), threads);
 
-  const support::Timer cold_timer;
-  std::vector<engine::JobOutcome> cold;
-  {
-    engine::Engine engine(engine_options);
-    cold = engine.run(jobs);
-  }
-  const double cold_seconds = cold_timer.seconds();
+  // Two fresh stores, under --cache-dir or the temp directory, removed
+  // again at exit.
+  std::string root = options.get_string("cache-dir");
+  if (root.empty()) root = std::filesystem::temp_directory_path().string();
+  const std::string serial_dir = root + "/selfish-bench-sweep-1";
+  const std::string parallel_dir = root + "/selfish-bench-sweep-n";
+  std::filesystem::remove_all(serial_dir);
+  std::filesystem::remove_all(parallel_dir);
 
-  // --- engine, warm store (pure replay).
-  const support::Timer warm_timer;
-  std::vector<engine::JobOutcome> warm;
-  std::size_t warm_hits = 0;
-  {
-    engine::Engine engine(engine_options);
-    warm = engine.run(jobs);
-    for (const auto& outcome : warm) warm_hits += outcome.cached ? 1 : 0;
-  }
-  const double warm_seconds = warm_timer.seconds();
+  double serial_seconds = 0.0, parallel_seconds = 0.0, warm_seconds = 0.0;
+  const auto serial = timed_run(jobs, serial_dir, 1, serial_seconds);
+  const auto parallel = timed_run(jobs, parallel_dir, threads,
+                                  parallel_seconds);
+  const auto warm = timed_run(jobs, parallel_dir, threads, warm_seconds);
 
   // --- the speedup only counts if the answers are the same ones.
-  for (std::size_t s = 0; s < series.size(); ++s) {
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      const auto& expect = reference[s].points[i];
-      const auto& got_cold = cold[s * ps.size() + i].result;
-      const auto& got_warm = warm[s * ps.size() + i].result;
-      SM_ENSURE(got_cold.errev_of_policy == expect.errev_of_policy &&
-                    got_warm.errev_of_policy == expect.errev_of_policy &&
-                    got_cold.errev_lower_bound == expect.errev &&
-                    got_warm.errev_lower_bound == expect.errev,
-                "engine sweep diverged from the sequential reference at "
-                "series ", s, ", p=", ps[i]);
+  std::size_t warm_hits = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const engine::StoredResult& expect = serial[i].result;
+    for (const engine::StoredResult* got :
+         {&parallel[i].result, &warm[i].result}) {
+      SM_ENSURE(got->errev_lower_bound == expect.errev_lower_bound &&
+                    got->errev_of_policy == expect.errev_of_policy &&
+                    got->solver_iterations == expect.solver_iterations &&
+                    got->policy == expect.policy,
+                "engine results diverged at p=", ps[i]);
     }
+    warm_hits += warm[i].cached ? 1 : 0;
   }
-  std::printf("sequential (pre-engine):  %8.3f s\n", sequential_seconds);
+  std::printf("engine cold ( 1 thread):  %8.3f s\n", serial_seconds);
   std::printf("engine cold (%2d threads): %8.3f s   -> %.2fx speedup\n",
-              threads, cold_seconds, sequential_seconds / cold_seconds);
+              threads, parallel_seconds, serial_seconds / parallel_seconds);
   std::printf("engine warm (cache hits): %8.3f s   -> %.2fx speedup "
               "(%zu/%zu points replayed)\n",
-              warm_seconds, sequential_seconds / warm_seconds, warm_hits,
+              warm_seconds, serial_seconds / warm_seconds, warm_hits,
               warm.size());
-  std::printf("\nresults verified bit-identical across all three paths\n");
+  std::printf("\nresults verified identical across all three runs\n");
 
   bench::write_metrics_snapshot(options);
-  if (temp_cache) std::filesystem::remove_all(cache_dir);
+  std::filesystem::remove_all(serial_dir);
+  std::filesystem::remove_all(parallel_dir);
   return 0;
 }

@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   support::Table table(
       {"Attack Type", "Parameters", "States", "Time (s)", "ERRev"});
 
-  // All configurations go through the engine as one batch: each is its
-  // own single-point chain, so --threads runs them concurrently, and with
+  // All configurations go through the engine as one batch: each is an
+  // independent job, so --threads runs them concurrently, and with
   // --cache-dir reruns replay the stored results (the reported Time (s)
   // stays the original solve time either way).
   const auto configs = bench::attack_configs(full);

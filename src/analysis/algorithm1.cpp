@@ -30,10 +30,9 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
 
   std::vector<double> values;
   if (warm_start != nullptr) values = *warm_start;
-  // Warm starts arrive from neighboring grid points (engine chains,
-  // threshold bisection) whose reachable state count can differ — the
-  // set of reachable states depends on p. A foreign-sized vector cannot
-  // seed this model's solves (the kernel rejects it rather than silently
+  // Warm starts arrive from the previous threshold probe, whose
+  // reachable state count can differ — the set of reachable states
+  // depends on p. A foreign-sized vector cannot seed this model's solves (the kernel rejects it rather than silently
   // cold-starting), so the cross-model boundary is handled here, once
   // and explicitly: discard and start cold. Deterministic — the decision
   // is a pure function of the two state counts.

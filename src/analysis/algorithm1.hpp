@@ -51,11 +51,12 @@ struct AnalysisResult {
   long solver_iterations = 0;      ///< Total inner solver iterations.
   double seconds = 0.0;            ///< Wall-clock time of the analysis.
   std::vector<double> final_values;  ///< Value vector (warm start for
-                                     ///< related analyses, e.g. p-sweeps).
+                                     ///< the next threshold probe).
 };
 
 /// Runs Algorithm 1 on a built model. `warm_start`, if non-null and sized
-/// to the model, seeds the first solve (used when sweeping p).
+/// to the model, seeds the first solve (threshold's probes pass the
+/// previous probe's final values).
 AnalysisResult analyze(const selfish::SelfishModel& model,
                        const AnalysisOptions& options = {},
                        const std::vector<double>* warm_start = nullptr);

@@ -1,5 +1,6 @@
 #include "analysis/sweep.hpp"
 
+#include <cmath>
 #include <ostream>
 
 #include "baselines/honest.hpp"
@@ -7,11 +8,13 @@
 #include "engine/engine.hpp"
 #include "support/check.hpp"
 #include "support/csv.hpp"
-#include "support/timer.hpp"
 
 namespace analysis {
 
 std::vector<double> linspace_grid(double lo, double hi, double step) {
+  SM_REQUIRE(std::isfinite(lo), "grid lower bound is not finite: ", lo);
+  SM_REQUIRE(std::isfinite(hi), "grid upper bound is not finite: ", hi);
+  SM_REQUIRE(std::isfinite(step), "grid step is not finite: ", step);
   SM_REQUIRE(step > 0.0, "grid step must be positive");
   SM_REQUIRE(hi >= lo, "grid upper bound below lower bound");
   // Count the points before allocating any, so an oversized grid fails
@@ -67,38 +70,6 @@ SweepResult sweep_p(const selfish::AttackParams& base,
                     const AnalysisOptions& options) {
   engine::Engine engine{engine::EngineOptions{}};
   return sweep_p(base, ps, options, engine);
-}
-
-SweepResult sweep_p_sequential(const selfish::AttackParams& base,
-                               const std::vector<double>& ps,
-                               const AnalysisOptions& options) {
-  SweepResult result;
-  result.base = base;
-  result.points.reserve(ps.size());
-
-  std::vector<double> warm;
-  for (const double p : ps) {
-    selfish::AttackParams params = base;
-    params.p = p;
-    params.validate();
-
-    const support::Timer timer;
-    const selfish::SelfishModel model = selfish::build_model(params);
-    const AnalysisResult analysis = analyze(
-        model, options, warm.empty() ? nullptr : &warm);
-    warm = analysis.final_values;
-
-    SweepPoint point;
-    point.p = p;
-    point.errev = analysis.errev_lower_bound;
-    point.errev_of_policy = analysis.errev_of_policy;
-    point.seconds = timer.seconds();
-    point.num_states = model.mdp.num_states();
-    point.search_iterations = analysis.search_iterations;
-    point.solver_iterations = analysis.solver_iterations;
-    result.points.push_back(point);
-  }
-  return result;
 }
 
 void write_sweep_csv(const SweepResult& sweep, std::ostream& out) {

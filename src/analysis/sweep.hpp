@@ -1,12 +1,11 @@
 // Parameter-sweep drivers producing the paper's experiment series.
 //
 // A sweep runs Algorithm 1 for a list of adversary resources p (Figure 2's
-// x-axis) for one attack configuration, warm-starting each analysis with
-// the previous value vector — the state space is identical across p, only
-// transition probabilities move, so values carry over almost unchanged.
-// Sweeps execute through the experiment engine (engine::Engine), which
-// plans the warm-start chain, fans independent chains across threads, and
-// serves previously computed points from its content-addressed store.
+// x-axis) for one attack configuration. Each point is its own job, solved
+// cold — the same computation as `analyze` at that p. Sweeps execute
+// through the experiment engine (engine::Engine), which fans the points
+// out across threads and serves previously computed points from its
+// content-addressed store.
 #pragma once
 
 #include <cstddef>
@@ -44,13 +43,14 @@ struct SweepResult {
 inline constexpr std::size_t kMaxGridPoints = 1'000'001;
 
 /// Uniform grid lo, lo+step, …, ≤ hi (inclusive within 1e-12 slack).
-/// Throws support::InvalidArgument, before allocating, when the grid
-/// would have more than kMaxGridPoints points.
+/// Throws support::InvalidArgument, naming the bad value, when lo, hi or
+/// step is not finite, and, before allocating, when the grid would have
+/// more than kMaxGridPoints points.
 std::vector<double> linspace_grid(double lo, double hi, double step);
 
 /// Runs Algorithm 1 for each p in `ps` with the remaining parameters taken
 /// from `base` (its p field is ignored) on `engine` — parallel across
-/// chains, cached and resumable when the engine has a cache directory.
+/// points, cached and resumable when the engine has a cache directory.
 SweepResult sweep_p(const selfish::AttackParams& base,
                     const std::vector<double>& ps,
                     const AnalysisOptions& options, engine::Engine& engine);
@@ -59,14 +59,6 @@ SweepResult sweep_p(const selfish::AttackParams& base,
 SweepResult sweep_p(const selfish::AttackParams& base,
                     const std::vector<double>& ps,
                     const AnalysisOptions& options = {});
-
-/// The pre-engine reference path: one sequential warm-started loop on the
-/// calling thread, no caching. Kept as the equivalence baseline for tests
-/// and for bench_sweep's speedup measurement; for an ascending grid it
-/// produces bit-identical results to the engine path.
-SweepResult sweep_p_sequential(const selfish::AttackParams& base,
-                               const std::vector<double>& ps,
-                               const AnalysisOptions& options = {});
 
 /// CSV rendering of a sweep (the `selfish-mining sweep` output): one row
 /// per grid point with the honest and single-tree baselines alongside.

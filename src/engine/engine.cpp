@@ -1,13 +1,11 @@
 #include "engine/engine.hpp"
 
-#include <algorithm>
 #include <map>
 #include <utility>
 
 #include "analysis/algorithm1.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "support/check.hpp"
 #include "support/parallel.hpp"
 #include "support/timer.hpp"
 
@@ -26,11 +24,7 @@ struct EngineMetrics {
       "Analysis slots satisfied from the result store");
   obs::Counter& executed = obs::counter(
       "selfish_engine_executed_total",
-      "Analysis slots solved (store miss or values needed for warm start)");
-  obs::Histogram& chain_depth = obs::histogram(
-      "selfish_engine_chain_depth",
-      "Points per planned warm-start chain",
-      std::vector<double>{1, 2, 4, 8, 16, 32, 64, 128});
+      "Analysis slots solved (store miss)");
 };
 
 EngineMetrics& engine_metrics() {
@@ -41,16 +35,14 @@ EngineMetrics& engine_metrics() {
 [[maybe_unused]] const EngineMetrics& g_registered_engine_metrics =
     engine_metrics();
 
-/// One deduplicated execution slot of the plan.
+/// One deduplicated job of the batch.
 struct Slot {
   AnalysisJob job;
   JobKey key;
-  bool has_successor = false;  ///< A later chain point needs our values.
 };
 
 StoredResult to_stored(const analysis::AnalysisResult& analysis,
-                       std::uint64_t num_states, double seconds,
-                       bool store_values) {
+                       std::uint64_t num_states, double seconds) {
   StoredResult stored;
   stored.errev_lower_bound = analysis.errev_lower_bound;
   stored.beta_lo = analysis.beta_lo;
@@ -61,7 +53,6 @@ StoredResult to_stored(const analysis::AnalysisResult& analysis,
   stored.solver_iterations = analysis.solver_iterations;
   stored.num_states = num_states;
   stored.policy = analysis.policy;
-  if (store_values) stored.values = analysis.final_values;
   return stored;
 }
 
@@ -72,105 +63,55 @@ Engine::Engine(EngineOptions options)
 
 std::vector<JobOutcome> Engine::run(const std::vector<AnalysisJob>& jobs,
                                     bool keep_models) const {
-  // ---- Plan: group into warm-start chains, dedupe, derive keys. The
-  // plan depends only on the job list (groups in chain-id order, points
-  // in ascending p), never on thread count.
-  std::map<std::string, std::vector<std::size_t>> groups;
+  // ---- Dedupe by key.
+  std::vector<Slot> slots;
+  std::vector<std::size_t> slot_of_input(jobs.size(), 0);
+  std::map<std::string, std::size_t> slot_of_key;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].params.validate();
-    groups[analysis_chain_id(jobs[i])].push_back(i);
+    JobKey key = analysis_job_key(jobs[i]);
+    const auto [it, inserted] =
+        slot_of_key.emplace(key.canonical, slots.size());
+    if (inserted) slots.push_back(Slot{jobs[i], std::move(key)});
+    slot_of_input[i] = it->second;
   }
+  if (obs::enabled()) engine_metrics().planned.add(slots.size());
 
-  std::vector<Slot> slots;
-  std::vector<std::vector<std::size_t>> chains;
-  std::vector<std::size_t> slot_of_input(jobs.size(), 0);
-  for (auto& [chain_id, inputs] : groups) {
-    std::stable_sort(inputs.begin(), inputs.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return jobs[a].params.p < jobs[b].params.p;
-                     });
-    std::vector<std::size_t> chain;
-    for (const std::size_t input : inputs) {
-      if (!chain.empty() &&
-          jobs[input].params.p == slots[chain.back()].job.params.p) {
-        slot_of_input[input] = chain.back();  // exact duplicate job
-        continue;
-      }
-      Slot slot;
-      slot.job = jobs[input];
-      slot.key = analysis_job_key(
-          slot.job, chain.empty() ? nullptr : &slots[chain.back()].key);
-      if (!chain.empty()) slots[chain.back()].has_successor = true;
-      slot_of_input[input] = slots.size();
-      chain.push_back(slots.size());
-      slots.push_back(std::move(slot));
-    }
-    chains.push_back(std::move(chain));
-  }
-
-  if (obs::enabled()) {
-    EngineMetrics& metrics = engine_metrics();
-    metrics.planned.add(slots.size());
-    for (const std::vector<std::size_t>& chain : chains) {
-      metrics.chain_depth.observe(static_cast<double>(chain.size()));
-    }
-  }
-
-  // ---- Execute: chains fan out on the pool; each chain runs its points
-  // in order so final values seed the next solve.
+  // ---- Fan out: load or solve-and-store, one task per distinct job.
   std::vector<JobOutcome> by_slot(slots.size());
-  support::parallel_for(
-      chains.size(), options_.threads, [&](std::size_t c) {
-        std::vector<double> warm;
-        for (const std::size_t s : chains[c]) {
-          const Slot& slot = slots[s];
-          JobOutcome& out = by_slot[s];
-          std::optional<StoredResult> hit = store_.load(slot.key);
-          std::shared_ptr<const selfish::SelfishModel> model;
-          // A hit that lacks stored values cannot seed its successor; the
-          // point is re-solved (determinism makes the numbers identical)
-          // purely to regain the value vector — and counts as a miss.
-          if (hit.has_value() &&
-              (!slot.has_successor || !hit->values.empty())) {
-            engine_metrics().cache_hits.add(1);
-            out.result = std::move(*hit);
-            out.cached = true;
-            // Take the values as this chain's warm seed; outcomes carry
-            // none (peak memory stays O(threads × state space), not
-            // O(grid points)).
-            warm = std::move(out.result.values);
-            out.result.values = std::vector<double>();
-          } else {
-            engine_metrics().executed.add(1);
-            obs::Span solve_span("engine.solve");
-            solve_span.attr("p", serve::Json(slot.job.params.p));
-            solve_span.attr("warm", serve::Json(!warm.empty()));
-            const support::Timer timer;
-            auto built = std::make_shared<selfish::SelfishModel>(
-                selfish::build_model(slot.job.params));
-            analysis::AnalysisResult analysis = analysis::analyze(
-                *built, slot.job.options, warm.empty() ? nullptr : &warm);
-            StoredResult stored =
-                to_stored(analysis, built->mdp.num_states(), timer.seconds(),
-                          options_.store_values);
-            store_.store(slot.key, stored);
-            model = std::move(built);
-            warm = std::move(analysis.final_values);
-            stored.values = std::vector<double>();  // persisted; not kept
-            out.result = std::move(stored);
-          }
-          if (keep_models) {
-            if (model == nullptr) {
-              model = std::make_shared<selfish::SelfishModel>(
-                  selfish::build_model(slot.job.params));
-              // Guard the replayed policy against a store entry produced
-              // by incompatible code (the salt should prevent this).
-              mdp::validate_policy(model->mdp, out.result.policy);
-            }
-            out.model = std::move(model);
-          }
-        }
-      });
+  support::parallel_for(slots.size(), options_.threads, [&](std::size_t s) {
+    const Slot& slot = slots[s];
+    JobOutcome& out = by_slot[s];
+    std::shared_ptr<const selfish::SelfishModel> model;
+    if (std::optional<StoredResult> hit = store_.load(slot.key)) {
+      engine_metrics().cache_hits.add(1);
+      out.result = std::move(*hit);
+      out.cached = true;
+    } else {
+      engine_metrics().executed.add(1);
+      obs::Span solve_span("engine.solve");
+      solve_span.attr("p", serve::Json(slot.job.params.p));
+      const support::Timer timer;
+      auto built = std::make_shared<selfish::SelfishModel>(
+          selfish::build_model(slot.job.params));
+      const analysis::AnalysisResult analysis =
+          analysis::analyze(*built, slot.job.options);
+      out.result =
+          to_stored(analysis, built->mdp.num_states(), timer.seconds());
+      store_.store(slot.key, out.result);
+      model = std::move(built);
+    }
+    if (keep_models) {
+      if (model == nullptr) {
+        model = std::make_shared<selfish::SelfishModel>(
+            selfish::build_model(slot.job.params));
+        // Guard the replayed policy against a store entry produced by
+        // incompatible code (the salt should prevent this).
+        mdp::validate_policy(model->mdp, out.result.policy);
+      }
+      out.model = std::move(model);
+    }
+  });
 
   std::vector<JobOutcome> outcomes(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {

@@ -1,24 +1,21 @@
 // The experiment engine: parallel, cached, resumable execution of
 // analysis-job batches.
 //
-// A batch goes through three stages:
+// A batch runs in three steps:
 //
-//   1. Plan. Jobs are deduplicated and grouped into *warm-start chains*:
-//      points that differ only in the resource p, ordered by ascending p.
-//      Adjacent grid points have nearly identical value vectors, so each
-//      point seeds the next one's value iteration (the same trick
-//      analysis::sweep_p always used, now planned across an arbitrary
-//      batch). The chain structure — and hence every job's key, which
-//      records its warm-start lineage — is a pure function of the job
-//      list: results never depend on thread count or scheduling order.
-//   2. Execute. Chains fan out over a support::ThreadPool; each chain
-//      runs sequentially so values flow point to point. Completed jobs
-//      are persisted to the content-addressed ResultStore as they finish.
-//   3. Resume / replay. A later run of the same batch (or any batch
-//      sharing grid points *and* lineage) loads hits instead of solving —
-//      a killed sweep restarted with the same arguments recomputes only
-//      what is missing and reproduces the uninterrupted run's output
-//      byte for byte.
+//   1. Dedupe. Jobs with equal keys (engine/job.hpp) are one job, solved
+//      once; duplicates share its outcome.
+//   2. Fan out. Every distinct job is an independent task on a
+//      support::ThreadPool — a one-γ sweep uses every thread.
+//   3. Load or solve and store. A job whose entry is in the ResultStore
+//      is served from it; any other is solved cold (build the model, run
+//      Algorithm 1) and persisted as soon as it finishes.
+//
+// A job's result is a pure function of its key, never of the batch it
+// ran in, the thread count or the order of completion: a killed sweep
+// restarted with any grid that shares points with it recomputes only
+// what is missing and reproduces the uninterrupted run's output byte for
+// byte.
 #pragma once
 
 #include <cstdint>
@@ -34,21 +31,19 @@ namespace engine {
 
 struct EngineOptions {
   /// Result-store directory; empty disables persistence (the batch still
-  /// plans chains and runs in parallel, it just cannot resume).
+  /// runs in parallel, it just cannot resume).
   std::string cache_dir;
-  /// Worker threads for chain fan-out; <= 0 means all hardware threads.
+  /// Worker threads for the per-job fan-out; <= 0 means all hardware
+  /// threads.
   int threads = 1;
-  /// Persist final value vectors in store entries. Required for a resumed
-  /// sweep to continue a chain bit-identically (the values are the next
-  /// point's warm start); turn off only to shrink huge-model caches —
-  /// points after a value-less hit are then transparently re-solved.
+  /// Nothing reads this: store entries hold results only. It survives
+  /// only because perfbench/src/sweep_chain.cpp:62 (engine_options)
+  /// assigns `store_values = true`, and goes when that line does.
   bool store_values = true;
 };
 
 /// The outcome of one batch job, in input order.
 struct JobOutcome {
-  /// result.values is always empty here: value vectors are warm-start
-  /// data internal to the engine (they stay in the store for resumes).
   StoredResult result;
   bool cached = false;  ///< Served from the store (not solved this run).
   /// The built model, when the caller asked keep_models (rebuilt
@@ -60,10 +55,10 @@ class Engine {
  public:
   explicit Engine(EngineOptions options);
 
-  /// Plans and executes `jobs`, returning outcomes in input order.
-  /// Duplicate jobs are solved once and share an outcome. `keep_models`
-  /// additionally returns each job's built SelfishModel (needed by
-  /// callers that replay policies, e.g. the network batch runner).
+  /// Executes `jobs`, returning outcomes in input order. Duplicate jobs
+  /// are solved once and share an outcome. `keep_models` additionally
+  /// returns each job's built SelfishModel (needed by callers that replay
+  /// policies, e.g. the network batch runner).
   std::vector<JobOutcome> run(const std::vector<AnalysisJob>& jobs,
                               bool keep_models = false) const;
 

@@ -43,18 +43,12 @@ std::string model_id_without_p(const selfish::AttackParams& params) {
   return id;
 }
 
-std::string analysis_chain_id(const AnalysisJob& job) {
-  return "analysis/v" + std::to_string(kCodeVersionSalt) + "|" +
-         model_id_without_p(job.params) + "|" + solver_options_id(job.options);
-}
-
-JobKey analysis_job_key(const AnalysisJob& job, const JobKey* warm_parent) {
+JobKey analysis_job_key(const AnalysisJob& job) {
   JobKey key;
-  key.canonical = analysis_chain_id(job);
-  key.canonical += "|p=" + canonical_double(job.params.p);
-  key.canonical +=
-      "|warm=" + (warm_parent == nullptr ? std::string("cold")
-                                         : warm_parent->hex());
+  key.canonical = "analysis/v" + std::to_string(kCodeVersionSalt) + "|" +
+                  model_id_without_p(job.params) +
+                  "|p=" + canonical_double(job.params.p) + "|" +
+                  solver_options_id(job.options);
   key.hash = support::fnv1a64(key.canonical.data(), key.canonical.size());
   return key;
 }

@@ -2,14 +2,13 @@
 //
 // Every solve the experiment engine runs is described by a canonical,
 // human-readable key string that pins *all* inputs the result depends on:
-// the attack parameters, the full solver configuration, a code-version
-// salt (bumped whenever model-construction or solver semantics change in a
-// result-affecting way), and — crucially — the warm-start lineage. A
-// warm-started solve converges to slightly different (still ε-certified)
-// numbers than a cold one, so a grid point seeded by its left neighbor is
-// a *different job* than the same point solved cold. Keying the lineage
-// makes a cache hit an exact promise: the stored result is bit-identical
-// to what recomputation would produce.
+// the attack parameters (p included), the full solver configuration, and
+// a code-version salt (bumped whenever model-construction or solver
+// semantics change in a result-affecting way) — and nothing else. Every
+// job is solved cold, so a sweep point, a cold `analyze` and a served
+// `point` of the same parameters are one computation, and a cache hit is
+// an exact promise: the stored result is bit-identical to what
+// recomputation would produce.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +31,11 @@ namespace engine {
 /// pre-v3 entry misses. That path and the token are gone again; no
 /// result changed, so the salt stays at 3 and only the key text differs
 /// (entries written with a `sweep=` token simply miss).
-inline constexpr std::uint32_t kCodeVersionSalt = 3;
+/// v4: grid points are no longer warm-started from their left neighbour,
+/// so a sweep point's errev_of_policy and solver_iterations may differ
+/// from its v3 entry (the bracket does not), and keys lost their
+/// warm-start lineage token.
+inline constexpr std::uint32_t kCodeVersionSalt = 4;
 
 /// One Algorithm 1 evaluation: build the model for `params`, analyze with
 /// `options`. This is the unit of work behind `analysis::sweep_p`, the
@@ -62,9 +65,8 @@ struct JobKey {
 /// canonical key strings.
 std::string canonical_double(double value);
 
-/// The key of `job` when warm-started from the job identified by
-/// `warm_parent` (null = cold start).
-JobKey analysis_job_key(const AnalysisJob& job, const JobKey* warm_parent);
+/// The key of `job`: "analysis/v<salt>|<model params>|<solver options>".
+JobKey analysis_job_key(const AnalysisJob& job);
 
 /// Canonical rendering of the solver-configuration slice of a job key
 /// (method + tolerances; everything a solve's numbers depend on besides
@@ -72,12 +74,7 @@ JobKey analysis_job_key(const AnalysisJob& job, const JobKey* warm_parent);
 std::string solver_options_id(const analysis::AnalysisOptions& options);
 
 /// Canonical rendering of the model parameters except the resource p
-/// (the warm-start chains vary p within one id).
+/// (the sweep and threshold kinds vary p within one job).
 std::string model_id_without_p(const selfish::AttackParams& params);
-
-/// The part of an analysis job's identity that every point of one
-/// warm-start chain shares: everything except the resource p. Grid points
-/// with equal chain ids are ordered by p and seed each other's solves.
-std::string analysis_chain_id(const AnalysisJob& job);
 
 }  // namespace engine

@@ -49,7 +49,7 @@ const Query& typed(const GenericJob& job) {
 // ------------------------------------------------------------- executors
 //
 // Every executor may fan out on ctx.threads: the Bellman kernel, the
-// engine's chain scheduler, and the batch runner are all pinned
+// engine's per-job fan-out, and the batch runner are all pinned
 // bit-identical at any thread count, so ctx affects wall-clock only.
 
 GenericResult run_point(const GenericJob& job, const ExecContext& ctx) {
@@ -153,9 +153,8 @@ GenericJob make_point_job(const PointQuery& query) {
 
 GenericJob make_sweep_job(const SweepQuery& query) {
   query.base.validate();
-  SM_REQUIRE(query.step > 0.0, "sweep step must be positive");
-  SM_REQUIRE(query.p_max >= query.p_min,
-             "sweep upper bound below lower bound");
+  // Refuses a grid the sweep could not run, as the CLI does.
+  analysis::linspace_grid(query.p_min, query.p_max, query.step);
   std::string options = model_id_without_p(query.base);
   options += "|" + solver_options_id(query.analysis);
   options += "|pmin=" + canonical_double(query.p_min);

@@ -9,12 +9,13 @@
 // (shared renderers), which is what lets the serving layer promise
 // byte-identical responses.
 //
-//   kind          artifact                        warm-start structure
-//   point         `analyze` report                cold solve
-//   sweep         `sweep` CSV                     engine warm-start chain
-//   threshold     `threshold` report              probe-to-probe values
+//   kind          artifact                        solves
+//   point         `analyze` report                one cold solve
+//   sweep         `sweep` CSV                     one engine job per p
+//   threshold     `threshold` report              probes, warm-started
+//                                                 probe to probe
 //   upper-bound   `upper-bound` report            per-l cold solves
-//   net-batch     `network --csv` CSV             engine-prepared grid
+//   net-batch     `network --csv` CSV             engine jobs per attacker
 //
 // A sweep or net-batch executor nests a full engine::Engine run on the
 // same cache directory, so the composite artifact *and* its per-point

@@ -4,10 +4,12 @@
 // (objects/<hh>/<hash16>.bin under the cache directory), written to a
 // temporary path and renamed into place — so a killed sweep leaves either
 // a complete, checksummed entry or nothing, never a half-written file, and
-// a restarted sweep resumes exactly from the completed jobs. Entries embed
-// the full canonical key (hash collisions are detected, not trusted) and a
-// trailing FNV checksum; anything truncated, corrupted, or foreign loads
-// as a miss and is recomputed. journal.log appends one line per completed
+// a restarted sweep resumes exactly from the completed jobs. An entry is
+// one support::BinaryWriter section: a magic, the full canonical key
+// (hash collisions are detected, not trusted), the result, and a trailing
+// FNV-1a checksum of all of it. Anything truncated, corrupted, or foreign
+// fails support::BinaryReader, loads as a miss, is deleted, and is
+// recomputed. journal.log appends one line per completed
 // job in completion order — an audit trail for long sweeps; resumption
 // itself needs only the entries.
 //
@@ -42,9 +44,6 @@ struct StoredResult {
   std::int64_t solver_iterations = 0;
   std::uint64_t num_states = 0;
   mdp::Policy policy;
-  /// Final value vector — the warm start of the next chain point. May be
-  /// empty when the engine was told not to persist values.
-  std::vector<double> values;
 };
 
 /// The persisted artifact of one *generic* (composite) job — see
@@ -58,8 +57,7 @@ struct GenericResult {
 class ResultStore {
  public:
   /// An empty `dir` disables the store (every load misses, stores are
-  /// no-ops) — the engine then still parallelizes and warm-starts, it just
-  /// cannot resume.
+  /// no-ops) — the engine then still parallelizes, it just cannot resume.
   explicit ResultStore(std::string dir);
 
   bool enabled() const { return !dir_.empty(); }
@@ -69,9 +67,10 @@ class ResultStore {
   std::string entry_path(const JobKey& key) const;
 
   /// Loads the entry of `key`. Returns nullopt on a miss *or* on any
-  /// validation failure (bad magic/size/checksum, truncation, canonical
-  /// key mismatch); invalid entries are deleted so the slot heals on the
-  /// next store.
+  /// validation failure (bad magic, length or checksum, truncation,
+  /// canonical key mismatch); invalid entries are deleted, and counted in
+  /// selfish_engine_store_healed_total, so the slot heals on the next
+  /// store. Never throws on a bad entry.
   std::optional<StoredResult> load(const JobKey& key) const;
 
   /// Atomically persists `result` under `key` and appends to the journal.

@@ -372,9 +372,9 @@ std::vector<PreparedScenario> prepare_scenarios(
     const std::vector<Scenario>& scenarios, double epsilon,
     engine::Engine& engine) {
   // Collect every distinct "optimal" analysis across the grid into one
-  // engine batch. The engine deduplicates and plans warm-start chains
-  // itself, but deduplicating here too keeps the (scenario, miner) →
-  // outcome bookkeeping simple.
+  // engine batch, which solves each one cold as its own job, in parallel.
+  // The engine deduplicates by job key itself, but deduplicating here too
+  // keeps the (scenario, miner) → outcome bookkeeping simple.
   analysis::AnalysisOptions analysis_options;
   analysis_options.epsilon = epsilon;
   std::vector<engine::AnalysisJob> jobs;

@@ -112,8 +112,8 @@ PreparedScenario prepare_scenario(const Scenario& scenario,
 
 /// Prepares a whole grid at once: every "optimal" Algorithm 1 analysis
 /// across the grid is submitted to `engine` as one deduplicated batch
-/// (parallel across warm-start chains, served from the engine's store
-/// when cached). The prepared scenarios — including predicted_errev — are
+/// (parallel across jobs, served from the engine's store when cached).
+/// The prepared scenarios — including predicted_errev — are
 /// identical for a given grid at any engine thread count, so batch output
 /// stays bit-identical no matter how preparation was parallelized.
 std::vector<PreparedScenario> prepare_scenarios(

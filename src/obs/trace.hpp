@@ -1,7 +1,7 @@
 // Request-scoped trace spans with NDJSON export and an always-on
 // flight recorder.
 //
-// A Span is an RAII marker around a unit of work (a solve, a chain, a
+// A Span is an RAII marker around a unit of work (a solve, a batch, a
 // scenario run, a request). Spans carry Dapper-style identity: a 64-bit
 // `trace_id` shared by every span of one logical request, a unique
 // `span_id`, and the `parent_id` of the enclosing span. The current

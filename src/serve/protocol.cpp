@@ -487,7 +487,7 @@ HandledLine handle_request(Service& service, const std::string& line,
 
   // The request's root span: adopts the client's trace id when one was
   // sent, otherwise mints a fresh trace (obs on). Everything the request
-  // triggers — service dispatch, engine chains, kernel sweeps — nests
+  // triggers — service dispatch, engine jobs, kernel sweeps — nests
   // under it via the thread-local context and the pool propagation.
   obs::Span span("serve.request", request.trace_id);
   span.attr("kind", Json(request.kind));

@@ -68,11 +68,13 @@ class BinaryReader {
     return value;
   }
 
-  /// Reads a length-prefixed array into `values`. The length is checked
-  /// against the rest of the stream before anything is allocated, so a
-  /// corrupt length field fails the load instead of requesting gigabytes.
-  template <typename T>
-  void array(std::vector<T>& values) {
+  /// Reads a length-prefixed array into `values` (a std::vector or a
+  /// std::string). The length is checked against the rest of the stream
+  /// before anything is allocated, so a corrupt length field fails the
+  /// load instead of requesting gigabytes.
+  template <typename Container>
+  void array(Container& values) {
+    using T = typename Container::value_type;
     const auto size = pod<std::uint64_t>();
     SM_REQUIRE(size <= bytes_left() / sizeof(T), "implausible array length ",
                size, " in ", what_);

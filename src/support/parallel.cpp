@@ -35,7 +35,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> job) {
   SM_REQUIRE(job != nullptr, "ThreadPool::submit requires a callable job");
   // Capture the submitting thread's trace context so spans opened inside
-  // the job land in the same request tree (serve request → engine chain →
+  // the job land in the same request tree (serve request → engine job →
   // kernel sweep stays one trace across the pool hop). Observe-only: the
   // wrapper changes nothing about when or where the job runs.
   const obs::TraceContext context = obs::current_context();

@@ -1,17 +1,22 @@
-// Experiment-engine determinism (ISSUE acceptance criteria): cold-cache,
-// warm-cache, and resumed-after-interrupt sweeps render identical CSV
-// bytes at 1 and 8 threads; corrupted or truncated store entries are
-// detected and recomputed, never trusted; job keys pin all inputs
-// including warm-start lineage.
+// Experiment-engine determinism: cold-cache, warm-cache, and
+// resumed-after-interrupt sweeps render identical CSV bytes at 1 and 8
+// threads; every sweep point is the cold analysis of its model, so any
+// subset of a grid primes the store for it; corrupted or truncated store
+// entries are detected and recomputed, never trusted; job keys pin all
+// inputs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <regex>
 #include <sstream>
 
 #include "analysis/sweep.hpp"
 #include "engine/engine.hpp"
+#include "engine/kinds.hpp"
+#include "obs/metrics.hpp"
 #include "support/check.hpp"
 
 namespace {
@@ -40,61 +45,58 @@ struct ScratchDir {
   std::string path;
 };
 
-std::string sweep_csv(const std::string& cache_dir, int threads,
-                      const std::vector<double>& ps = grid(),
-                      bool store_values = true) {
+engine::AnalysisJob job_at(double p) {
+  engine::AnalysisJob job;
+  job.params = base_params();
+  job.params.p = p;
+  job.options = quick_options();
+  return job;
+}
+
+analysis::SweepResult sweep(const std::string& cache_dir, int threads,
+                            const std::vector<double>& ps = grid()) {
   engine::EngineOptions options;
   options.cache_dir = cache_dir;
   options.threads = threads;
-  options.store_values = store_values;
   engine::Engine engine(options);
-  const auto sweep =
-      analysis::sweep_p(base_params(), ps, quick_options(), engine);
+  return analysis::sweep_p(base_params(), ps, quick_options(), engine);
+}
+
+std::string csv_of(const analysis::SweepResult& result) {
   std::ostringstream out;
-  analysis::write_sweep_csv(sweep, out);
+  analysis::write_sweep_csv(result, out);
   return out.str();
 }
 
-TEST(EngineKeys, PinAllInputsAndLineage) {
-  engine::AnalysisJob job;
-  job.params = base_params();
-  job.params.p = 0.2;
-  job.options = quick_options();
-
-  const engine::JobKey cold = engine::analysis_job_key(job, nullptr);
-  EXPECT_EQ(cold.hash, engine::analysis_job_key(job, nullptr).hash);
-  EXPECT_NE(cold.canonical.find("warm=cold"), std::string::npos);
-
-  engine::AnalysisJob parent = job;
-  parent.params.p = 0.1;
-  const engine::JobKey parent_key = engine::analysis_job_key(parent, nullptr);
-  const engine::JobKey warm = engine::analysis_job_key(job, &parent_key);
-  EXPECT_NE(cold.hash, warm.hash) << "lineage must be part of the identity";
-
-  engine::AnalysisJob other = job;
-  other.options.epsilon = 1e-4;
-  EXPECT_NE(engine::analysis_job_key(other, nullptr).hash, cold.hash);
-  other = job;
-  other.params.gamma = 0.25;
-  EXPECT_NE(engine::analysis_job_key(other, nullptr).hash, cold.hash);
-
-  // Same chain regardless of p; different chain when anything else moves.
-  EXPECT_EQ(engine::analysis_chain_id(job), engine::analysis_chain_id(parent));
-  EXPECT_NE(engine::analysis_chain_id(job), engine::analysis_chain_id(other));
+std::string sweep_csv(const std::string& cache_dir, int threads,
+                      const std::vector<double>& ps = grid()) {
+  return csv_of(sweep(cache_dir, threads, ps));
 }
 
-TEST(EngineKeys, SaltV3InvalidatesPreRedBlackCaches) {
-  // The red-black Gauss–Seidel iterate path shipped with a salt bump
-  // 2→3: every canonical key must carry the v3 prefix (so all pre-PR
-  // store entries miss cleanly) and must never render the old one.
-  EXPECT_EQ(engine::kCodeVersionSalt, 3u);
-  engine::AnalysisJob job;
-  job.params = base_params();
-  job.params.p = 0.2;
-  job.options = quick_options();
-  const engine::JobKey key = engine::analysis_job_key(job, nullptr);
-  EXPECT_EQ(key.canonical.rfind("analysis/v3|", 0), 0u) << key.canonical;
-  EXPECT_EQ(key.canonical.find("analysis/v2"), std::string::npos);
+TEST(EngineKeys, PinAllInputs) {
+  const engine::AnalysisJob job = job_at(0.2);
+  const engine::JobKey key = engine::analysis_job_key(job);
+  EXPECT_EQ(key.hash, engine::analysis_job_key(job).hash);
+
+  engine::AnalysisJob other = job;
+  other.params.p = 0.1;
+  EXPECT_NE(engine::analysis_job_key(other).hash, key.hash);
+  other = job;
+  other.options.epsilon = 1e-4;
+  EXPECT_NE(engine::analysis_job_key(other).hash, key.hash);
+  other = job;
+  other.params.gamma = 0.25;
+  EXPECT_NE(engine::analysis_job_key(other).hash, key.hash);
+}
+
+TEST(EngineKeys, SaltV4InvalidatesWarmStartedEntries) {
+  // Dropping cross-point warm starts shipped with a salt bump 3→4: every
+  // canonical key must carry the v4 prefix (so all warm-started v3 store
+  // entries miss cleanly) and must never render an older one.
+  EXPECT_EQ(engine::kCodeVersionSalt, 4u);
+  const engine::JobKey key = engine::analysis_job_key(job_at(0.2));
+  EXPECT_EQ(key.canonical.rfind("analysis/v4|", 0), 0u) << key.canonical;
+  EXPECT_EQ(key.canonical.find("analysis/v3"), std::string::npos);
 }
 
 TEST(EngineKeys, ThreadsAndSweepOrderStayOutOfTheIdentity) {
@@ -102,14 +104,11 @@ TEST(EngineKeys, ThreadsAndSweepOrderStayOutOfTheIdentity) {
   // split job identities. Gauss–Seidel has one iterate path (ordered
   // sweeps), so no key carries a sweep-order token either; every job
   // kind renders its solver through solver_options_id.
-  engine::AnalysisJob job;
-  job.params = base_params();
-  job.params.p = 0.2;
-  job.options = quick_options();
+  engine::AnalysisJob job = job_at(0.2);
   for (const auto method :
        {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kGaussSeidel}) {
     job.options.solver.method = method;
-    const engine::JobKey key = engine::analysis_job_key(job, nullptr);
+    const engine::JobKey key = engine::analysis_job_key(job);
     EXPECT_EQ(key.canonical.find("sweep="), std::string::npos)
         << key.canonical;
     EXPECT_EQ(engine::solver_options_id(job.options).find("sweep="),
@@ -117,27 +116,50 @@ TEST(EngineKeys, ThreadsAndSweepOrderStayOutOfTheIdentity) {
 
     engine::AnalysisJob threaded = job;
     threaded.options.solver.threads = 8;
-    EXPECT_EQ(engine::analysis_job_key(threaded, nullptr).canonical,
-              key.canonical)
+    EXPECT_EQ(engine::analysis_job_key(threaded).canonical, key.canonical)
         << "solver threads must not change stored identities";
-    EXPECT_EQ(engine::analysis_chain_id(threaded),
-              engine::analysis_chain_id(job));
   }
 }
 
-TEST(Engine, MatchesSequentialReferenceBitwise) {
-  const auto reference =
-      analysis::sweep_p_sequential(base_params(), grid(), quick_options());
-  const auto engine_run =
-      analysis::sweep_p(base_params(), grid(), quick_options());
-  ASSERT_EQ(reference.points.size(), engine_run.points.size());
-  for (std::size_t i = 0; i < reference.points.size(); ++i) {
-    EXPECT_EQ(reference.points[i].errev, engine_run.points[i].errev);
-    EXPECT_EQ(reference.points[i].errev_of_policy,
-              engine_run.points[i].errev_of_policy);
-    EXPECT_EQ(reference.points[i].solver_iterations,
-              engine_run.points[i].solver_iterations);
+TEST(Engine, EachSweepPointEqualsColdAnalyzeBitwise) {
+  // A grid point is its own job: whatever batch it runs in, its result is
+  // analysis::analyze run cold on the point's model.
+  std::vector<engine::AnalysisJob> jobs;
+  for (const double p : grid()) jobs.push_back(job_at(p));
+  engine::EngineOptions options;
+  options.threads = 8;
+  const auto outcomes = engine::Engine(options).run(jobs);
+  ASSERT_EQ(outcomes.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const selfish::SelfishModel model = selfish::build_model(jobs[i].params);
+    const analysis::AnalysisResult cold =
+        analysis::analyze(model, jobs[i].options);
+    const engine::StoredResult& got = outcomes[i].result;
+    const std::string at = "p=" + std::to_string(jobs[i].params.p);
+    EXPECT_EQ(got.beta_lo, cold.beta_lo) << at;
+    EXPECT_EQ(got.beta_hi, cold.beta_hi) << at;
+    EXPECT_EQ(got.errev_lower_bound, cold.errev_lower_bound) << at;
+    EXPECT_EQ(got.errev_of_policy, cold.errev_of_policy) << at;
+    EXPECT_EQ(got.search_iterations, cold.search_iterations) << at;
+    EXPECT_EQ(got.solver_iterations, cold.solver_iterations) << at;
+    EXPECT_EQ(got.policy, cold.policy) << at;
   }
+}
+
+TEST(Engine, AnySubsetPrimesTheStore) {
+  // The coarse points of a grid are the same jobs as in any finer or
+  // wider grid, so a sweep over a non-prefix subset serves them all.
+  ScratchDir full_dir("selfish-engine-test-subset-full");
+  const std::string fresh = sweep_csv(full_dir.path, 1);
+
+  ScratchDir dir("selfish-engine-test-subset");
+  sweep(dir.path, 1, {0.1, 0.3});
+  const analysis::SweepResult full = sweep(dir.path, 8);
+  ASSERT_EQ(full.points.size(), 3u);
+  EXPECT_TRUE(full.points[0].cached);
+  EXPECT_FALSE(full.points[1].cached);
+  EXPECT_TRUE(full.points[2].cached);
+  EXPECT_EQ(csv_of(full), fresh);
 }
 
 TEST(Engine, ColdWarmAndThreadCountsRenderIdenticalCsv) {
@@ -168,8 +190,7 @@ TEST(Engine, ResumedAfterInterruptReproducesCsvByteForByte) {
   sweep_csv(resumed_dir.path, 1, {0.1, 0.2});
 
   // Resume with the full grid, on a different thread count for good
-  // measure: prefix served from the store, the rest computed warm-started
-  // from the cached values.
+  // measure: prefix served from the store, the rest computed.
   const std::string resumed = sweep_csv(resumed_dir.path, 8);
   EXPECT_EQ(uninterrupted, resumed);
 }
@@ -178,7 +199,6 @@ TEST(Engine, CorruptedAndTruncatedEntriesAreRecomputed) {
   ScratchDir dir("selfish-engine-test-corrupt");
   const std::string cold = sweep_csv(dir.path, 1);
 
-  // Locate every entry through the store's own addressing.
   engine::EngineOptions options;
   options.cache_dir = dir.path;
   engine::Engine engine(options);
@@ -194,7 +214,7 @@ TEST(Engine, CorruptedAndTruncatedEntriesAreRecomputed) {
   {
     std::fstream f(entries[1],
                    std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(24);  // inside the payload (after magic + size)
+    f.seekp(24);  // inside the canonical key (after magic + key length)
     char byte = 0;
     f.read(&byte, 1);
     f.seekp(24);
@@ -207,50 +227,101 @@ TEST(Engine, CorruptedAndTruncatedEntriesAreRecomputed) {
   EXPECT_EQ(cold, sweep_csv(dir.path, 1));
 
   // The healed store now serves hits again.
-  engine::AnalysisJob job;
-  job.params = base_params();
-  job.params.p = grid().front();
-  job.options = quick_options();
-  const auto outcome = engine.run({job});
+  const auto outcome = engine.run({job_at(grid().front())});
   EXPECT_TRUE(outcome.front().cached);
 }
 
-TEST(Engine, StoreValuesOffProfileShrinksEntriesAndStaysIdentical) {
-  // The huge-model sweep profile: entries skip the warm-start value
-  // vectors. Chain points after a value-less hit are transparently
-  // re-solved, so resumed CSV stays byte-identical to the value-storing
-  // run — the trade is cache size for resume work.
-  ScratchDir lean_dir("selfish-engine-test-novalues");
-  ScratchDir full_dir("selfish-engine-test-withvalues");
-  const std::string lean =
-      sweep_csv(lean_dir.path, 1, grid(), /*store_values=*/false);
-  const std::string full = sweep_csv(full_dir.path, 1);
-  EXPECT_EQ(lean, full);
+/// The file's bytes.
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
 
-  // Rerun against the value-less store: hits cannot seed their chain
-  // successors, so only the chain tail is served cached, and the CSV is
-  // unchanged.
-  const std::string rerun =
-      sweep_csv(lean_dir.path, 1, grid(), /*store_values=*/false);
-  EXPECT_EQ(lean, rerun);
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
 
-  // The lean store is measurably smaller than the value-storing one.
-  const auto store_bytes = [](const std::string& dir) {
-    std::uintmax_t total = 0;
-    for (const auto& file :
-         fs::recursive_directory_iterator(dir + "/objects")) {
-      if (file.is_regular_file()) total += file.file_size();
-    }
-    return total;
+/// Writes every mutation of the entry at `path` in turn — one bit flipped
+/// at 64 evenly spaced offsets, then truncation to 8 evenly spaced
+/// lengths — and requires `load` to read each as a miss without
+/// throwing, remove it, and count exactly one healed entry.
+template <typename Load>
+void expect_every_mutation_heals(const std::string& path, const Load& load) {
+  const std::string original = read_bytes(path);
+  ASSERT_GT(original.size(), 64u);
+  std::vector<std::string> mutations;
+  for (std::size_t k = 0; k < 64; ++k) {
+    std::string flipped = original;
+    flipped[k * original.size() / 64] ^= static_cast<char>(1 << (k % 8));
+    mutations.push_back(std::move(flipped));
+  }
+  for (std::size_t k = 0; k < 8; ++k) {
+    mutations.push_back(original.substr(0, k * original.size() / 8));
+  }
+  const obs::Counter& healed =
+      obs::counter("selfish_engine_store_healed_total", "");
+  for (std::size_t m = 0; m < mutations.size(); ++m) {
+    write_bytes(path, mutations[m]);
+    const std::uint64_t before = healed.value();
+    bool hit = true;
+    EXPECT_NO_THROW(hit = load()) << "mutation " << m;
+    EXPECT_FALSE(hit) << "mutation " << m;
+    EXPECT_FALSE(fs::exists(path)) << "mutation " << m;
+    EXPECT_EQ(healed.value() - before, obs::enabled() ? 1u : 0u)
+        << "mutation " << m;
+  }
+}
+
+/// `text` without the report's volatile wall-clock tokens (", 0.123 s").
+std::string without_seconds(const std::string& text) {
+  return std::regex_replace(text, std::regex(", [0-9.]+ s\n"), "\n");
+}
+
+TEST(ResultStore, EveryMutatedFrameLoadsAsAMissAndHeals) {
+  ScratchDir dir("selfish-engine-test-mutations");
+  engine::EngineOptions options;
+  options.cache_dir = dir.path;
+  const engine::Engine engine(options);
+  const engine::ResultStore& store = engine.store();
+
+  // An analysis entry.
+  const engine::AnalysisJob job = job_at(0.2);
+  const engine::JobKey key = engine::analysis_job_key(job);
+  const engine::StoredResult solved = engine.run({job}).front().result;
+  expect_every_mutation_heals(store.entry_path(key), [&] {
+    return store.load(key).has_value();
+  });
+  const auto rerun = engine.run({job}).front();
+  EXPECT_FALSE(rerun.cached);
+  EXPECT_EQ(rerun.result.errev_lower_bound, solved.errev_lower_bound);
+  EXPECT_EQ(rerun.result.errev_of_policy, solved.errev_of_policy);
+  EXPECT_EQ(rerun.result.solver_iterations, solved.solver_iterations);
+  EXPECT_EQ(rerun.result.policy, solved.policy);
+
+  // A generic entry: a tiny `point` job.
+  engine::PointQuery query;
+  query.params = selfish::AttackParams{
+      .p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 2};
+  const engine::GenericJob point = engine::make_point_job(query);
+  const engine::JobKey point_key = engine::generic_job_key(point);
+  const engine::ExecContext context{dir.path, 1};
+  const auto run_point = [&] {
+    return engine::run_generic(engine::builtin_executors(), store, context,
+                               point);
   };
-  EXPECT_LT(store_bytes(lean_dir.path), store_bytes(full_dir.path) / 2);
+  const std::string report = run_point().result.payload;
+  expect_every_mutation_heals(store.entry_path(point_key), [&] {
+    return store.load_generic(point_key).has_value();
+  });
+  const engine::GenericOutcome recomputed = run_point();
+  EXPECT_FALSE(recomputed.cached);
+  EXPECT_EQ(without_seconds(recomputed.result.payload),
+            without_seconds(report));
+  EXPECT_TRUE(run_point().cached);
 }
 
 TEST(Engine, DuplicateJobsShareOneSolve) {
-  engine::AnalysisJob job;
-  job.params = base_params();
-  job.params.p = 0.3;
-  job.options = quick_options();
+  const engine::AnalysisJob job = job_at(0.3);
   engine::Engine engine{engine::EngineOptions{}};
   const auto outcomes = engine.run({job, job, job});
   ASSERT_EQ(outcomes.size(), 3u);
@@ -266,10 +337,7 @@ TEST(Engine, KeepModelsReturnsAValidatedModelOnHitAndMiss) {
   options.cache_dir = dir.path;
   engine::Engine engine(options);
 
-  engine::AnalysisJob job;
-  job.params = base_params();
-  job.params.p = 0.25;
-  job.options = quick_options();
+  const engine::AnalysisJob job = job_at(0.25);
 
   const auto miss = engine.run({job}, /*keep_models=*/true);
   ASSERT_NE(miss.front().model, nullptr);

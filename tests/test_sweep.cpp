@@ -1,5 +1,8 @@
-// Sweep drivers: grids, warm-start chaining, monotonicity across p.
+// Sweep drivers: grids, one point per resource, monotonicity across p.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
 
 #include "analysis/sweep.hpp"
 #include "support/check.hpp"
@@ -24,6 +27,35 @@ TEST(Grid, RejectsBadArguments) {
                support::InvalidArgument);
   EXPECT_THROW(analysis::linspace_grid(1.0, 0.0, 0.1),
                support::InvalidArgument);
+}
+
+TEST(Grid, RejectsNonFiniteBoundsAndStepNamingTheValue) {
+  // A NaN or infinite grid used to fail late and misleadingly: an
+  // infinite step built the grid {NaN}, a NaN bound read as "upper bound
+  // below lower bound", and an infinite upper bound counted a million
+  // points first. Each must fail up front, naming the bad value.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto message_of = [](double lo, double hi, double step) {
+    try {
+      analysis::linspace_grid(lo, hi, step);
+    } catch (const support::InvalidArgument& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(message_of(0.1, 0.1, kInf).find("step is not finite: inf"),
+            std::string::npos);
+  EXPECT_NE(message_of(0.1, 0.1, kNaN).find("step is not finite: nan"),
+            std::string::npos);
+  EXPECT_NE(message_of(kNaN, 0.3, 0.05).find("lower bound is not finite"),
+            std::string::npos);
+  EXPECT_NE(message_of(-kInf, 0.3, 0.05).find("lower bound is not finite"),
+            std::string::npos);
+  EXPECT_NE(message_of(0.0, kInf, 0.05).find("upper bound is not finite: inf"),
+            std::string::npos);
+  EXPECT_NE(message_of(0.0, kNaN, 0.05).find("upper bound is not finite"),
+            std::string::npos);
 }
 
 TEST(Grid, SizeCappedAtCsvResolution) {

@@ -105,7 +105,7 @@ bool parse_or_help(support::Options& options, int argc,
 
 /// Declares --threads for commands whose solves run one at a time (the
 /// kernel fans each Bellman sweep over the workers; sweep's --threads
-/// means engine chains instead, and its per-solve threads stay at 1).
+/// fans its grid points out instead, and its per-solve threads stay at 1).
 void declare_solver_threads(support::Options& options) {
   options.declare("threads", "0",
                   "Bellman-sweep worker threads per mean-payoff solve "
@@ -168,16 +168,13 @@ int cmd_sweep(int argc, const char* const* argv) {
   engine::SweepQuery query;
   engine::declare_options(options, query);
   options.declare("threads", "1",
-                  "engine worker threads (0 = all cores); independent "
-                  "warm-start chains run in parallel");
+                  "engine worker threads (0 = all cores); the grid points "
+                  "are solved in parallel, with byte-identical output at "
+                  "any count");
   options.declare("cache-dir", "",
                   "experiment-engine result store: a killed sweep resumes "
                   "from its completed grid points, reruns are served from "
                   "cache, and the CSV is byte-identical either way");
-  options.declare("store-values", "true",
-                  "persist final value vectors (warm starts) in the result "
-                  "store; turn off to shrink caches for huge models — "
-                  "resumed points after a value-less hit are re-solved");
   declare_common_options(options);
   if (!parse_or_help(options, argc, argv)) return 0;
   engine::read_options(options, query);
@@ -187,7 +184,6 @@ int cmd_sweep(int argc, const char* const* argv) {
   engine::EngineOptions engine_options;
   engine_options.cache_dir = options.get_string("cache-dir");
   engine_options.threads = options.get_int("threads");
-  engine_options.store_values = options.get_bool("store-values");
   engine::Engine engine(engine_options);
 
   const support::Timer timer;
