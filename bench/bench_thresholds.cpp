@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
 
   analysis::ThresholdOptions threshold_options;
   // One probe at a time: the whole --threads budget goes to the kernel.
-  threshold_options.analysis =
-      bench::analysis_options(options, /*solver_threads=*/true);
+  threshold_options.solver =
+      bench::analysis_options(options, /*solver_threads=*/true).solver;
   threshold_options.p_tolerance = full ? 0.0025 : 0.01;
 
   support::Table table({"Attack", "gamma", "p threshold", "probes",
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
            support::format_double(gamma, 3),
            result.always_fair
                ? "fair up to " + support::format_double(
-                                     threshold_options.p_max, 3)
+                                     analysis::ThresholdOptions::kPMax, 3)
                : support::format_double(result.p_threshold, 4),
            std::to_string(result.probes.size()),
            support::format_double(timer.seconds(), 3)});

@@ -19,8 +19,6 @@
 // any thread count.
 #pragma once
 
-#include <vector>
-
 #include "mdp/markov_chain.hpp"
 #include "mdp/solve.hpp"
 #include "selfish/build.hpp"
@@ -50,15 +48,10 @@ struct AnalysisResult {
   int search_iterations = 0;       ///< Binary-search steps performed.
   long solver_iterations = 0;      ///< Total inner solver iterations.
   double seconds = 0.0;            ///< Wall-clock time of the analysis.
-  std::vector<double> final_values;  ///< Value vector (warm start for
-                                     ///< the next threshold probe).
 };
 
-/// Runs Algorithm 1 on a built model. `warm_start`, if non-null and sized
-/// to the model, seeds the first solve (threshold's probes pass the
-/// previous probe's final values).
+/// Runs Algorithm 1 on a built model.
 AnalysisResult analyze(const selfish::SelfishModel& model,
-                       const AnalysisOptions& options = {},
-                       const std::vector<double>* warm_start = nullptr);
+                       const AnalysisOptions& options = {});
 
 }  // namespace analysis

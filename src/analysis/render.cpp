@@ -60,7 +60,7 @@ std::string render_threshold_report(const ThresholdOptions& options,
     return format(
         "fair for all p <= %.3f (attack never beats honest mining "
         "by more than %.3f)\n",
-        options.p_max, options.unfairness_margin);
+        ThresholdOptions::kPMax, options.unfairness_margin);
   }
   return format(
       "attack becomes profitable at p ~= %.4f "

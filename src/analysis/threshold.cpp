@@ -8,53 +8,51 @@ namespace analysis {
 namespace {
 
 ThresholdProbe probe_at(const selfish::AttackParams& base, double p,
-                        const ThresholdOptions& options,
-                        std::vector<double>* warm) {
+                        const ThresholdOptions& options) {
   selfish::AttackParams params = base;
   params.p = p;
   params.validate();
   const auto model = selfish::build_model(params);
-  const auto result =
-      analyze(model, options.analysis, warm->empty() ? nullptr : warm);
-  *warm = result.final_values;
-
-  ThresholdProbe probe;
-  probe.p = p;
-  probe.errev = result.errev_of_policy;
-  probe.unfair = probe.errev - p > options.unfairness_margin;
-  return probe;
+  const mdp::BellmanKernel kernel(model.mdp);
+  const double beta = p + options.unfairness_margin;
+  const mdp::MeanPayoffResult solve =
+      mdp::solve_mean_payoff(kernel, beta, options.solver);
+  SM_ENSURE(solve.converged, "mean-payoff solver did not converge at beta=",
+            beta);
+  return {p, solve.gain_lo, solve.gain_hi, solve.gain_lo > 0.0};
 }
 
 }  // namespace
 
+void ThresholdOptions::validate() const {
+  SM_REQUIRE(unfairness_margin > 0.0 && kPMax + unfairness_margin < 1.0,
+             "margin out of (0,", 1.0 - kPMax, "): ", unfairness_margin);
+  SM_REQUIRE(p_tolerance > 0.0, "p tolerance must be positive");
+}
+
 ThresholdResult fairness_threshold(const selfish::AttackParams& base,
                                    const ThresholdOptions& options) {
-  SM_REQUIRE(options.unfairness_margin > 0.0, "margin must be positive");
-  SM_REQUIRE(options.p_tolerance > 0.0, "p tolerance must be positive");
-  SM_REQUIRE(options.p_max > 0.0 && options.p_max < 1.0,
-             "p_max out of (0,1): ", options.p_max);
-
+  options.validate();
   ThresholdResult result;
-  std::vector<double> warm;
 
   // Fairness at p = 0 is trivial; check the top of the range first.
-  ThresholdProbe top = probe_at(base, options.p_max, options, &warm);
+  ThresholdProbe top = probe_at(base, ThresholdOptions::kPMax, options);
   result.probes.push_back(top);
   if (!top.unfair) {
     result.always_fair = true;
-    result.p_lo = options.p_max;
+    result.p_lo = ThresholdOptions::kPMax;
     result.p_hi = 1.0;
-    result.p_threshold = options.p_max;
+    result.p_threshold = ThresholdOptions::kPMax;
     return result;
   }
 
-  double lo = 0.0, hi = options.p_max;
+  double lo = 0.0, hi = ThresholdOptions::kPMax;
   while (hi - lo > options.p_tolerance) {
     const double mid = 0.5 * (lo + hi);
     // Once lo and hi are adjacent doubles no p lies strictly between them,
     // so a p_tolerance below their gap ends the search here.
     if (!(lo < mid && mid < hi)) break;
-    const ThresholdProbe probe = probe_at(base, mid, options, &warm);
+    const ThresholdProbe probe = probe_at(base, mid, options);
     result.probes.push_back(probe);
     if (probe.unfair) {
       hi = mid;

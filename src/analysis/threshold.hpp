@@ -9,33 +9,39 @@
 //
 //   p* = inf { p : ERRev*(p) − p > margin }
 //
-// by bisection over p, running Algorithm 1 at each probe. The excess
-// ERRev*(p) − p is empirically monotone in p for these models (see
+// by bisection over p. By Theorem 3.1, MP*_β decreases in β with its root
+// at ERRev*, so a probe's question "ERRev*(p) > p + margin?" is the sign
+// of one mean-payoff solve at β = p + margin (a tie counts as fair). The
+// excess ERRev*(p) − p is empirically monotone in p for these models (see
 // bench_figure2); bisection assumes that monotonicity and the result
 // records every probe so the assumption can be audited.
 #pragma once
 
 #include <vector>
 
-#include "analysis/algorithm1.hpp"
+#include "mdp/solve.hpp"
 #include "selfish/params.hpp"
 
 namespace analysis {
 
 struct ThresholdOptions {
+  /// Top of the search range (0.5 is the trivial limit of longest-chain rules).
+  static constexpr double kPMax = 0.45;
   /// Excess revenue over the honest share that counts as "unfair".
   double unfairness_margin = 0.005;
   /// Width of the final p bracket.
   double p_tolerance = 0.005;
-  /// Search range (0.5 is the trivial upper limit of longest-chain rules).
-  double p_max = 0.45;
-  AnalysisOptions analysis;  ///< Options for each probe of Algorithm 1.
+  mdp::SolveOptions solver;  ///< The mean-payoff solve of each probe.
+  /// Throws support::InvalidArgument unless 0 < margin < 1 − kPMax (so
+  /// every β = p + margin lies in (0, 1)) and the tolerance is positive.
+  void validate() const;
 };
 
 struct ThresholdProbe {
   double p = 0.0;
-  double errev = 0.0;   ///< Exact ERRev of the computed strategy at p.
-  bool unfair = false;  ///< errev − p > margin.
+  double gain_lo = 0.0;  ///< Certified bounds on MP*_β, β = p + margin.
+  double gain_hi = 0.0;
+  bool unfair = false;  ///< gain_lo > 0: ERRev*(p) − p > margin.
 };
 
 struct ThresholdResult {
@@ -43,9 +49,9 @@ struct ThresholdResult {
   double p_threshold = 0.0;
   double p_lo = 0.0;  ///< Largest probed p still fair.
   double p_hi = 0.0;  ///< Smallest probed p already unfair.
-  /// True when even p_max is fair (e.g. d=f=1 with γ < 0.5).
+  /// True when even kPMax is fair (e.g. d=f=1 with γ < 0.5).
   bool always_fair = false;
-  std::vector<ThresholdProbe> probes;  ///< All Algorithm-1 runs, in order.
+  std::vector<ThresholdProbe> probes;  ///< Every probe, in order.
 };
 
 /// Locates the profitability frontier for the configuration in `base`

@@ -24,14 +24,17 @@ std::string JobKey::hex() const {
 /// SolveOptions::threads is deliberately absent: the kernel is pinned
 /// bit-identical at any thread count (test_mdp_kernel), so it cannot
 /// change a stored result.
+std::string mean_payoff_solver_id(const mdp::SolveOptions& options) {
+  return "solver=" + mdp::to_string(options.method) +
+         "|tol=" + canonical_double(options.mean_payoff.tol) +
+         "|maxit=" + std::to_string(options.mean_payoff.max_iterations) +
+         "|tau=" + canonical_double(options.mean_payoff.tau);
+}
+
 std::string solver_options_id(const analysis::AnalysisOptions& options) {
-  std::string id = "eps=" + canonical_double(options.epsilon);
-  id += "|solver=" + mdp::to_string(options.solver.method);
-  id += "|tol=" + canonical_double(options.solver.mean_payoff.tol);
-  id += "|maxit=" + std::to_string(options.solver.mean_payoff.max_iterations);
-  id += "|tau=" + canonical_double(options.solver.mean_payoff.tau);
-  id += "|exact=" + std::string(options.evaluate_exact_errev ? "1" : "0");
-  return id;
+  return "eps=" + canonical_double(options.epsilon) + "|" +
+         mean_payoff_solver_id(options.solver) +
+         "|exact=" + (options.evaluate_exact_errev ? "1" : "0");
 }
 
 std::string model_id_without_p(const selfish::AttackParams& params) {

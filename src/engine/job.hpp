@@ -34,7 +34,8 @@ namespace engine {
 /// v4: grid points are no longer warm-started from their left neighbour,
 /// so a sweep point's errev_of_policy and solver_iterations may differ
 /// from its v3 entry (the bracket does not), and keys lost their
-/// warm-start lineage token.
+/// warm-start lineage token. Threshold keys later lost `eps=`, `exact=`
+/// and `pmax=`, so old threshold entries miss without a salt bump.
 inline constexpr std::uint32_t kCodeVersionSalt = 4;
 
 /// One Algorithm 1 evaluation: build the model for `params`, analyze with
@@ -68,9 +69,11 @@ std::string canonical_double(double value);
 /// The key of `job`: "analysis/v<salt>|<model params>|<solver options>".
 JobKey analysis_job_key(const AnalysisJob& job);
 
-/// Canonical rendering of the solver-configuration slice of a job key
-/// (method + tolerances; everything a solve's numbers depend on besides
-/// the model). Shared by every job kind that runs Algorithm 1 probes.
+/// One mean-payoff solve's slice of a job key: method and tolerances.
+std::string mean_payoff_solver_id(const mdp::SolveOptions& options);
+
+/// The Algorithm 1 slice of a job key: ε, the mean-payoff solver and the
+/// exact-ERRev flag. Shared by every job kind that runs Algorithm 1.
 std::string solver_options_id(const analysis::AnalysisOptions& options);
 
 /// Canonical rendering of the model parameters except the resource p

@@ -85,7 +85,7 @@ GenericResult run_sweep(const GenericJob& job, const ExecContext& ctx) {
 GenericResult run_threshold(const GenericJob& job, const ExecContext& ctx) {
   const ThresholdQuery& query = typed<ThresholdQuery>(job);
   analysis::ThresholdOptions options = query.options;
-  options.analysis.solver.threads = ctx.threads;
+  options.solver.threads = ctx.threads;
   const analysis::ThresholdResult result =
       analysis::fairness_threshold(query.base, options);
   GenericResult out;
@@ -165,17 +165,11 @@ GenericJob make_sweep_job(const SweepQuery& query) {
 
 GenericJob make_threshold_job(const ThresholdQuery& query) {
   query.base.validate();
-  SM_REQUIRE(query.options.unfairness_margin > 0.0,
-             "margin must be positive");
-  SM_REQUIRE(query.options.p_tolerance > 0.0,
-             "p tolerance must be positive");
-  SM_REQUIRE(query.options.p_max > 0.0 && query.options.p_max < 1.0,
-             "p_max out of (0,1): ", query.options.p_max);
+  query.options.validate();
   std::string options = model_id_without_p(query.base);
-  options += "|" + solver_options_id(query.options.analysis);
+  options += "|" + mean_payoff_solver_id(query.options.solver);
   options += "|margin=" + canonical_double(query.options.unfairness_margin);
   options += "|ptol=" + canonical_double(query.options.p_tolerance);
-  options += "|pmax=" + canonical_double(query.options.p_max);
   return make_job("threshold", std::move(options), query);
 }
 
@@ -256,14 +250,29 @@ std::uint64_t checked_count(const std::string& name, double value) {
 
 namespace {
 
-/// The model fields selfish::AttackParams and net::ScenarioOptions share.
+/// The model fields of selfish::AttackParams or net::ScenarioOptions, but
+/// `scanned`: the one ("p" or "l") a composite kind chooses itself.
 template <typename Model>
-void visit_model(FieldVisitor& visitor, Model& model) {
-  visitor.field("p", &model.p, "adversary's relative resource in [0,1]");
-  visitor.field("gamma", &model.gamma, "tie-race switching probability");
-  visitor.field("d", &model.d, "attack depth");
-  visitor.field("f", &model.f, "forks per public block");
-  visitor.field("l", &model.l, "maximal private fork length");
+void visit_model(FieldVisitor& visitor, Model& model,
+                 std::string_view scanned = {}) {
+  const auto field = [&](const char* name, auto* member, const char* help) {
+    if (name != scanned) visitor.field(name, member, help);
+  };
+  field("p", &model.p, "adversary's relative resource in [0,1]");
+  field("gamma", &model.gamma, "tie-race switching probability");
+  field("d", &model.d, "attack depth");
+  field("f", &model.f, "forks per public block");
+  field("l", &model.l, "maximal private fork length");
+  if constexpr (requires { model.burn_lost_races; }) {
+    field("burn-lost-races", &model.burn_lost_races,
+          "fork-choice variant: discard forks that lose tie races");
+  }
+}
+
+void visit_solver(FieldVisitor& visitor, mdp::SolveOptions& options) {
+  std::string solver = mdp::to_string(options.method);
+  visitor.field("solver", &solver, "mean-payoff solver: vi | gs");
+  options.method = mdp::parse_solver_method(solver);
 }
 
 void visit_epsilon(FieldVisitor& visitor, double& epsilon) {
@@ -292,16 +301,12 @@ std::string option_text(Field member) {
 
 void visit_fields(FieldVisitor& visitor, selfish::AttackParams& params) {
   visit_model(visitor, params);
-  visitor.field("burn-lost-races", &params.burn_lost_races,
-                "fork-choice variant: discard forks that lose tie races");
 }
 
 void visit_fields(FieldVisitor& visitor,
                   analysis::AnalysisOptions& options) {
   visit_epsilon(visitor, options.epsilon);
-  std::string solver = mdp::to_string(options.solver.method);
-  visitor.field("solver", &solver, "mean-payoff solver: vi | gs");
-  options.solver.method = mdp::parse_solver_method(solver);
+  visit_solver(visitor, options.solver);
 }
 
 void visit_fields(FieldVisitor& visitor, PointQuery& query) {
@@ -311,7 +316,7 @@ void visit_fields(FieldVisitor& visitor, PointQuery& query) {
 }
 
 void visit_fields(FieldVisitor& visitor, SweepQuery& query) {
-  visit_fields(visitor, query.base);
+  visit_model(visitor, query.base, "p");
   visit_fields(visitor, query.analysis);
   visitor.field("pmin", &query.p_min, "smallest resource");
   visitor.field("pmax", &query.p_max, "largest resource");
@@ -319,15 +324,15 @@ void visit_fields(FieldVisitor& visitor, SweepQuery& query) {
 }
 
 void visit_fields(FieldVisitor& visitor, ThresholdQuery& query) {
-  visit_fields(visitor, query.base);
-  visit_fields(visitor, query.options.analysis);
+  visit_model(visitor, query.base, "p");
+  visit_solver(visitor, query.options.solver);
   visitor.field("margin", &query.options.unfairness_margin,
                 "excess revenue that counts as unfair");
   visitor.field("ptol", &query.options.p_tolerance, "p bracket width");
 }
 
 void visit_fields(FieldVisitor& visitor, UpperBoundQuery& query) {
-  visit_fields(visitor, query.base);
+  visit_model(visitor, query.base, "l");
   visit_fields(visitor, query.options.analysis);
   visitor.field("lmin", &query.options.l_min, "smallest fork cap to analyze");
   visitor.field("lmax", &query.options.l_max, "largest fork cap to analyze");

@@ -12,8 +12,7 @@
 //   kind          artifact                        solves
 //   point         `analyze` report                one cold solve
 //   sweep         `sweep` CSV                     one engine job per p
-//   threshold     `threshold` report              probes, warm-started
-//                                                 probe to probe
+//   threshold     `threshold` report              one sign solve per probe
 //   upper-bound   `upper-bound` report            per-l cold solves
 //   net-batch     `network --csv` CSV             engine jobs per attacker
 //
@@ -57,7 +56,7 @@ struct PointQuery {
 
 /// A p-grid sweep rendered as the `sweep` CSV.
 struct SweepQuery {
-  selfish::AttackParams base;  ///< p field ignored (the grid provides it).
+  selfish::AttackParams base;  ///< p is not a field: the grid provides it.
   analysis::AnalysisOptions analysis;
   double p_min = 0.0;
   double p_max = 0.3;
@@ -66,14 +65,14 @@ struct SweepQuery {
 
 /// A fairness-threshold bisection rendered as the `threshold` report.
 struct ThresholdQuery {
-  selfish::AttackParams base;  ///< p field ignored.
+  selfish::AttackParams base;  ///< p is not a field: the search probes it.
   analysis::ThresholdOptions options;
 };
 
 /// An upper-bound series over fork caps rendered as the `upper-bound`
 /// report.
 struct UpperBoundQuery {
-  selfish::AttackParams base;  ///< l field ignored.
+  selfish::AttackParams base;  ///< l is not a field: the series scans it.
   analysis::UpperBoundOptions options;
 };
 
@@ -129,7 +128,7 @@ std::uint64_t checked_count(const std::string& name, double value);
 
 /// The shared groups (model parameters; ε and the solver) and the five
 /// kinds. `solver` and `propagation` are text fields converted to their
-/// enums around the visit.
+/// enums around the visit. A kind declares only the fields it reads.
 void visit_fields(FieldVisitor& visitor, selfish::AttackParams& params);
 void visit_fields(FieldVisitor& visitor, analysis::AnalysisOptions& options);
 void visit_fields(FieldVisitor& visitor, PointQuery& query);

@@ -111,16 +111,6 @@ TEST(Algorithm1, DenseOracleConfirmsBracketAndStrategy) {
   }
 }
 
-TEST(Algorithm1, WarmStartPreservesResult) {
-  const auto model = small_model();
-  analysis::AnalysisOptions options;
-  options.epsilon = 1e-4;
-  const auto cold = analysis::analyze(model, options);
-  const auto warm = analysis::analyze(model, options, &cold.final_values);
-  EXPECT_DOUBLE_EQ(warm.errev_lower_bound, cold.errev_lower_bound);
-  EXPECT_LE(warm.solver_iterations, cold.solver_iterations);
-}
-
 TEST(Algorithm1, SkippingExactEvaluationYieldsNaN) {
   const auto model = small_model();
   analysis::AnalysisOptions options;

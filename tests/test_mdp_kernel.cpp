@@ -151,7 +151,6 @@ TEST(BellmanKernel, AnalyzeThreadCountInvariant) {
   EXPECT_EQ(threaded.errev_lower_bound, serial.errev_lower_bound);
   EXPECT_EQ(threaded.errev_of_policy, serial.errev_of_policy);
   EXPECT_EQ(threaded.policy, serial.policy);
-  EXPECT_TRUE(same_bytes(threaded.final_values, serial.final_values));
 }
 
 TEST(BellmanKernel, NonConvergedRunStillReturnsConsistentPolicy) {
@@ -194,12 +193,10 @@ TEST(BellmanKernel, RejectsBadArguments) {
 }
 
 TEST(BellmanKernel, WarmStartSizeMismatchRejectsWithReason) {
-  // The pre-PR kernel compared warm_start->size() (size_t) against the
-  // 32-bit state count and silently cold-started on mismatch — masking
-  // caller bugs AND breaking the job-key promise that a warm-keyed
-  // result really was warm-started. Now it rejects loudly; the one
-  // legitimate cross-model boundary (grid neighbors with different
-  // reachable-state counts) is handled explicitly in analysis::analyze.
+  // The kernel once compared warm_start->size() (size_t) against the
+  // 32-bit state count and silently cold-started on mismatch, masking
+  // caller bugs. Now it rejects loudly; no caller seeds one model's
+  // solve with another model's values.
   const auto model = build(2, 1);
   const mdp::BellmanKernel kernel(model.mdp);
   const std::vector<double> wrong_small(3, 0.0);

@@ -20,9 +20,9 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -111,6 +111,8 @@ void expect_transport_families_moved(
 
 /// Tiny model shared by the end-to-end tests (milliseconds per solve).
 constexpr const char* kTinyModel = "\"d\":1,\"f\":1,\"l\":2";
+/// The same model for upper-bound, which scans l itself.
+constexpr const char* kTinyShape = "\"d\":1,\"f\":1";
 
 selfish::AttackParams tiny_params(double p) {
   return selfish::AttackParams{.p = p, .gamma = 0.5, .d = 1, .f = 1, .l = 2};
@@ -235,11 +237,18 @@ TEST(ServeProtocol, DefaultsMatchTheCliSubcommands) {
                        "|pstep=" + num(0.05)),
             std::string::npos)
       << sweep;
+  // A threshold probe is one mean-payoff solve: its key names the solver
+  // but no ε, no exact-evaluation flag and no search range.
   const std::string threshold = options_of("{\"kind\":\"threshold\"}");
-  EXPECT_NE(threshold.find("|margin=" + num(0.005) + "|ptol=" + num(0.005) +
-                           "|pmax=" + num(0.45)),
+  EXPECT_NE(threshold.find("|solver=vi|tol=" + num(1e-7) +
+                           "|maxit=2000000|tau=" + num(0.5) +
+                           "|margin=" + num(0.005) + "|ptol=" + num(0.005)),
             std::string::npos)
       << threshold;
+  for (const char* absent : {"eps=", "exact=", "pmax=", "|p="}) {
+    EXPECT_EQ(threshold.find(absent), std::string::npos)
+        << threshold << "  has: " << absent;
+  }
   const std::string upper = options_of("{\"kind\":\"upper-bound\"}");
   EXPECT_NE(upper.find("|lmin=2|lmax=5"), std::string::npos) << upper;
   const std::string batch = options_of("{\"kind\":\"net-batch\"}");
@@ -306,15 +315,14 @@ TEST(ServeProtocol, SchemaFrontEndsBuildTheSameJobs) {
         "--burn-lost-races=true", "--epsilon=0.01", "--solver=gs",
         "--stats=false"}},
       {"sweep",
-       {"--p=0.2", "--gamma=0.4", "--d=1", "--f=2", "--l=3",
-        "--burn-lost-races=true", "--epsilon=0.002", "--solver=gs",
-        "--pmin=0.1", "--pmax=0.2", "--step=0.025"}},
+       {"--gamma=0.4", "--d=1", "--f=2", "--l=3", "--burn-lost-races=true",
+        "--epsilon=0.002", "--solver=gs", "--pmin=0.1", "--pmax=0.2",
+        "--step=0.025"}},
       {"threshold",
-       {"--p=0.2", "--gamma=0.25", "--d=3", "--f=2", "--l=2",
-        "--burn-lost-races=true", "--epsilon=0.01", "--solver=gs",
-        "--margin=0.01", "--ptol=0.002"}},
+       {"--gamma=0.25", "--d=3", "--f=2", "--l=2", "--burn-lost-races=true",
+        "--solver=gs", "--margin=0.01", "--ptol=0.002"}},
       {"upper-bound",
-       {"--p=0.35", "--gamma=0.75", "--d=1", "--f=2", "--l=3",
+       {"--p=0.35", "--gamma=0.75", "--d=1", "--f=2",
         "--burn-lost-races=true", "--epsilon=0.005", "--solver=gs",
         "--lmin=1", "--lmax=3"}},
       {"net-batch",
@@ -325,10 +333,6 @@ TEST(ServeProtocol, SchemaFrontEndsBuildTheSameJobs) {
         "--partition-frac=0.25", "--asymmetry=3", "--runs=2",
         "--seed=3000000000", "--epsilon=0.01"}},
   };
-  // Fields a kind reads but leaves out of its job: sweep and threshold
-  // scan p themselves, and upper-bound scans l.
-  const std::set<std::string> ignored = {"sweep --p", "threshold --p",
-                                         "upper-bound --l"};
   ASSERT_EQ(engine::job_kinds().size(), defaults.size());
   for (const engine::JobKind& kind : engine::job_kinds()) {
     SCOPED_TRACE(kind.name);
@@ -350,14 +354,23 @@ TEST(ServeProtocol, SchemaFrontEndsBuildTheSameJobs) {
     // visits but the job leaves out cannot alias two requests' artifacts.
     for (const std::string& flag : flags) {
       SCOPED_TRACE(flag);
-      const std::string name = flag.substr(0, flag.find('='));
-      const engine::JobKey alone = key_from_flags(kind, {flag});
-      if (ignored.count(std::string(kind.name) + " " + name) != 0) {
-        EXPECT_EQ(alone.canonical, expected.canonical);
-      } else {
-        EXPECT_NE(alone.canonical, expected.canonical);
-      }
+      EXPECT_NE(key_from_flags(kind, {flag}).canonical, expected.canonical);
     }
+  }
+
+  // A field a kind does not read is not declared, so both front ends
+  // refuse it: sweep and threshold scan p themselves, upper-bound scans
+  // l, and a threshold probe has no ε.
+  for (const auto& [name, flag] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"sweep", "--p=0.2"},
+           {"threshold", "--p=0.2"},
+           {"threshold", "--epsilon=0.01"},
+           {"upper-bound", "--l=3"}}) {
+    SCOPED_TRACE(name + " " + flag);
+    EXPECT_THROW(key_from_flags(*engine::find_job_kind(name), {flag}),
+                 support::InvalidArgument);
+    EXPECT_THROW(key_from_request(name, {flag}), support::InvalidArgument);
   }
 
   // Counts take whole numbers in [0, 2^53] on both paths.
@@ -429,6 +442,10 @@ TEST(ServeProtocol, RejectsMalformedAndInvalidRequests) {
   EXPECT_FALSE(
       reply_of(service, "{\"kind\":\"threshold\",\"margin\":0}")
           .find("ok")->as_bool());
+  reply = reply_of(service, "{\"kind\":\"threshold\",\"margin\":1e300}");
+  EXPECT_FALSE(reply.find("ok")->as_bool());
+  EXPECT_NE(reply.find("error")->as_string().find("margin"),
+            std::string::npos);
   EXPECT_FALSE(
       reply_of(service, "{\"kind\":\"upper-bound\",\"lmin\":3,\"lmax\":3}")
           .find("ok")->as_bool());
@@ -535,7 +552,7 @@ TEST(ServeEndToEnd, ResponsesMatchDirectRenderings) {
     {
       const serve::Reply reply = client.request(
           std::string("{\"kind\":\"upper-bound\",\"lmin\":1,\"lmax\":2,") +
-          kTinyModel + "}");
+          kTinyShape + "}");
       ASSERT_TRUE(reply.ok) << reply.error;
       analysis::UpperBoundOptions options;
       options.l_min = 1;
@@ -568,7 +585,7 @@ TEST(ServeCache, ThresholdAndUpperBoundRoundTripThroughStore) {
       std::string("{\"kind\":\"threshold\",") + kTinyModel + "}";
   const std::string upper_request =
       std::string("{\"kind\":\"upper-bound\",\"lmin\":1,\"lmax\":2,") +
-      kTinyModel + "}";
+      kTinyShape + "}";
 
   serve::ServiceOptions options;
   options.cache_dir = scratch.path;

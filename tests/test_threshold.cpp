@@ -2,15 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "analysis/algorithm1.hpp"
+#include "analysis/render.hpp"
 #include "analysis/threshold.hpp"
+#include "selfish/build.hpp"
 #include "support/check.hpp"
 
 namespace {
 
 analysis::ThresholdOptions fast_options() {
   analysis::ThresholdOptions options;
-  options.analysis.epsilon = 1e-4;
   options.p_tolerance = 0.01;
   return options;
 }
@@ -59,22 +62,78 @@ TEST(Threshold, FriendlierNetworkLowersTheThreshold) {
   EXPECT_LE(at1.p_threshold, at0.p_threshold + 0.01);
 }
 
-TEST(Threshold, ProbesAreRecordedAndConsistent) {
+TEST(Threshold, ProbesAgreeWithAlgorithm1) {
+  // Each probe's sign solve answers "ERRev*(p) > p + margin?", so a full
+  // Algorithm 1 bracket at the probe's p that lies wholly on one side of
+  // p + margin decides the probe the same way.
   const selfish::AttackParams base{.p = 0.0, .gamma = 0.5, .d = 2, .f = 1, .l = 4};
-  const auto result = analysis::fairness_threshold(base, fast_options());
+  const analysis::ThresholdOptions options = fast_options();
+  const auto result = analysis::fairness_threshold(base, options);
   ASSERT_FALSE(result.probes.empty());
+  std::size_t decided = 0;
   for (const auto& probe : result.probes) {
-    EXPECT_EQ(probe.unfair, probe.errev - probe.p > 0.005);
+    SCOPED_TRACE(probe.p);
+    EXPECT_LE(probe.gain_lo, probe.gain_hi);
+    EXPECT_EQ(probe.unfair, probe.gain_lo > 0.0);
+    selfish::AttackParams params = base;
+    params.p = probe.p;
+    const auto bracket = analysis::analyze(selfish::build_model(params));
+    const double beta = probe.p + options.unfairness_margin;
+    if (bracket.beta_lo > beta) {
+      EXPECT_TRUE(probe.unfair);
+      ++decided;
+    }
+    if (bracket.beta_hi < beta) {
+      EXPECT_FALSE(probe.unfair);
+      ++decided;
+    }
   }
+  // No probe here lies within ε of the frontier, so every one is checked.
+  EXPECT_EQ(decided, result.probes.size());
   ASSERT_FALSE(result.always_fair);
   EXPECT_LT(result.p_lo, result.p_hi);
+}
+
+TEST(Threshold, TiedProbeCountsAsFair) {
+  // A solver tolerance of 1 certifies the gain only to within 1, so the
+  // interval at the top of the range straddles 0: the sign is undecided,
+  // and an undecided probe counts as fair.
+  const selfish::AttackParams base{.p = 0.0, .gamma = 0.5, .d = 2, .f = 2, .l = 4};
+  analysis::ThresholdOptions options;
+  options.solver.mean_payoff.tol = 1.0;
+  const auto result = analysis::fairness_threshold(base, options);
+  EXPECT_TRUE(result.always_fair);
+  ASSERT_EQ(result.probes.size(), 1u);
+  const analysis::ThresholdProbe& probe = result.probes.front();
+  EXPECT_EQ(probe.p, analysis::ThresholdOptions::kPMax);
+  EXPECT_LE(probe.gain_lo, 0.0);
+  EXPECT_GE(probe.gain_hi, 0.0);
+  EXPECT_FALSE(probe.unfair);
+}
+
+TEST(Threshold, ReportsArePinned) {
+  const analysis::ThresholdOptions options;
+  const auto report = [&](int d, int f) {
+    const selfish::AttackParams base{.p = 0.0, .gamma = 0.5, .d = d, .f = f, .l = 4};
+    return analysis::render_threshold_report(
+        options, analysis::fairness_threshold(base, options));
+  };
+  EXPECT_EQ(report(2, 2),
+            "attack becomes profitable at p ~= 0.0545 "
+            "(bracket [0.0527, 0.0563], 8 probes)\n");
+  EXPECT_EQ(report(3, 1),
+            "attack becomes profitable at p ~= 0.0510 "
+            "(bracket [0.0492, 0.0527], 8 probes)\n");
 }
 
 TEST(Threshold, ToleranceBelowDoubleSpacingTerminates) {
   // The d=2,f=1 frontier lies near p = 0.054, where adjacent doubles are
   // ~6.9e-18 apart: a 1e-17 tolerance already bisects down to neighbouring
   // doubles, and 1e-300 must stop at the same bracket rather than probe
-  // the same p forever.
+  // the same p forever. So close to the frontier the sign solves tie
+  // (their intervals contain 0) and count as fair, so the tie rule, not
+  // the solver, places this bracket: the test checks termination and
+  // determinism only.
   const selfish::AttackParams base{.p = 0.0, .gamma = 0.5, .d = 2, .f = 1, .l = 3};
   analysis::ThresholdOptions options;
   options.p_tolerance = 1e-17;
@@ -89,13 +148,23 @@ TEST(Threshold, ToleranceBelowDoubleSpacingTerminates) {
 }
 
 TEST(Threshold, RejectsBadOptions) {
+  // Every probe solves at β = p + margin ≤ kPMax + margin, which must be
+  // a reward in (0, 1): a margin of 1 − kPMax or more, or a non-finite
+  // one, is refused before any probe runs.
   const selfish::AttackParams base{.p = 0.0, .gamma = 0.5, .d = 1, .f = 1, .l = 4};
+  for (const double margin :
+       {0.0, -0.1, 1.0 - analysis::ThresholdOptions::kPMax, 1e300,
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(margin);
+    analysis::ThresholdOptions options;
+    options.unfairness_margin = margin;
+    EXPECT_THROW(options.validate(), support::InvalidArgument);
+    EXPECT_THROW(analysis::fairness_threshold(base, options),
+                 support::InvalidArgument);
+  }
   analysis::ThresholdOptions options;
-  options.unfairness_margin = 0.0;
-  EXPECT_THROW(analysis::fairness_threshold(base, options),
-               support::InvalidArgument);
-  options = {};
-  options.p_max = 1.5;
+  options.p_tolerance = 0.0;
   EXPECT_THROW(analysis::fairness_threshold(base, options),
                support::InvalidArgument);
 }

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -546,7 +547,8 @@ serve::Json json_of(Number number) {
 /// `query`'s front end of the job-kind schema: each field the user set
 /// (flag or SELFISH_* environment) is read like the subcommands read it
 /// and becomes a typed request member. Unset fields stay out of the
-/// request, and the server fills them from the same initializers.
+/// request, and the server fills them from the same initializers. JSON
+/// cannot spell a non-finite number, so one is refused here.
 class RequestForwarder final : public engine::FieldVisitor {
  public:
   RequestForwarder(const support::Options& options,
@@ -560,6 +562,11 @@ class RequestForwarder final : public engine::FieldVisitor {
         [&](auto* value) {
           auto read = *value;  // the scratch query keeps its default
           engine::OptionFields::reading(options_).field(name, &read, help);
+          if constexpr (std::is_same_v<decltype(read), double>) {
+            SM_REQUIRE(std::isfinite(read), "--", name,
+                       " must be a finite number, got ",
+                       options_.get_string(name));
+          }
           members_.emplace_back(name, json_of(read));
         },
         member);
