@@ -5,11 +5,16 @@
 
 namespace analysis {
 
+void UpperBoundOptions::validate() const {
+  SM_REQUIRE(l_min >= 1, "l_min must be at least 1");
+  SM_REQUIRE(l_max >= l_min + 1, "need at least two l values to extrapolate");
+  SM_REQUIRE(l_max <= selfish::kMaxForkLength,
+             "l_max exceeds the representable fork length");
+}
+
 UpperBoundResult bound_errev_in_l(const selfish::AttackParams& base,
                                   const UpperBoundOptions& options) {
-  SM_REQUIRE(options.l_min >= 1, "l_min must be at least 1");
-  SM_REQUIRE(options.l_max >= options.l_min + 1,
-             "need at least two l values to extrapolate");
+  options.validate();
 
   UpperBoundResult result;
   for (int l = options.l_min; l <= options.l_max; ++l) {

@@ -25,6 +25,9 @@ struct UpperBoundOptions {
   int l_min = 2;
   int l_max = 5;
   AnalysisOptions analysis;  ///< Options for each per-l run of Algorithm 1.
+  /// Throws support::InvalidArgument unless 1 ≤ l_min < l_max ≤
+  /// selfish::kMaxForkLength (the extrapolation needs two l values).
+  void validate() const;
 };
 
 struct LPoint {

@@ -36,7 +36,12 @@ namespace engine {
 /// from its v3 entry (the bracket does not), and keys lost their
 /// warm-start lineage token. Threshold keys later lost `eps=`, `exact=`
 /// and `pmax=`, so old threshold entries miss without a salt bump.
-inline constexpr std::uint32_t kCodeVersionSalt = 4;
+/// v5: each bisection step stops once its gain sign is certified, a tie
+/// ends the search with a certified bracket, and the strategy is the
+/// policy of the step that certified β_lo instead of a final solve's. So
+/// policies, errev_of_policy and solver_iterations move; brackets move
+/// only where a step used to take its sign from an uncertified midpoint.
+inline constexpr std::uint32_t kCodeVersionSalt = 5;
 
 /// One Algorithm 1 evaluation: build the model for `params`, analyze with
 /// `options`. This is the unit of work behind `analysis::sweep_p`, the

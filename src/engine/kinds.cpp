@@ -175,11 +175,7 @@ GenericJob make_threshold_job(const ThresholdQuery& query) {
 
 GenericJob make_upper_bound_job(const UpperBoundQuery& query) {
   query.base.validate();
-  SM_REQUIRE(query.options.l_min >= 1, "l_min must be at least 1");
-  SM_REQUIRE(query.options.l_max >= query.options.l_min + 1,
-             "need at least two l values to extrapolate");
-  SM_REQUIRE(query.options.l_max <= selfish::kMaxForkLength,
-             "l_max exceeds the representable fork length");
+  query.options.validate();
   std::string options = model_id_without_p_l(query.base);
   options += "|p=" + canonical_double(query.base.p);
   options += "|" + solver_options_id(query.options.analysis);

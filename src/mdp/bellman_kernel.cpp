@@ -90,6 +90,14 @@ class SweepRunner {
   support::ThreadPool* pool_;
 };
 
+/// The one stop rule of every kernel solve. Its callers (Algorithm 1's
+/// bisection and threshold's probes) ask only for the sign of the optimal
+/// gain, which the certified interval settles as soon as it excludes 0;
+/// an interval that still holds 0 stops once narrower than `tol` (a tie).
+bool settled(double gain_lo, double gain_hi, double tol) {
+  return gain_lo > 0.0 || gain_hi < 0.0 || gain_hi - gain_lo < tol;
+}
+
 void check_options(const MeanPayoffOptions& options) {
   SM_REQUIRE(options.tau > 0.0 && options.tau < 1.0,
              "tau must lie strictly inside (0,1): ", options.tau);
@@ -301,7 +309,7 @@ MeanPayoffResult BellmanKernel::value_iteration(
       for (StateId s = begin; s < end; ++s) v[s] = v_next[s] - shift;
     });
 
-    if (result.gain_hi - result.gain_lo < options.tol) {
+    if (settled(result.gain_lo, result.gain_hi, options.tol)) {
       result.converged = true;
       break;
     }
@@ -319,8 +327,8 @@ MeanPayoffResult BellmanKernel::value_iteration(
       static_cast<std::int64_t>(result.iterations)));
   span.attr("converged", serve::Json(result.converged));
   // result.policy was captured by the final sweep: greedy w.r.t. the
-  // vector that sweep backed up from (within tol of the returned values'
-  // greedy policy once converged) — no extra extraction sweep needed.
+  // vector that sweep backed up from, so its own gain is at least gain_lo
+  // (Odoni's bound for the fixed policy) — no extra extraction sweep.
   return result;
 }
 
@@ -390,7 +398,7 @@ MeanPayoffResult BellmanKernel::gauss_seidel(
     policy_fresh = true;
     result.gain_lo = lo / one_minus_tau;
     result.gain_hi = hi / one_minus_tau;
-    return result.gain_hi - result.gain_lo < options.tol;
+    return settled(result.gain_lo, result.gain_hi, options.tol);
   };
 
   int iter = 0;

@@ -9,15 +9,28 @@
 // scratch once per solve, so Algorithm 1's bisection allocates no reward
 // vector per step.
 //
+// Stop rule: every caller asks only for the sign of the optimal gain
+// MP*_β (Algorithm 1's bisection step, threshold's probe), so a solve
+// stops as soon as its certified interval [gain_lo, gain_hi] excludes 0,
+// or, while it still holds 0, once it is narrower than
+// MeanPayoffOptions::tol (a tie, which the caller resolves). The returned
+// policy is greedy w.r.t. the vector the certifying sweep read, so its own
+// gain is at least gain_lo. Algorithm 1 keeps that policy as its strategy
+// when gain_lo > 0 certifies β_lo, and ends its search at a tie with the
+// bracket [β + gain_lo/r, β + gain_hi/r], r the finalization-rate floor
+// (analysis/algorithm1.hpp); a threshold probe counts a tie as fair.
+//
 // Determinism contract: synchronous sweeps (value iteration, the
 // Gauss–Seidel certifier, policy extraction) are parallelized over
 // contiguous state chunks. Every state's backup reads only the previous
 // sweep's vector, per-chunk min/max delta reductions are combined in
 // chunk order, and min/max are exact regardless of grouping — so results
-// are bit-identical at any thread count, and bit-identical to the
-// reference solvers in mdp/value_iteration.cpp (test_mdp_kernel pins both
-// equivalences). Gauss–Seidel's in-place sweeps are order-dependent and
-// stay serial, in ascending state order, exactly as in the reference.
+// are bit-identical at any thread count. A kernel solve that stops after
+// k sweeps equals the reference solver of mdp/value_iteration.cpp capped
+// at max_iterations = k in every field but `converged` (the reference
+// keeps only the tol rule); test_mdp_kernel pins both equivalences.
+// Gauss–Seidel's in-place sweeps are order-dependent and stay serial, in
+// ascending state order, exactly as in the reference.
 //
 // Value/scratch buffers are 64-byte aligned and chunk boundaries are
 // rounded to cache-line multiples, so concurrent chunk writes never
@@ -50,24 +63,27 @@ class BellmanKernel {
 
   const Mdp& mdp() const { return *mdp_; }
 
-  /// Relative value iteration; semantics and returned numbers are
-  /// identical to mdp::value_iteration on the reward vector
-  /// Mdp::beta_rewards(beta). `threads` > 1 fans each synchronous sweep
-  /// over state chunks (0 = all hardware threads); the result does not
-  /// depend on the thread count. A non-null `warm_start` must match the
-  /// model's state count exactly — a mismatched vector is rejected (it
-  /// would otherwise silently cold-start and hide a caller bug). A solve
-  /// must not run concurrently with another solve on the same kernel
-  /// instance.
+  /// Relative value iteration on the reward vector Mdp::beta_rewards(beta)
+  /// under the stop rule above: after k sweeps every field but
+  /// `converged` equals mdp::value_iteration's with max_iterations = k, and
+  /// `converged` reports that the stop rule fired. `threads` > 1 fans each
+  /// synchronous sweep over state chunks (0 = all hardware threads); the
+  /// result does not depend on the thread count. A non-null `warm_start`
+  /// must match the model's state count exactly — a mismatched vector is
+  /// rejected (it would otherwise silently cold-start and hide a caller
+  /// bug). A solve must not run concurrently with another solve on the
+  /// same kernel instance.
   MeanPayoffResult value_iteration(double beta,
                                    const MeanPayoffOptions& options = {},
                                    const std::vector<double>* warm_start =
                                        nullptr,
                                    int threads = 1) const;
 
-  /// Gauss–Seidel variant, identical to mdp::gauss_seidel_value_iteration
-  /// on the same reward vector: in-place sweeps run serially, the
-  /// synchronous certification sweeps fan out over `threads`.
+  /// Gauss–Seidel variant, equal to mdp::gauss_seidel_value_iteration
+  /// capped at the same sweep count on the same reward vector, with the
+  /// stop rule above applied at each synchronous certification sweep:
+  /// in-place sweeps run serially, the certification sweeps fan out over
+  /// `threads`.
   MeanPayoffResult gauss_seidel(double beta,
                                 const MeanPayoffOptions& options = {},
                                 const std::vector<double>* warm_start =

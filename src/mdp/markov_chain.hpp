@@ -34,7 +34,8 @@ struct CounterRates {
 
   /// ERRev of the policy: adversary / (adversary + honest).
   /// Well-defined for the selfish-mining models, where the total
-  /// finalization rate is bounded below by (1−p)/(1−p+p·d·f) > 0.
+  /// finalization rate is bounded below by selfish::min_finalization_rate
+  /// (selfish/transitions.hpp), which is positive for p < 1.
   double ratio() const { return adversary / (adversary + honest); }
 };
 

@@ -1,7 +1,12 @@
 // The solver menu of Algorithm 1: every mean-payoff solve runs on one
 // mdp::BellmanKernel, as synchronous relative value iteration (`vi`) or
 // as Gauss–Seidel sweeps with synchronous certification (`gs`). Both
-// return an Odoni-certified gain interval. The reference loops in
+// return an Odoni-certified gain interval and stop as soon as it settles
+// the sign of the optimal gain: it excludes 0, or it still holds 0 at a
+// width below MeanPayoffOptions::tol (a tie). The returned policy's own
+// gain is at least gain_lo; analysis/algorithm1.hpp describes how
+// Algorithm 1 turns signs, ties and policies into its bracket and
+// strategy. The reference loops in
 // value_iteration.hpp and the exact dense solver (dense_solver.hpp) are
 // test oracles; no method name selects them.
 #pragma once
@@ -45,11 +50,13 @@ struct SolveOptions {
   KernelTuning tuning;  ///< Read by nothing; see GatherMode.
 };
 
-/// Maximizes the mean payoff of the fused reward r_β on the kernel,
-/// fanning sweeps over `options.threads` workers. `warm_start` (value
-/// vector from a previous related solve) seeds the sweeps. Bit-identical
-/// to mdp::value_iteration / mdp::gauss_seidel_value_iteration on
-/// Mdp::beta_rewards(β) at any thread count (test_mdp_kernel).
+/// Certifies the sign of the optimal mean payoff of the fused reward r_β
+/// on the kernel (see the stop rule above), fanning sweeps over
+/// `options.threads` workers. `warm_start` (value vector from a previous
+/// related solve) seeds the sweeps. After k sweeps the result equals
+/// mdp::value_iteration / mdp::gauss_seidel_value_iteration on
+/// Mdp::beta_rewards(β) capped at k iterations, in every field but
+/// `converged`, at any thread count (test_mdp_kernel).
 MeanPayoffResult solve_mean_payoff(const BellmanKernel& kernel, double beta,
                                    const SolveOptions& options = {},
                                    const std::vector<double>* warm_start = nullptr);

@@ -15,11 +15,16 @@
 // sweep backed up from, which at convergence is within tol of the greedy
 // policy of the returned values — so convergence costs no extra sweep.
 //
-// These straightforward implementations are the *reference* solvers: the
-// bandwidth-optimized, thread-parallel mdp::BellmanKernel
-// (bellman_kernel.hpp) is pinned bit-identical to them by
-// test_mdp_kernel, and production paths (analysis::analyze) route
-// through the kernel.
+// These straightforward implementations are test oracles and keep only
+// the tol rule. Production paths (analysis::analyze, threshold probes)
+// route through the bandwidth-optimized, thread-parallel
+// mdp::BellmanKernel (bellman_kernel.hpp), which also stops once the
+// interval excludes 0, because its callers need only the gain's sign: a
+// bisection step moves β_lo on gain_lo > 0 (keeping that sweep's policy
+// as the strategy) or β_hi on gain_hi < 0, and a tie at tol ends the
+// search with a bracket bounded through the finalization-rate floor
+// (analysis/algorithm1.hpp). test_mdp_kernel pins a kernel solve of k
+// sweeps bit-identical to these loops capped at max_iterations = k.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +35,8 @@
 namespace mdp {
 
 struct MeanPayoffOptions {
-  /// Width of the certified gain interval at which iteration stops.
+  /// Width of the certified gain interval at which iteration stops (the
+  /// kernel stops earlier once the interval excludes 0).
   double tol = 1e-7;
   /// Hard iteration cap; exceeding it reports converged = false.
   int max_iterations = 2'000'000;
@@ -45,7 +51,7 @@ struct MeanPayoffResult {
   std::vector<ActionId> policy;  ///< Greedy positional strategy (global ids).
   std::vector<double> values;    ///< Final relative value vector.
   int iterations = 0;
-  bool converged = false;
+  bool converged = false;  ///< The stop rule fired before the cap.
 };
 
 /// Solves max_σ MP(σ) for the reward vector `action_reward` (expected

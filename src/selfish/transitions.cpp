@@ -198,6 +198,11 @@ std::uint32_t mining_targets(const State& s, const AttackParams& params) {
   return sigma;
 }
 
+double min_finalization_rate(const AttackParams& params) {
+  const double honest = 1.0 - params.p;
+  return honest / (2.0 * (honest + params.p * params.d * params.f));
+}
+
 std::vector<Outcome> apply_action(const State& s, const Action& action,
                                   const AttackParams& params) {
   SM_REQUIRE(s.is_canonical(params), "state must be canonical");

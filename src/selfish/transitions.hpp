@@ -34,6 +34,22 @@ struct Outcome {
 /// has an empty fork slot (new-fork creation). σ ≥ d ≥ 1 always.
 std::uint32_t mining_targets(const State& s, const AttackParams& params);
 
+/// A floor on the long-run rate g_A + g_H at which every strategy finalizes
+/// blocks, per MDP step: (1−p) / (2·(1−p+p·d·f)). The argument:
+///  - a mining step finds an honest block with probability
+///    (1−p)/(1−p+p·σ) ≥ (1−p)/(1−p+p·d·f), because σ ≤ d·f
+///    (mining_targets counts at most f targets per depth);
+///  - every honest block raises the public height by one: it is either
+///    incorporated, or it loses a race and is swapped for an adversary
+///    block of the same height, and no action lowers the height;
+///  - blocks are final at depth d, so in the long run blocks finalize at
+///    the rate the public height grows;
+///  - mining states are every other MDP step, which halves the rate.
+/// The floor is tight: at d = f = 1 the strategy that never releases
+/// attains it. Algorithm 1 divides a tied gain interval by it to bound
+/// ERRev*.
+double min_finalization_rate(const AttackParams& params);
+
 /// Applies `action` (must be available in `s` per available_actions) and
 /// returns the successor distribution over canonical states. Outcomes with
 /// probability 0 (e.g. the losing side of a γ ∈ {0,1} race) are omitted;

@@ -40,28 +40,26 @@ void Options::parse(int argc, const char* const* argv) {
   }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    SM_REQUIRE(arg.rfind("--", 0) == 0, "expected --option, got: ", arg);
-    arg = arg.substr(2);
-    std::string name, value;
-    const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    } else {
-      name = arg;
-      const auto it = decls_.find(name);
-      SM_REQUIRE(it != decls_.end(), "unknown option: --", name);
-      // A bare flag is a boolean "true"; otherwise consume the next token.
-      const bool is_flag = it->second.default_value == "false" ||
-                           it->second.default_value == "true";
-      if (is_flag) {
-        value = "true";
-      } else {
-        SM_REQUIRE(i + 1 < argc, "option --", name, " expects a value");
-        value = argv[++i];
-      }
+    if (arg.rfind("--", 0) != 0) {
+      throw InvalidArgument("expected --option, got: " + arg);
     }
-    SM_REQUIRE(decls_.find(name) != decls_.end(), "unknown option: --", name);
+    arg = arg.substr(2);
+    const auto eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const auto it = decls_.find(name);
+    if (it == decls_.end()) throw InvalidArgument("unknown option: --" + name);
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (it->second.default_value == "false" ||
+               it->second.default_value == "true") {
+      value = "true";  // A bare flag is a boolean "true".
+    } else {
+      if (i + 1 >= argc) {
+        throw InvalidArgument("option --" + name + " expects a value");
+      }
+      value = argv[++i];  // Otherwise the next token is the value.
+    }
     values_[name] = value;
   }
 }
@@ -83,12 +81,12 @@ int Options::get_int(const std::string& name) const {
   try {
     std::size_t pos = 0;
     const int v = std::stoi(s, &pos);
-    SM_REQUIRE(pos == s.size(), "trailing characters in integer: ", s);
-    return v;
+    if (pos == s.size()) return v;
   } catch (const std::logic_error&) {
-    throw InvalidArgument(detail::concat("option --", name,
-                                         " is not an integer: ", s));
+    // Not a number or out of range: refused below, like trailing text.
   }
+  throw InvalidArgument(detail::concat("option --", name,
+                                       " is not an integer: ", s));
 }
 
 double Options::get_double(const std::string& name) const {
@@ -96,12 +94,12 @@ double Options::get_double(const std::string& name) const {
   try {
     std::size_t pos = 0;
     const double v = std::stod(s, &pos);
-    SM_REQUIRE(pos == s.size(), "trailing characters in number: ", s);
-    return v;
+    if (pos == s.size()) return v;
   } catch (const std::logic_error&) {
-    throw InvalidArgument(detail::concat("option --", name,
-                                         " is not a number: ", s));
+    // Not a number or out of range: refused below, like trailing text.
   }
+  throw InvalidArgument(detail::concat("option --", name,
+                                       " is not a number: ", s));
 }
 
 bool Options::get_bool(const std::string& name) const {

@@ -89,14 +89,15 @@ TEST(EngineKeys, PinAllInputs) {
   EXPECT_NE(engine::analysis_job_key(other).hash, key.hash);
 }
 
-TEST(EngineKeys, SaltV4InvalidatesWarmStartedEntries) {
-  // Dropping cross-point warm starts shipped with a salt bump 3→4: every
-  // canonical key must carry the v4 prefix (so all warm-started v3 store
-  // entries miss cleanly) and must never render an older one.
-  EXPECT_EQ(engine::kCodeVersionSalt, 4u);
+TEST(EngineKeys, SaltV5InvalidatesFinalSolveEntries) {
+  // Sign-certified bisection shipped with a salt bump 4→5 (strategies
+  // now come from the step that certified β_lo, not a final solve):
+  // every canonical key must carry the v5 prefix (so all v4 store entries
+  // miss cleanly) and must never render an older one.
+  EXPECT_EQ(engine::kCodeVersionSalt, 5u);
   const engine::JobKey key = engine::analysis_job_key(job_at(0.2));
-  EXPECT_EQ(key.canonical.rfind("analysis/v4|", 0), 0u) << key.canonical;
-  EXPECT_EQ(key.canonical.find("analysis/v3"), std::string::npos);
+  EXPECT_EQ(key.canonical.rfind("analysis/v5|", 0), 0u) << key.canonical;
+  EXPECT_EQ(key.canonical.find("analysis/v4"), std::string::npos);
 }
 
 TEST(EngineKeys, ThreadsAndSweepOrderStayOutOfTheIdentity) {

@@ -1,9 +1,12 @@
-// BellmanKernel determinism contract: the kernel, sweeping the model's
-// own arrays, is bit-identical to the reference solvers — gain bounds,
-// value vector, policy, iteration counts — for every solver method, and
-// bit-identical to itself at any thread count (1 vs 8 byte-compared).
-// Deliberately non-stochastic: it gates in the fast `ctest -LE stochastic`
-// stage of every CI leg.
+// BellmanKernel determinism contract. The kernel stops a solve as soon as
+// its certified gain interval excludes 0 (or is narrower than tol), while
+// the reference loops in mdp/value_iteration.cpp keep only the tol rule.
+// So the pin is: a kernel solve that ran k sweeps equals the reference
+// loop capped at max_iterations = k in every field but `converged` — gain
+// bounds, value vector, policy, iteration count — for every solver method,
+// and it is bit-identical to itself at any thread count (1 vs 8
+// byte-compared). Deliberately non-stochastic: it gates in the fast
+// `ctest -LE stochastic` stage of every CI leg.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,16 +27,53 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+/// Every field but `converged`, which the two stop rules may set
+/// differently for the same sweeps.
 void expect_identical(const mdp::MeanPayoffResult& kernel,
                       const mdp::MeanPayoffResult& reference,
                       const std::string& label) {
-  EXPECT_EQ(kernel.converged, reference.converged) << label;
   EXPECT_EQ(kernel.iterations, reference.iterations) << label;
   EXPECT_EQ(kernel.gain, reference.gain) << label;
   EXPECT_EQ(kernel.gain_lo, reference.gain_lo) << label;
   EXPECT_EQ(kernel.gain_hi, reference.gain_hi) << label;
   EXPECT_EQ(kernel.policy, reference.policy) << label;
   EXPECT_TRUE(same_bytes(kernel.values, reference.values)) << label;
+}
+
+/// Reference options capped at the sweeps `kernel` ran.
+mdp::MeanPayoffOptions capped_at(const mdp::MeanPayoffResult& kernel) {
+  mdp::MeanPayoffOptions options;
+  options.max_iterations = kernel.iterations;
+  return options;
+}
+
+/// The kernel's stop rule held at its last sweep: the interval excludes 0
+/// or is narrower than tol.
+void expect_settled(const mdp::MeanPayoffResult& kernel,
+                    const std::string& label, double tol = 1e-7) {
+  EXPECT_TRUE(kernel.converged) << label;
+  EXPECT_TRUE(kernel.gain_lo > 0.0 || kernel.gain_hi < 0.0 ||
+              kernel.gain_hi - kernel.gain_lo < tol)
+      << label;
+}
+
+/// Kernel vi and gs at `beta` against the capped reference loops.
+void expect_matches_reference(const mdp::BellmanKernel& kernel, double beta,
+                              const std::vector<double>* warm_start,
+                              const std::string& label) {
+  const mdp::Mdp& m = kernel.mdp();
+  const auto rewards = m.beta_rewards(beta);
+  const auto vi = kernel.value_iteration(beta, {}, warm_start);
+  expect_settled(vi, "vi " + label);
+  expect_identical(
+      vi, mdp::value_iteration(m, rewards, capped_at(vi), warm_start),
+      "vi " + label);
+  const auto gs = kernel.gauss_seidel(beta, {}, warm_start);
+  expect_settled(gs, "gs " + label);
+  expect_identical(gs,
+                   mdp::gauss_seidel_value_iteration(m, rewards, capped_at(gs),
+                                                     warm_start),
+                   "gs " + label);
 }
 
 selfish::SelfishModel build(int d, int f) {
@@ -46,32 +86,17 @@ TEST(BellmanKernel, BitIdenticalToLegacyOnSelfishModels) {
     const auto model = build(d, f);
     const mdp::BellmanKernel kernel(model.mdp);
     for (const double beta : {0.2, 0.41, 0.8}) {
-      const auto rewards = model.mdp.beta_rewards(beta);
-      const std::string label = "d=" + std::to_string(d) +
-                                " f=" + std::to_string(f) +
-                                " beta=" + std::to_string(beta);
-      expect_identical(kernel.value_iteration(beta),
-                       mdp::value_iteration(model.mdp, rewards),
-                       "vi " + label);
-      expect_identical(kernel.gauss_seidel(beta),
-                       mdp::gauss_seidel_value_iteration(model.mdp, rewards),
-                       "gs " + label);
+      expect_matches_reference(kernel, beta, nullptr,
+                               "d=" + std::to_string(d) +
+                                   " f=" + std::to_string(f) +
+                                   " beta=" + std::to_string(beta));
     }
     // Warm-started solves, the shape of every bisection step after the
     // first: both methods seeded from one neighbouring solve's values.
     const auto seed = kernel.value_iteration(0.40);
-    const auto rewards = model.mdp.beta_rewards(0.42);
-    const std::string label =
-        "warm d=" + std::to_string(d) + " f=" + std::to_string(f);
-    expect_identical(
-        kernel.value_iteration(0.42, {}, &seed.values),
-        mdp::value_iteration(model.mdp, rewards, {}, &seed.values),
-        "vi " + label);
-    expect_identical(
-        kernel.gauss_seidel(0.42, {}, &seed.values),
-        mdp::gauss_seidel_value_iteration(model.mdp, rewards, {},
-                                          &seed.values),
-        "gs " + label);
+    expect_matches_reference(
+        kernel, 0.42, &seed.values,
+        "warm d=" + std::to_string(d) + " f=" + std::to_string(f));
   }
 }
 
@@ -84,34 +109,60 @@ TEST(BellmanKernel, BitIdenticalToLegacyOnHandAndRandomModels) {
   for (std::size_t i = 0; i < models.size(); ++i) {
     const mdp::BellmanKernel kernel(models[i]);
     for (const double beta : {0.0, 0.4, 1.0}) {
-      const auto rewards = models[i].beta_rewards(beta);
-      const std::string label =
-          "model=" + std::to_string(i) + " beta=" + std::to_string(beta);
-      expect_identical(kernel.value_iteration(beta),
-                       mdp::value_iteration(models[i], rewards),
-                       "vi " + label);
-      expect_identical(kernel.gauss_seidel(beta),
-                       mdp::gauss_seidel_value_iteration(models[i], rewards),
-                       "gs " + label);
+      expect_matches_reference(
+          kernel, beta, nullptr,
+          "model=" + std::to_string(i) + " beta=" + std::to_string(beta));
     }
   }
 }
 
+TEST(BellmanKernel, StopsOnTheSignOrRunsATieToTol) {
+  // d=2,f=1,p=0.3: ERRev* = 0.4105, so β = 0.2 and 0.8 have a clear sign
+  // and stop long before the tol rule would. d=1,f=1 at p=0.25,γ=0.5 is an
+  // exact tie at β = p (honest mining is optimal): the interval never
+  // excludes 0, so the kernel runs exactly as far as the tol-only loop.
+  const auto model = build(2, 1);
+  const mdp::BellmanKernel kernel(model.mdp);
+  for (const double beta : {0.2, 0.8}) {
+    const auto vi = kernel.value_iteration(beta);
+    const auto full =
+        mdp::value_iteration(model.mdp, model.mdp.beta_rewards(beta));
+    ASSERT_TRUE(full.converged);
+    EXPECT_TRUE(beta < 0.41 ? vi.gain_lo > 0.0 : vi.gain_hi < 0.0) << beta;
+    EXPECT_GE(vi.gain_hi - vi.gain_lo, 1e-7) << beta;
+    EXPECT_LT(vi.iterations, full.iterations) << beta;
+  }
+  const auto tied = selfish::build_model(
+      selfish::AttackParams{.p = 0.25, .gamma = 0.5, .d = 1, .f = 1, .l = 4});
+  const mdp::BellmanKernel tie_kernel(tied.mdp);
+  const auto tie = tie_kernel.value_iteration(0.25);
+  ASSERT_TRUE(tie.converged);
+  EXPECT_LE(tie.gain_lo, 0.0);
+  EXPECT_GE(tie.gain_hi, 0.0);
+  expect_identical(
+      tie, mdp::value_iteration(tied.mdp, tied.mdp.beta_rewards(0.25)),
+      "tie");
+}
+
 TEST(BellmanKernel, FacadeBitIdenticalForAllSolverMethods) {
   // The facade contract: solve_mean_payoff(kernel, β) with method vi or
-  // gs ≡ the matching reference solver on beta_rewards(β).
+  // gs ≡ the matching kernel method, hence ≡ the capped reference loop.
   const auto model = build(2, 1);
   const mdp::BellmanKernel kernel(model.mdp);
   const double beta = 0.41;
   const auto rewards = model.mdp.beta_rewards(beta);
   mdp::SolveOptions options;
   options.method = mdp::SolverMethod::kValueIteration;
-  expect_identical(mdp::solve_mean_payoff(kernel, beta, options),
-                   mdp::value_iteration(model.mdp, rewards), "method=vi");
+  const auto vi = mdp::solve_mean_payoff(kernel, beta, options);
+  expect_settled(vi, "method=vi");
+  expect_identical(vi, mdp::value_iteration(model.mdp, rewards, capped_at(vi)),
+                   "method=vi");
   options.method = mdp::SolverMethod::kGaussSeidel;
-  expect_identical(mdp::solve_mean_payoff(kernel, beta, options),
-                   mdp::gauss_seidel_value_iteration(model.mdp, rewards),
-                   "method=gs");
+  const auto gs = mdp::solve_mean_payoff(kernel, beta, options);
+  expect_settled(gs, "method=gs");
+  expect_identical(
+      gs, mdp::gauss_seidel_value_iteration(model.mdp, rewards, capped_at(gs)),
+      "method=gs");
 }
 
 TEST(BellmanKernel, ThreadCountInvariantByteForByte) {
@@ -124,9 +175,19 @@ TEST(BellmanKernel, ThreadCountInvariantByteForByte) {
     const auto vi_1 = kernel.value_iteration(beta, {}, nullptr, 1);
     const auto vi_8 = kernel.value_iteration(beta, {}, nullptr, 8);
     expect_identical(vi_8, vi_1, "vi beta=" + std::to_string(beta));
+    EXPECT_EQ(vi_8.converged, vi_1.converged);
     const auto gs_1 = kernel.gauss_seidel(beta, {}, nullptr, 1);
     const auto gs_8 = kernel.gauss_seidel(beta, {}, nullptr, 8);
     expect_identical(gs_8, gs_1, "gs beta=" + std::to_string(beta));
+    EXPECT_EQ(gs_8.converged, gs_1.converged);
+    if (beta == 0.2) {
+      // ERRev* = 0.4393 here, so β = 0.2 exits on its certified sign well
+      // before the tol rule: the sign exit is thread-count invariant too.
+      EXPECT_GT(vi_1.gain_lo, 0.0);
+      EXPECT_GE(vi_1.gain_hi - vi_1.gain_lo, 1e-7);
+      EXPECT_GT(gs_1.gain_lo, 0.0);
+      EXPECT_GE(gs_1.gain_hi - gs_1.gain_lo, 1e-7);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "mdp/markov_chain.hpp"
 #include "selfish/build.hpp"
+#include "selfish/transitions.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -30,20 +31,48 @@ TEST_P(RandomPolicies, EveryPolicyHasWellDefinedRevenue) {
   const Case c = GetParam();
   const auto model = selfish::build_model(c.params);
   support::Rng rng(c.seed);
-  const double delta =
-      0.5 * (1 - c.params.p) /
-      (1 - c.params.p + c.params.p * c.params.d * c.params.f);
+  // The floor Algorithm 1's tie rule divides by: per MDP step, so half the
+  // per-mining-step rate.
+  const double floor = selfish::min_finalization_rate(c.params);
 
   for (int trial = 0; trial < 5; ++trial) {
     const auto policy = random_policy(model.mdp, rng);
     const auto rates = mdp::stationary_distribution(model.mdp, policy).rates;
     // Rates are non-negative and the chain keeps finalizing blocks
-    // (unichain + the paper's δ lower bound, halved for decision steps).
+    // (unichain + the finalization-rate floor).
     EXPECT_GE(rates.adversary, -1e-12);
-    EXPECT_GT(rates.honest + rates.adversary, delta - 1e-9);
+    EXPECT_GT(rates.honest + rates.adversary, floor - 1e-9);
     const double errev = rates.ratio();
     EXPECT_GE(errev, 0.0);
     EXPECT_LE(errev, 1.0);
+  }
+}
+
+TEST(FinalizationRateFloor, IsTightAtDepthOne) {
+  // At d = f = 1 the adversary always has one mining target, and a
+  // strategy that never releases finalizes exactly the honest blocks: one
+  // per honest mining step, which is the floor (1−p)/2 per MDP step. So
+  // halving the per-mining-step bound is exact, not slack.
+  for (const double p : {0.1, 0.25, 0.45}) {
+    const selfish::AttackParams params{
+        .p = p, .gamma = 0.5, .d = 1, .f = 1, .l = 4};
+    const auto model = selfish::build_model(params);
+    mdp::Policy never_release(model.mdp.num_states(), mdp::kInvalidAction);
+    for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
+      for (mdp::ActionId a = model.mdp.action_begin(s);
+           a < model.mdp.action_end(s); ++a) {
+        if (model.action_of(a).kind == selfish::Action::Kind::kMine) {
+          never_release[s] = a;
+        }
+      }
+      ASSERT_NE(never_release[s], mdp::kInvalidAction);
+    }
+    const auto rates =
+        mdp::stationary_distribution(model.mdp, never_release).rates;
+    EXPECT_NEAR(rates.adversary + rates.honest,
+                selfish::min_finalization_rate(params), 1e-9)
+        << "p=" << p;
+    EXPECT_DOUBLE_EQ(selfish::min_finalization_rate(params), (1 - p) / 2);
   }
 }
 

@@ -126,8 +126,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         PinnedRun{false, 7, 0.51934062346988741, 15910, 14725, 13871, 2745,
                   3038, 3052, 191, 35521, 24479},
-        PinnedRun{true, 11, 0.48709751084722541, 14931, 15722, 13164, 2969,
-                  2914, 2876, 172, 35137, 24863}),
+        // Re-recorded when the strategy became the policy of the step
+        // that certified β_lo: the previous strategy, saved by
+        // `analyze --save-strategy`, still replays to the old pin
+        // {0.48709751084722541, 14931, 15722, 13164, 2969, 2914, 2876,
+        // 172, 35137, 24863}.
+        PinnedRun{true, 11, 0.4871635948458653, 14934, 15721, 13162, 2970,
+                  2909, 2874, 172, 35140, 24860}),
     [](const ::testing::TestParamInfo<PinnedRun>& info) {
       return info.param.burn_lost_races ? std::string("Burn")
                                         : std::string("NoBurn");

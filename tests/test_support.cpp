@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/csv.hpp"
@@ -202,6 +204,37 @@ TEST(Options, MalformedNumberThrows) {
   const char* argv[] = {"prog", "--x=12abc"};
   opts.parse(2, argv);
   EXPECT_THROW(opts.get_int("x"), support::InvalidArgument);
+}
+
+TEST(Options, ParseErrorsSayWhatIsWrongInPlainWords) {
+  // A user's mistake on the command line is reported as itself, not as
+  // the text of an internal precondition.
+  const auto message = [](std::vector<const char*> argv,
+                          const std::string& typed = "") -> std::string {
+    support::Options opts;
+    opts.declare("p", "0.3", "adversary resource");
+    opts.declare("d", "2", "depth");
+    argv.insert(argv.begin(), "prog");
+    try {
+      opts.parse(static_cast<int>(argv.size()), argv.data());
+      if (typed == "int") opts.get_int("d");
+      if (typed == "double") opts.get_double("p");
+    } catch (const support::InvalidArgument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message({"--q=0.2"}), "unknown option: --q");
+  EXPECT_EQ(message({"--q"}), "unknown option: --q");
+  EXPECT_EQ(message({"--p"}), "option --p expects a value");
+  EXPECT_EQ(message({"p=0.3"}), "expected --option, got: p=0.3");
+  EXPECT_EQ(message({"--d=3x"}, "int"), "option --d is not an integer: 3x");
+  EXPECT_EQ(message({"--d=x"}, "int"), "option --d is not an integer: x");
+  EXPECT_EQ(message({"--d=99999999999"}, "int"),
+            "option --d is not an integer: 99999999999");
+  EXPECT_EQ(message({"--p=0.3y"}, "double"),
+            "option --p is not a number: 0.3y");
+  EXPECT_EQ(message({"--p=0.3", "--d=3"}, "int"), "no error");
 }
 
 TEST(Options, UsageMentionsAllOptions) {

@@ -79,4 +79,25 @@ TEST(UpperBound, RejectsDegenerateRanges) {
                support::InvalidArgument);
 }
 
+TEST(UpperBound, OneValidatorRefusesEveryBadRange) {
+  // UpperBoundOptions::validate is the one range check that both
+  // bound_errev_in_l and engine::make_upper_bound_job call.
+  const selfish::AttackParams base{.p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 4};
+  analysis::UpperBoundOptions options;
+  EXPECT_NO_THROW(options.validate());
+  for (const auto& [l_min, l_max] :
+       {std::pair{0, 3}, {3, 3}, {4, 2}, {2, selfish::kMaxForkLength + 1}}) {
+    options.l_min = l_min;
+    options.l_max = l_max;
+    EXPECT_THROW(options.validate(), support::InvalidArgument)
+        << l_min << ".." << l_max;
+    EXPECT_THROW(analysis::bound_errev_in_l(base, options),
+                 support::InvalidArgument)
+        << l_min << ".." << l_max;
+  }
+  options.l_min = selfish::kMaxForkLength - 1;
+  options.l_max = selfish::kMaxForkLength;
+  EXPECT_NO_THROW(options.validate());
+}
+
 }  // namespace
