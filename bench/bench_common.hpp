@@ -25,7 +25,7 @@ std::vector<double> gamma_grid();
 std::vector<double> resource_grid(bool full);
 
 /// Declares the options shared by all harnesses (--full, --epsilon,
-/// --solver, --threads, --cache-dir, --metrics-out, --trace-out) and
+/// --threads, --cache-dir, --metrics-out, --trace-out) and
 /// parses argv (with SELFISH_* environment defaults). When --trace-out is
 /// set the obs NDJSON trace sink opens immediately, so every span of the
 /// harness run lands in the file.
@@ -42,7 +42,7 @@ void write_metrics_snapshot(const support::Options& options);
 /// drives the per-point fan-out, --cache-dir the result store.
 engine::EngineOptions engine_options(const support::Options& options);
 
-/// Analysis configuration from the shared options (--epsilon, --solver).
+/// Analysis configuration from the shared options (--epsilon).
 /// `solver_threads` = true additionally routes --threads into the
 /// per-solve Bellman kernel — for harnesses that run one analysis at a
 /// time; engine-driven grids pass false (the engine already fans the

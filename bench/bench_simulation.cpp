@@ -22,8 +22,6 @@ int main(int argc, char** argv) {
 
   analysis::AnalysisOptions analysis_options;
   analysis_options.epsilon = options.get_double("epsilon");
-  analysis_options.solver.method =
-      mdp::parse_solver_method(options.get_string("solver"));
 
   sim::SimulationOptions sim_options;
   sim_options.steps = full ? 4'000'000 : 1'000'000;

@@ -1,6 +1,6 @@
 // Solver micro-benchmarks (google-benchmark): model construction, one
-// mean-payoff solve per method — the reference solvers vs the
-// BellmanKernel at several thread counts — full Algorithm 1, the
+// mean-payoff solve — the reference solver vs the BellmanKernel at
+// several thread counts — full Algorithm 1, the
 // single-tree baseline, and the stationary evaluation: the building
 // blocks whose costs compose into Table 1.
 //
@@ -15,9 +15,8 @@
 // The kernel rows time a sign solve: the kernel stops as soon as its
 // certified gain interval excludes 0, and β = 0.4 lies well below ERRev*
 // (0.44–0.53) of their f = 2 models, so they run far fewer sweeps than the
-// reference rows (BM_ValueIteration, BM_GaussSeidel), which keep the
-// tol-only rule. Compare them per sweep (achieved_gbps, sweep_p50_ms),
-// not per solve.
+// reference rows (BM_ValueIteration), which keep the tol-only rule.
+// Compare them per sweep (achieved_gbps, sweep_p50_ms), not per solve.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -29,7 +28,6 @@
 #include "baselines/single_tree.hpp"
 #include "mdp/bellman_kernel.hpp"
 #include "mdp/dense_solver.hpp"
-#include "mdp/solve.hpp"
 #include "obs/metrics.hpp"
 #include "selfish/build.hpp"
 
@@ -111,21 +109,6 @@ BENCHMARK(BM_ValueIteration)
 BENCHMARK(BM_ValueIteration)->Args({4, 2})
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
-void BM_GaussSeidel(benchmark::State& state) {
-  const auto model = selfish::build_model(
-      params_for(static_cast<int>(state.range(0)),
-                 static_cast<int>(state.range(1))));
-  const auto rewards = model.mdp.beta_rewards(0.4);
-  for (auto _ : state) {
-    const auto result =
-        mdp::gauss_seidel_value_iteration(model.mdp, rewards);
-    benchmark::DoNotOptimize(result.gain);
-  }
-}
-BENCHMARK(BM_GaussSeidel)
-    ->Args({1, 1})->Args({2, 1})->Args({2, 2})->Args({3, 2})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_KernelValueIteration(benchmark::State& state) {
   // The kernel, threads = range(2): a sign solve, whose k sweeps are
   // bit-identical to BM_ValueIteration's first k (test_mdp_kernel pins
@@ -163,23 +146,6 @@ BENCHMARK(BM_KernelValueIteration)
     ->Args({4, 2, 1})->Args({4, 2, 2})->Args({4, 2, 4})->Args({4, 2, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(1);
 
-void BM_KernelGaussSeidel(benchmark::State& state) {
-  const auto model = selfish::build_model(
-      params_for(static_cast<int>(state.range(0)),
-                 static_cast<int>(state.range(1))));
-  const mdp::BellmanKernel kernel(model.mdp);
-  const int threads = static_cast<int>(state.range(2));
-  for (auto _ : state) {
-    const auto result = kernel.gauss_seidel(0.4, {}, nullptr, threads);
-    benchmark::DoNotOptimize(result.gain);
-  }
-}
-BENCHMARK(BM_KernelGaussSeidel)
-    ->Args({2, 2, 1})->Args({2, 2, 8})->Args({3, 2, 1})->Args({3, 2, 8})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_KernelGaussSeidel)->Args({4, 2, 1})
-    ->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(1);
-
 void BM_StreamTriad(benchmark::State& state) {
   // STREAM-like triad peak for this host: a[i] = b[i] + s·c[i] over
   // arrays far past L2, 24 explicit bytes per element (write-allocate
@@ -209,12 +175,12 @@ void BM_SweepStream(benchmark::State& state) {
   // target/prob streams in CSR order, the v[target] gather, reward +
   // offset per action, v read / v_next write per state — with the solver
   // logic (max-reduction, policy and convergence bookkeeping) replaced
-  // by a straight sum. Counted with the kernel's own bytes_per_sweep
-  // accounting (gather line fills not counted), so achieved_gbps here is
-  // the roofline the kernel VI rows should be judged against: the
-  // sequential triad above overstates it, because a near-random gather
-  // per 12 streamed bytes costs line fills the accounting deliberately
-  // leaves out.
+  // by a straight sum. Counted by the same compulsory-traffic rule as the
+  // kernel's bytes_per_sweep (gather line fills not counted), so
+  // achieved_gbps here is the roofline the kernel VI rows should be judged
+  // against: the sequential triad above overstates it, because a
+  // near-random gather per 12 streamed bytes costs line fills the
+  // accounting deliberately leaves out.
   const auto model = selfish::build_model(
       params_for(static_cast<int>(state.range(0)),
                  static_cast<int>(state.range(1))));

@@ -12,8 +12,8 @@ namespace analysis {
 
 AnalysisResult analyze(const selfish::SelfishModel& model,
                        const AnalysisOptions& options) {
-  SM_REQUIRE(options.epsilon > 0.0 && options.epsilon < 1.0,
-             "epsilon out of (0,1): ", options.epsilon);
+  SM_CHECK_INPUT(options.epsilon > 0.0 && options.epsilon < 1.0,
+                 "epsilon out of (0,1): ", options.epsilon);
   const support::Timer timer;
   const mdp::Mdp& m = model.mdp;
 
@@ -30,8 +30,9 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
 
   while (result.beta_hi - result.beta_lo >= options.epsilon) {
     const double beta = 0.5 * (result.beta_lo + result.beta_hi);
-    mdp::MeanPayoffResult solve = mdp::solve_mean_payoff(
-        kernel, beta, options.solver, values.empty() ? nullptr : &values);
+    mdp::MeanPayoffResult solve = kernel.value_iteration(
+        beta, options.solver.mean_payoff, values.empty() ? nullptr : &values,
+        options.solver.threads);
     SM_ENSURE(solve.converged, "mean-payoff solver did not converge at beta=",
               beta);
     ++result.search_iterations;

@@ -15,8 +15,8 @@ ThresholdProbe probe_at(const selfish::AttackParams& base, double p,
   const auto model = selfish::build_model(params);
   const mdp::BellmanKernel kernel(model.mdp);
   const double beta = p + options.unfairness_margin;
-  const mdp::MeanPayoffResult solve =
-      mdp::solve_mean_payoff(kernel, beta, options.solver);
+  const mdp::MeanPayoffResult solve = kernel.value_iteration(
+      beta, options.solver.mean_payoff, nullptr, options.solver.threads);
   SM_ENSURE(solve.converged, "mean-payoff solver did not converge at beta=",
             beta);
   return {p, solve.gain_lo, solve.gain_hi, solve.gain_lo > 0.0};
@@ -25,9 +25,10 @@ ThresholdProbe probe_at(const selfish::AttackParams& base, double p,
 }  // namespace
 
 void ThresholdOptions::validate() const {
-  SM_REQUIRE(unfairness_margin > 0.0 && kPMax + unfairness_margin < 1.0,
-             "margin out of (0,", 1.0 - kPMax, "): ", unfairness_margin);
-  SM_REQUIRE(p_tolerance > 0.0, "p tolerance must be positive");
+  SM_CHECK_INPUT(unfairness_margin > 0.0 && kPMax + unfairness_margin < 1.0,
+                 "margin out of (0,", 1.0 - kPMax, "): ", unfairness_margin);
+  SM_CHECK_INPUT(p_tolerance > 0.0, "p tolerance must be positive, got ",
+                 p_tolerance);
 }
 
 ThresholdResult fairness_threshold(const selfish::AttackParams& base,

@@ -6,10 +6,12 @@
 namespace analysis {
 
 void UpperBoundOptions::validate() const {
-  SM_REQUIRE(l_min >= 1, "l_min must be at least 1");
-  SM_REQUIRE(l_max >= l_min + 1, "need at least two l values to extrapolate");
-  SM_REQUIRE(l_max <= selfish::kMaxForkLength,
-             "l_max exceeds the representable fork length");
+  SM_CHECK_INPUT(l_min >= 1, "lmin must be at least 1, got ", l_min);
+  SM_CHECK_INPUT(l_max >= l_min + 1,
+                 "need at least two l values to extrapolate: lmin=", l_min,
+                 ", lmax=", l_max);
+  SM_CHECK_INPUT(l_max <= selfish::kMaxForkLength, "lmax must be at most ",
+                 selfish::kMaxForkLength, ", got ", l_max);
 }
 
 UpperBoundResult bound_errev_in_l(const selfish::AttackParams& base,

@@ -25,10 +25,8 @@ std::string JobKey::hex() const {
 /// bit-identical at any thread count (test_mdp_kernel), so it cannot
 /// change a stored result.
 std::string mean_payoff_solver_id(const mdp::SolveOptions& options) {
-  return "solver=" + mdp::to_string(options.method) +
-         "|tol=" + canonical_double(options.mean_payoff.tol) +
-         "|maxit=" + std::to_string(options.mean_payoff.max_iterations) +
-         "|tau=" + canonical_double(options.mean_payoff.tau);
+  return "tol=" + canonical_double(options.mean_payoff.tol) +
+         "|maxit=" + std::to_string(options.mean_payoff.max_iterations);
 }
 
 std::string solver_options_id(const analysis::AnalysisOptions& options) {

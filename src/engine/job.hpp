@@ -41,7 +41,11 @@ namespace engine {
 /// policy of the step that certified β_lo instead of a final solve's. So
 /// policies, errev_of_policy and solver_iterations move; brackets move
 /// only where a step used to take its sign from an uncertified midpoint.
-inline constexpr std::uint32_t kCodeVersionSalt = 5;
+/// v6: each sweep advances two MDP steps on the mining-step operator, with
+/// no lazy transform, and the stationary solve iterates P². Sweep counts,
+/// tie brackets and the last digits of errev_of_policy move, and keys lost
+/// their `solver=` and `tau=` tokens.
+inline constexpr std::uint32_t kCodeVersionSalt = 6;
 
 /// One Algorithm 1 evaluation: build the model for `params`, analyze with
 /// `options`. This is the unit of work behind `analysis::sweep_p`, the
@@ -74,7 +78,7 @@ std::string canonical_double(double value);
 /// The key of `job`: "analysis/v<salt>|<model params>|<solver options>".
 JobKey analysis_job_key(const AnalysisJob& job);
 
-/// One mean-payoff solve's slice of a job key: method and tolerances.
+/// One mean-payoff solve's slice of a job key: its tolerances.
 std::string mean_payoff_solver_id(const mdp::SolveOptions& options);
 
 /// The Algorithm 1 slice of a job key: ε, the mean-payoff solver and the

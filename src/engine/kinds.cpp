@@ -10,7 +10,6 @@
 #include "analysis/render.hpp"
 #include "analysis/sweep.hpp"
 #include "engine/engine.hpp"
-#include "mdp/solve.hpp"
 #include "net/batch.hpp"
 #include "net/network.hpp"
 #include "selfish/build.hpp"
@@ -265,12 +264,6 @@ void visit_model(FieldVisitor& visitor, Model& model,
   }
 }
 
-void visit_solver(FieldVisitor& visitor, mdp::SolveOptions& options) {
-  std::string solver = mdp::to_string(options.method);
-  visitor.field("solver", &solver, "mean-payoff solver: vi | gs");
-  options.method = mdp::parse_solver_method(solver);
-}
-
 void visit_epsilon(FieldVisitor& visitor, double& epsilon) {
   visitor.field("epsilon", &epsilon, "Algorithm 1 precision");
 }
@@ -302,7 +295,6 @@ void visit_fields(FieldVisitor& visitor, selfish::AttackParams& params) {
 void visit_fields(FieldVisitor& visitor,
                   analysis::AnalysisOptions& options) {
   visit_epsilon(visitor, options.epsilon);
-  visit_solver(visitor, options.solver);
 }
 
 void visit_fields(FieldVisitor& visitor, PointQuery& query) {
@@ -321,7 +313,6 @@ void visit_fields(FieldVisitor& visitor, SweepQuery& query) {
 
 void visit_fields(FieldVisitor& visitor, ThresholdQuery& query) {
   visit_model(visitor, query.base, "p");
-  visit_solver(visitor, query.options.solver);
   visitor.field("margin", &query.options.unfairness_margin,
                 "excess revenue that counts as unfair");
   visitor.field("ptol", &query.options.p_tolerance, "p bracket width");

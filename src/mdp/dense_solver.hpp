@@ -9,9 +9,8 @@
 // partial-pivoting Gaussian elimination — O(n³), intended for models with
 // up to a few thousand states. dense_policy_iteration combines it with
 // Howard improvement for an exact optimal gain. Both are test oracles
-// only: the tests check the certified vi/gs gain intervals and
-// Algorithm 1's strategies against them; no `--solver` value selects
-// them.
+// only: the tests check the kernel's certified gain intervals and
+// Algorithm 1's strategies against them; no option selects them.
 #pragma once
 
 #include <vector>

@@ -2,7 +2,8 @@
 //
 // Used for (a) evaluating a computed strategy: one stationary solve gives
 // both the exact ERRev g_A / (g_A + g_H) and the strategy's statistics;
-// and (b) structural sanity checks (reachability, unichain validation).
+// and (b) structural checks: reachability, and the mining/decision split
+// that mdp::BellmanKernel sweeps by.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,17 @@ std::vector<bool> reachable_states(const Mdp& mdp, StateId from);
 std::vector<bool> reachable_states(const Mdp& mdp, const Policy& policy,
                                    StateId from);
 
+/// The class of a state of a 2-periodic model. In §3.2's model every
+/// mining state leads only to decision states (honest or adversary found)
+/// and every decision state only back to mining states.
+enum class StepClass : std::uint8_t { kMining, kDecision };
+
+/// 2-colours the states by BFS over every action from the initial state,
+/// whose class is kMining, and returns each state's class. Throws
+/// support::InvalidArgument when an edge joins two states of one class or
+/// a state is never reached.
+std::vector<StepClass> step_classes(const Mdp& mdp);
+
 /// Long-run rates of the two finalization counters under a strategy.
 struct CounterRates {
   double adversary = 0.0;  ///< Long-run finalized adversary blocks / step.
@@ -46,13 +58,19 @@ struct StationaryResult {
   int iterations = 0;
 };
 
-/// Stationary distribution of the chain induced by `policy`, computed by
-/// lazy power iteration started from the initial state, and the counter
-/// rates averaged over it. It stops once one iteration changes μ by less
-/// than 1e-12 in L1, and throws support::InternalError if its iteration
-/// cap comes first. For a unichain model this converges to the unique
-/// stationary distribution of the recurrent class reachable from the
-/// initial state.
+/// Stationary distribution of the chain induced by `policy`, and the
+/// counter rates averaged over it. Power iteration μ ← μP^k starts from
+/// the initial state with k = 2. A chain still unconverged after 256
+/// iterations gets k = the least common multiple of 2 and the periods of
+/// the closed classes it reaches (Tarjan's SCCs and BFS levels), so a
+/// strategy that cycles with a longer period also converges; on the
+/// selfish-mining chains k stays 2, and μ stays on the mining states. It
+/// stops once one iteration changes μ by less than 1e-12 in L1, and
+/// returns π = (μ + μP + … + μP^(k−1))/k, which satisfies πP = π whenever
+/// μP^k = μ, so no lazy transform is needed. It throws support::InternalError if its iteration cap comes
+/// first, and support::InvalidArgument if k would exceed 4096. For a
+/// unichain model this is the unique stationary distribution of the
+/// recurrent class reachable from the initial state.
 StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy);
 
 }  // namespace mdp

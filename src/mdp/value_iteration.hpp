@@ -1,30 +1,36 @@
-// Relative value iteration for mean-payoff MDPs.
+// Relative value iteration for mean-payoff MDPs, on the mining-step
+// operator.
 //
 // The selfish-mining MDP is unichain under every strategy (the all-honest
-// reset state is reachable from everywhere) but 2-periodic (mining states
-// alternate with decision states), so plain value iteration oscillates.
-// We apply the standard aperiodicity transformation P' = τI + (1−τ)P,
-// r' = (1−τ)r, which preserves optimal policies, scales the gain by (1−τ),
-// and makes the span-seminorm stopping rule applicable:
+// reset state is reachable from everywhere) but 2-periodic: every mining
+// state leads only to decision states and every decision state only back
+// to mining states (§3.2; mdp::step_classes finds the split). So plain
+// synchronous value iteration oscillates. Instead each sweep advances two
+// MDP steps in two synchronous passes over one value vector:
 //
-//   min_s (Tv − v)(s)  ≤  gain'  ≤  max_s (Tv − v)(s)
+//   decision states s:  q(s)  = max_a [r(a) + Σ_t P(a,t) w(t)]
+//   mining states m:    w'(m) = max_a [r(a) + Σ_s P(a,s) q(s)]
 //
-// The returned gain is certified to lie in [gain_lo, gain_hi] with
-// gain_hi − gain_lo < tol on convergence; the greedy policy is captured
-// during the final (certifying) sweep — arg-max w.r.t. the vector that
-// sweep backed up from, which at convergence is within tol of the greedy
-// policy of the returned values — so convergence costs no extra sweep.
+// Neither class reads its own values, so the passes are exact backups of
+// the two-step chain on the mining states. On the selfish models that
+// chain is aperiodic (the empty-window mining state returns to itself
+// whenever an honest block is found), so no lazy transform is needed.
+// Odoni's bounds for it hold for any w:
 //
-// These straightforward implementations are test oracles and keep only
-// the tol rule. Production paths (analysis::analyze, threshold probes)
-// route through the bandwidth-optimized, thread-parallel
-// mdp::BellmanKernel (bellman_kernel.hpp), which also stops once the
-// interval excludes 0, because its callers need only the gain's sign: a
-// bisection step moves β_lo on gain_lo > 0 (keeping that sweep's policy
-// as the strategy) or β_hi on gain_hi < 0, and a tie at tol ends the
-// search with a bracket bounded through the finalization-rate floor
-// (analysis/algorithm1.hpp). test_mdp_kernel pins a kernel solve of k
-// sweeps bit-identical to these loops capped at max_iterations = k.
+//   min_m (w' − w)(m)  ≤  two-step gain  ≤  max_m (w' − w)(m)
+//
+// and the gain per MDP step is exactly half the two-step gain, so the
+// reported [gain_lo, gain_hi] is the halved interval. The greedy policy is
+// captured by the two passes of the final (certifying) sweep, so its own
+// gain is at least gain_lo, and convergence costs no extra sweep.
+//
+// This straightforward loop is the test oracle and keeps only the tol
+// rule. Production paths (analysis::analyze, threshold probes) route
+// through the thread-parallel mdp::BellmanKernel (bellman_kernel.hpp),
+// which runs the same sweep and also stops once the interval excludes 0,
+// because its callers need only the gain's sign. test_mdp_kernel pins a
+// kernel solve of k sweeps bit-identical to this loop capped at
+// max_iterations = k.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +41,11 @@
 namespace mdp {
 
 struct MeanPayoffOptions {
-  /// Width of the certified gain interval at which iteration stops (the
-  /// kernel stops earlier once the interval excludes 0).
+  /// Width of the certified gain interval (per MDP step) at which iteration
+  /// stops (the kernel stops earlier once the interval excludes 0).
   double tol = 1e-7;
-  /// Hard iteration cap; exceeding it reports converged = false.
+  /// Hard sweep cap; exceeding it reports converged = false.
   int max_iterations = 2'000'000;
-  /// Laziness of the aperiodicity transformation, in (0, 1).
-  double tau = 0.5;
 };
 
 struct MeanPayoffResult {
@@ -49,32 +53,23 @@ struct MeanPayoffResult {
   double gain_lo = 0.0;  ///< Certified lower bound on the optimal gain.
   double gain_hi = 0.0;  ///< Certified upper bound on the optimal gain.
   std::vector<ActionId> policy;  ///< Greedy positional strategy (global ids).
-  std::vector<double> values;    ///< Final relative value vector.
-  int iterations = 0;
+  /// Final relative values: w' on the mining states (0 at the initial
+  /// state), the last sweep's q on the decision states.
+  std::vector<double> values;
+  int iterations = 0;  ///< Sweeps run, two MDP steps each.
   bool converged = false;  ///< The stop rule fired before the cap.
 };
 
 /// Solves max_σ MP(σ) for the reward vector `action_reward` (expected
-/// immediate reward per global action id, e.g. Mdp::beta_rewards(β)).
+/// immediate reward per global action id, e.g. Mdp::beta_rewards(β)) on a
+/// 2-periodic model; throws support::InvalidArgument when the model has no
+/// mining/decision split (mdp::step_classes).
 ///
-/// `warm_start`, if non-null and of size num_states, seeds the value vector
-/// (used by Algorithm 1 to reuse values across binary-search steps).
+/// `warm_start`, if non-null and of size num_states, seeds the mining
+/// states' values (the decision values are recomputed by the first pass).
 MeanPayoffResult value_iteration(const Mdp& mdp,
                                  const std::vector<double>& action_reward,
                                  const MeanPayoffOptions& options = {},
                                  const std::vector<double>* warm_start = nullptr);
-
-/// Gauss–Seidel variant: Bellman backups update the value vector in place
-/// (each state immediately sees its predecessors' new values), which
-/// typically cuts the sweep count substantially on the selfish-mining
-/// models. Certification is unchanged: whenever the in-place sweeps look
-/// converged, one *synchronous* sweep computes the classical Odoni bounds
-/// min/max (Tv − v) — valid for an arbitrary value vector — so the
-/// returned [gain_lo, gain_hi] interval carries the same guarantee as
-/// value_iteration's. `iterations` counts both sweep kinds.
-MeanPayoffResult gauss_seidel_value_iteration(
-    const Mdp& mdp, const std::vector<double>& action_reward,
-    const MeanPayoffOptions& options = {},
-    const std::vector<double>* warm_start = nullptr);
 
 }  // namespace mdp

@@ -53,6 +53,17 @@ std::string concat(const Args&... args) {
     }                                                                      \
   } while (false)
 
+/// Check a value that arrives from outside the program (a CLI flag, a
+/// request field); throws support::InvalidArgument carrying the message
+/// alone, so `error:` lines and served replies read as plain text.
+#define SM_CHECK_INPUT(cond, ...)                                          \
+  do {                                                                     \
+    if (!(cond)) {                                                         \
+      throw ::support::InvalidArgument(                                    \
+          ::support::detail::concat(__VA_ARGS__));                         \
+    }                                                                      \
+  } while (false)
+
 /// Check an internal invariant; throws support::InternalError.
 #define SM_ENSURE(cond, ...)                                               \
   do {                                                                     \

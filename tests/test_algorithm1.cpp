@@ -13,7 +13,7 @@
 #include "analysis/algorithm1.hpp"
 #include "analysis/errev.hpp"
 #include "mdp/dense_solver.hpp"
-#include "mdp/solve.hpp"
+#include "mdp/value_iteration.hpp"
 #include "obs/metrics.hpp"
 #include "selfish/build.hpp"
 
@@ -39,19 +39,50 @@ TEST(Algorithm1, BoundIsEpsilonTight) {
 }
 
 TEST(Algorithm1, NearTieIsCertifiedNotGuessed) {
-  // Here a step's gain interval used to hold 0 at the 1e-7 tol, and the
+  // Here a step's gain interval once held 0 at the 1e-7 tol, and the
   // search took its sign from the midpoint: it printed [0.313477,
-  // 0.314453] for a strategy achieving 0.314453201, above β_hi. The sign
-  // exit certifies β = 0.314453125 as a lower end instead.
+  // 0.314453] for a strategy achieving 0.314453201, above β_hi. On the
+  // mining-step operator the 9th step, at β = 0.314453125, ties: the
+  // search ends with the certified bracket [β + gain_lo/r, β + gain_hi/r],
+  // 4.3e-7 wide, and ERRev(σ) = 0.314453228 lies inside it.
   const auto model = selfish::build_model(selfish::AttackParams{
       .p = 0.2039, .gamma = 0.75, .d = 3, .f = 2, .l = 4});
   analysis::AnalysisOptions options;
   options.epsilon = 1e-3;
   const auto result = analysis::analyze(model, options);
-  EXPECT_EQ(result.beta_lo, 0.314453125);
-  EXPECT_EQ(result.beta_hi, 0.3154296875);
-  EXPECT_GT(result.errev_of_policy, result.beta_lo);
+  EXPECT_EQ(result.search_iterations, 9);
+  EXPECT_NEAR(result.beta_lo, 0.31445287034593755, 1e-12);
+  EXPECT_NEAR(result.beta_hi, 0.31445329557316087, 1e-12);
+  EXPECT_GE(result.errev_of_policy, result.beta_lo);
   EXPECT_LE(result.errev_of_policy, result.beta_hi);
+}
+
+TEST(Algorithm1, EdgePointBracketsArePinned) {
+  // Where ERRev* sits at an end of [0, 1] or the model is degenerate
+  // (γ ∈ {0, 1}), the brackets are the lazy operator's, bit for bit.
+  struct Edge {
+    double p, gamma;
+    int d, f;
+    double lo, hi;
+  };
+  for (const Edge& edge : {Edge{0.0, 0.5, 2, 1, 0.0, 0.0009765625},
+                           Edge{1e-4, 0.5, 2, 1, 0.0, 0.0009765625},
+                           Edge{0.99, 0.5, 2, 1, 0.9990234375, 1.0},
+                           Edge{1.0, 0.5, 2, 1, 0.9990234375, 1.0},
+                           Edge{1.0, 0.5, 3, 2, 0.9990234375, 1.0},
+                           Edge{0.3, 0.0, 1, 1, 0.2998046875, 0.30078125},
+                           Edge{0.3, 1.0, 1, 1, 0.419921875, 0.4208984375}}) {
+    SCOPED_TRACE(testing::Message() << "p=" << edge.p << " gamma="
+                                    << edge.gamma << " d=" << edge.d
+                                    << " f=" << edge.f);
+    const auto model = selfish::build_model(selfish::AttackParams{
+        .p = edge.p, .gamma = edge.gamma, .d = edge.d, .f = edge.f, .l = 4});
+    const auto result = analysis::analyze(model);
+    EXPECT_EQ(result.beta_lo, edge.lo);
+    EXPECT_EQ(result.beta_hi, edge.hi);
+    EXPECT_GE(result.errev_of_policy, result.beta_lo);
+    EXPECT_LE(result.errev_of_policy, result.beta_hi);
+  }
 }
 
 TEST(Algorithm1, ExactTiesEndTheSearchWithACertifiedBracket) {
@@ -181,31 +212,25 @@ TEST(Algorithm1, RootOfMeanPayoffIsERRev) {
 }
 
 TEST(Algorithm1, DenseOracleConfirmsBracketAndStrategy) {
-  // Theorem 3.1 checked against the exact dense oracle, for both solver
-  // methods: the optimal gain MP*_β is ≥ 0 at β_lo and ≤ 0 at β_hi, and
-  // the returned strategy's own gain at β_lo is ≥ 0 (part 2), i.e.
-  // ERRev(σ) ≥ β_lo.
+  // Theorem 3.1 checked against the exact dense oracle: the optimal gain
+  // MP*_β is ≥ 0 at β_lo and ≤ 0 at β_hi, and the returned strategy's own
+  // gain at β_lo is ≥ 0 (part 2), i.e. ERRev(σ) ≥ β_lo.
   const auto model = selfish::build_model(
       selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 3});
-  for (const auto method :
-       {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kGaussSeidel}) {
-    SCOPED_TRACE(mdp::to_string(method));
-    analysis::AnalysisOptions options;
-    options.epsilon = 1e-4;
-    options.solver.method = method;
-    const auto result = analysis::analyze(model, options);
-    const auto rewards_lo = model.mdp.beta_rewards(result.beta_lo);
-    const auto rewards_hi = model.mdp.beta_rewards(result.beta_hi);
-    const auto optimum_lo = mdp::dense_policy_iteration(model.mdp, rewards_lo);
-    const auto optimum_hi = mdp::dense_policy_iteration(model.mdp, rewards_hi);
-    ASSERT_TRUE(optimum_lo.converged);
-    ASSERT_TRUE(optimum_hi.converged);
-    EXPECT_GE(optimum_lo.gain, -1e-6);
-    EXPECT_LE(optimum_hi.gain, 1e-6);
-    EXPECT_GE(
-        mdp::dense_evaluate_policy(model.mdp, result.policy, rewards_lo).gain,
-        -1e-6);
-  }
+  analysis::AnalysisOptions options;
+  options.epsilon = 1e-4;
+  const auto result = analysis::analyze(model, options);
+  const auto rewards_lo = model.mdp.beta_rewards(result.beta_lo);
+  const auto rewards_hi = model.mdp.beta_rewards(result.beta_hi);
+  const auto optimum_lo = mdp::dense_policy_iteration(model.mdp, rewards_lo);
+  const auto optimum_hi = mdp::dense_policy_iteration(model.mdp, rewards_hi);
+  ASSERT_TRUE(optimum_lo.converged);
+  ASSERT_TRUE(optimum_hi.converged);
+  EXPECT_GE(optimum_lo.gain, -1e-6);
+  EXPECT_LE(optimum_hi.gain, 1e-6);
+  EXPECT_GE(
+      mdp::dense_evaluate_policy(model.mdp, result.policy, rewards_lo).gain,
+      -1e-6);
 }
 
 TEST(Algorithm1, SkippingExactEvaluationYieldsNaN) {
@@ -224,6 +249,13 @@ TEST(Algorithm1, RejectsBadEpsilon) {
   EXPECT_THROW(analysis::analyze(model, options), support::InvalidArgument);
   options.epsilon = 1.0;
   EXPECT_THROW(analysis::analyze(model, options), support::InvalidArgument);
+  // The message is plain text, as `analyze --epsilon=0` prints it.
+  options.epsilon = 0.0;
+  try {
+    analysis::analyze(model, options);
+  } catch (const support::InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()), "epsilon out of (0,1): 0");
+  }
 }
 
 TEST(Algorithm1, ReportsTimings) {

@@ -67,7 +67,8 @@ TEST(DenseSolver, BiasSatisfiesPoissonEquation) {
 TEST(DensePolicyIteration, MatchesValueIteration) {
   support::Rng rng(77);
   for (int trial = 0; trial < 8; ++trial) {
-    const mdp::Mdp m = test_helpers::random_unichain(rng, 25, 3, 3);
+    const mdp::Mdp m = test_helpers::with_mining_steps(
+        test_helpers::random_unichain(rng, 25, 3, 3));
     const auto rewards = m.beta_rewards(0.4);
     const auto dense = mdp::dense_policy_iteration(m, rewards);
     const auto vi = mdp::value_iteration(m, rewards);

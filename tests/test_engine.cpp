@@ -89,37 +89,35 @@ TEST(EngineKeys, PinAllInputs) {
   EXPECT_NE(engine::analysis_job_key(other).hash, key.hash);
 }
 
-TEST(EngineKeys, SaltV5InvalidatesFinalSolveEntries) {
-  // Sign-certified bisection shipped with a salt bump 4→5 (strategies
-  // now come from the step that certified β_lo, not a final solve):
-  // every canonical key must carry the v5 prefix (so all v4 store entries
-  // miss cleanly) and must never render an older one.
-  EXPECT_EQ(engine::kCodeVersionSalt, 5u);
+TEST(EngineKeys, SaltV6InvalidatesLazyOperatorEntries) {
+  // The mining-step operator shipped with a salt bump 5→6 (sweep counts,
+  // tie brackets and strategies moved): every canonical key must carry
+  // the v6 prefix (so all v5 store entries miss cleanly), must never
+  // render an older one, and names no solver method or laziness τ.
+  EXPECT_EQ(engine::kCodeVersionSalt, 6u);
   const engine::JobKey key = engine::analysis_job_key(job_at(0.2));
-  EXPECT_EQ(key.canonical.rfind("analysis/v5|", 0), 0u) << key.canonical;
-  EXPECT_EQ(key.canonical.find("analysis/v4"), std::string::npos);
+  EXPECT_EQ(key.canonical.rfind("analysis/v6|", 0), 0u) << key.canonical;
+  EXPECT_EQ(key.canonical.find("analysis/v5"), std::string::npos);
+  EXPECT_EQ(key.canonical.find("solver="), std::string::npos);
+  EXPECT_EQ(key.canonical.find("tau="), std::string::npos);
 }
 
 TEST(EngineKeys, ThreadsAndSweepOrderStayOutOfTheIdentity) {
   // Solver threads are a byte-identical speed knob, so they must not
-  // split job identities. Gauss–Seidel has one iterate path (ordered
-  // sweeps), so no key carries a sweep-order token either; every job
+  // split job identities. Every sweep has one order (two synchronous
+  // passes), so no key carries a sweep-order token either; every job
   // kind renders its solver through solver_options_id.
-  engine::AnalysisJob job = job_at(0.2);
-  for (const auto method :
-       {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kGaussSeidel}) {
-    job.options.solver.method = method;
-    const engine::JobKey key = engine::analysis_job_key(job);
-    EXPECT_EQ(key.canonical.find("sweep="), std::string::npos)
-        << key.canonical;
-    EXPECT_EQ(engine::solver_options_id(job.options).find("sweep="),
-              std::string::npos);
+  const engine::AnalysisJob job = job_at(0.2);
+  const engine::JobKey key = engine::analysis_job_key(job);
+  EXPECT_EQ(key.canonical.find("sweep="), std::string::npos)
+      << key.canonical;
+  EXPECT_EQ(engine::solver_options_id(job.options).find("sweep="),
+            std::string::npos);
 
-    engine::AnalysisJob threaded = job;
-    threaded.options.solver.threads = 8;
-    EXPECT_EQ(engine::analysis_job_key(threaded).canonical, key.canonical)
-        << "solver threads must not change stored identities";
-  }
+  engine::AnalysisJob threaded = job;
+  threaded.options.solver.threads = 8;
+  EXPECT_EQ(engine::analysis_job_key(threaded).canonical, key.canonical)
+      << "solver threads must not change stored identities";
 }
 
 TEST(Engine, EachSweepPointEqualsColdAnalyzeBitwise) {

@@ -48,8 +48,10 @@ inline mdp::Mdp two_action_choice() {
   return b.build(0);
 }
 
-/// A random strongly-connected-ish MDP: every action has a positive-
-/// probability edge back to state 0, making every policy unichain.
+/// A random communicating MDP: every action has a positive-probability
+/// edge back to state 0, making every policy unichain, and the first edge
+/// of each state's first action leads to the next state, so state 0
+/// reaches every state.
 inline mdp::Mdp random_unichain(support::Rng& rng, int num_states,
                                 int max_actions, int max_branch) {
   mdp::MdpBuilder b;
@@ -65,8 +67,11 @@ inline mdp::Mdp random_unichain(support::Rng& rng, int num_states,
       for (double w : weights) total += w;
       // Last edge always returns to state 0 → unichain under any policy.
       for (int e = 0; e <= branch; ++e) {
-        const auto target = static_cast<mdp::StateId>(
+        auto target = static_cast<mdp::StateId>(
             e == branch ? 0 : rng.next_below(num_states));
+        if (a == 0 && e == 0 && s + 1 < num_states) {
+          target = static_cast<mdp::StateId>(s + 1);
+        }
         const mdp::RewardCounts counts{
             static_cast<std::uint16_t>(rng.next_below(3)),
             static_cast<std::uint16_t>(rng.next_below(3))};
@@ -75,6 +80,31 @@ inline mdp::Mdp random_unichain(support::Rng& rng, int num_states,
     }
   }
   return b.build(0);
+}
+
+/// `m` with a single-action, zero-reward mining step in front of every
+/// state, the shape of §3.2's model: state s of `m` becomes decision state
+/// 2s+1, its mining step is state 2s, and every edge s -> t of `m` now
+/// leads to 2t. The result is 2-periodic and starts at the mining step of
+/// m's initial state, so mdp::BellmanKernel and the reference
+/// value_iteration accept it whenever every state of `m` is reachable, and
+/// under every policy its gain per step is half of m's.
+inline mdp::Mdp with_mining_steps(const mdp::Mdp& m) {
+  mdp::MdpBuilder b;
+  for (mdp::StateId s = 0; s < m.num_states(); ++s) {
+    b.add_state();
+    b.add_action();
+    b.add_transition(2 * s + 1, 1.0);
+    b.add_state();
+    for (mdp::ActionId a = m.action_begin(s); a < m.action_end(s); ++a) {
+      b.add_action(m.action_label(a));
+      for (std::uint32_t i = m.transition_begin(a); i < m.transition_end(a);
+           ++i) {
+        b.add_transition(2 * m.target(i), m.prob(i), m.counts(i));
+      }
+    }
+  }
+  return b.build(2 * m.initial_state());
 }
 
 /// FNV-1a fingerprint of every number a model holds, chained in id

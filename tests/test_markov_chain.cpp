@@ -118,6 +118,56 @@ TEST(MarkovChain, StationaryIgnoresTransientStates) {
   EXPECT_NEAR(result.distribution[2], 0.5, 1e-9);
 }
 
+/// A deterministic cycle s0 -> s1 -> … -> s(k−1) -> s0.
+mdp::Mdp cycle(int k) {
+  mdp::MdpBuilder b;
+  for (int s = 0; s < k; ++s) {
+    b.add_state();
+    b.add_action();
+    b.add_transition(static_cast<mdp::StateId>((s + 1) % k), 1.0,
+                     {1, 0});
+  }
+  return b.build(0);
+}
+
+TEST(MarkovChain, StationaryOfLongerCyclesIsUniform) {
+  // Periods 3 and 4 leave P² periodic too. Once μP² has not converged
+  // after 256 iterations the stride becomes the least common multiple of
+  // 2 and the period, and the next step converges (μP² alone oscillated
+  // on these until the 5,000,000-iteration cap).
+  for (const int k : {3, 4, 6}) {
+    SCOPED_TRACE(k);
+    const mdp::Mdp m = cycle(k);
+    mdp::Policy policy(static_cast<std::size_t>(k));
+    for (int s = 0; s < k; ++s) policy[s] = static_cast<mdp::ActionId>(s);
+    const auto result = mdp::stationary_distribution(m, policy);
+    for (const double x : result.distribution) EXPECT_NEAR(x, 1.0 / k, 1e-12);
+    EXPECT_LE(result.iterations, 256);
+  }
+}
+
+TEST(MarkovChain, StationaryFindsThePeriodOfTheClosedClass) {
+  // s0 is transient and enters the 4-cycle a -> b -> c -> d -> a at a and
+  // at c, two phases apart: BFS levels from s0 alone would suggest period
+  // 2. The closed class's own levels give 4.
+  mdp::MdpBuilder b;
+  b.add_state();  // s0
+  b.add_action();
+  b.add_transition(1, 0.5);
+  b.add_transition(3, 0.5);
+  for (mdp::StateId s = 1; s <= 4; ++s) {
+    b.add_state();
+    b.add_action();
+    b.add_transition(s == 4 ? 1 : s + 1, 1.0);
+  }
+  const mdp::Mdp m = b.build(0);
+  const auto result = mdp::stationary_distribution(m, {0, 1, 2, 3, 4});
+  EXPECT_NEAR(result.distribution[0], 0.0, 1e-12);
+  for (mdp::StateId s = 1; s <= 4; ++s) {
+    EXPECT_NEAR(result.distribution[s], 0.25, 1e-12) << "state " << s;
+  }
+}
+
 TEST(PolicyEvaluation, CounterRatesMatchStructure) {
   const mdp::Mdp m = test_helpers::two_state_cycle();
   const mdp::Policy policy{0, 1};

@@ -1,18 +1,21 @@
 // BellmanKernel determinism contract. The kernel stops a solve as soon as
 // its certified gain interval excludes 0 (or is narrower than tol), while
-// the reference loops in mdp/value_iteration.cpp keep only the tol rule.
+// the reference loop in mdp/value_iteration.cpp keeps only the tol rule.
 // So the pin is: a kernel solve that ran k sweeps equals the reference
 // loop capped at max_iterations = k in every field but `converged` — gain
-// bounds, value vector, policy, iteration count — for every solver method,
-// and it is bit-identical to itself at any thread count (1 vs 8
-// byte-compared). Deliberately non-stochastic: it gates in the fast
+// bounds, value vector, policy, iteration count — and it is bit-identical
+// to itself at any thread count (1 vs 8 byte-compared). Both sweep the
+// mining-step operator, so the kernel refuses a model without the
+// mining/decision split. Deliberately non-stochastic: it gates in the fast
 // `ctest -LE stochastic` stage of every CI leg.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "analysis/algorithm1.hpp"
-#include "mdp/solve.hpp"
+#include "mdp/bellman_kernel.hpp"
+#include "mdp/markov_chain.hpp"
 #include "selfish/build.hpp"
 #include "support/check.hpp"
 #include "test_helpers.hpp"
@@ -57,23 +60,17 @@ void expect_settled(const mdp::MeanPayoffResult& kernel,
       << label;
 }
 
-/// Kernel vi and gs at `beta` against the capped reference loops.
+/// The kernel at `beta` against the capped reference loop.
 void expect_matches_reference(const mdp::BellmanKernel& kernel, double beta,
                               const std::vector<double>* warm_start,
                               const std::string& label) {
   const mdp::Mdp& m = kernel.mdp();
-  const auto rewards = m.beta_rewards(beta);
   const auto vi = kernel.value_iteration(beta, {}, warm_start);
-  expect_settled(vi, "vi " + label);
-  expect_identical(
-      vi, mdp::value_iteration(m, rewards, capped_at(vi), warm_start),
-      "vi " + label);
-  const auto gs = kernel.gauss_seidel(beta, {}, warm_start);
-  expect_settled(gs, "gs " + label);
-  expect_identical(gs,
-                   mdp::gauss_seidel_value_iteration(m, rewards, capped_at(gs),
-                                                     warm_start),
-                   "gs " + label);
+  expect_settled(vi, label);
+  expect_identical(vi,
+                   mdp::value_iteration(m, m.beta_rewards(beta),
+                                        capped_at(vi), warm_start),
+                   label);
 }
 
 selfish::SelfishModel build(int d, int f) {
@@ -92,7 +89,7 @@ TEST(BellmanKernel, BitIdenticalToLegacyOnSelfishModels) {
                                    " beta=" + std::to_string(beta));
     }
     // Warm-started solves, the shape of every bisection step after the
-    // first: both methods seeded from one neighbouring solve's values.
+    // first: seeded from one neighbouring solve's values.
     const auto seed = kernel.value_iteration(0.40);
     expect_matches_reference(
         kernel, 0.42, &seed.values,
@@ -104,8 +101,10 @@ TEST(BellmanKernel, BitIdenticalToLegacyOnHandAndRandomModels) {
   support::Rng rng(4242);
   std::vector<mdp::Mdp> models;
   models.push_back(test_helpers::two_state_cycle());
-  models.push_back(test_helpers::two_action_choice());
-  models.push_back(test_helpers::random_unichain(rng, 60, 3, 4));
+  models.push_back(
+      test_helpers::with_mining_steps(test_helpers::two_action_choice()));
+  models.push_back(test_helpers::with_mining_steps(
+      test_helpers::random_unichain(rng, 60, 3, 4)));
   for (std::size_t i = 0; i < models.size(); ++i) {
     const mdp::BellmanKernel kernel(models[i]);
     for (const double beta : {0.0, 0.4, 1.0}) {
@@ -144,27 +143,6 @@ TEST(BellmanKernel, StopsOnTheSignOrRunsATieToTol) {
       "tie");
 }
 
-TEST(BellmanKernel, FacadeBitIdenticalForAllSolverMethods) {
-  // The facade contract: solve_mean_payoff(kernel, β) with method vi or
-  // gs ≡ the matching kernel method, hence ≡ the capped reference loop.
-  const auto model = build(2, 1);
-  const mdp::BellmanKernel kernel(model.mdp);
-  const double beta = 0.41;
-  const auto rewards = model.mdp.beta_rewards(beta);
-  mdp::SolveOptions options;
-  options.method = mdp::SolverMethod::kValueIteration;
-  const auto vi = mdp::solve_mean_payoff(kernel, beta, options);
-  expect_settled(vi, "method=vi");
-  expect_identical(vi, mdp::value_iteration(model.mdp, rewards, capped_at(vi)),
-                   "method=vi");
-  options.method = mdp::SolverMethod::kGaussSeidel;
-  const auto gs = mdp::solve_mean_payoff(kernel, beta, options);
-  expect_settled(gs, "method=gs");
-  expect_identical(
-      gs, mdp::gauss_seidel_value_iteration(model.mdp, rewards, capped_at(gs)),
-      "method=gs");
-}
-
 TEST(BellmanKernel, ThreadCountInvariantByteForByte) {
   // d=2,f=2 (1348 states) clears the kernel's per-worker floor, so the
   // 8-thread run genuinely takes the parallel path.
@@ -174,19 +152,13 @@ TEST(BellmanKernel, ThreadCountInvariantByteForByte) {
   for (const double beta : {0.2, 0.43927}) {
     const auto vi_1 = kernel.value_iteration(beta, {}, nullptr, 1);
     const auto vi_8 = kernel.value_iteration(beta, {}, nullptr, 8);
-    expect_identical(vi_8, vi_1, "vi beta=" + std::to_string(beta));
+    expect_identical(vi_8, vi_1, "beta=" + std::to_string(beta));
     EXPECT_EQ(vi_8.converged, vi_1.converged);
-    const auto gs_1 = kernel.gauss_seidel(beta, {}, nullptr, 1);
-    const auto gs_8 = kernel.gauss_seidel(beta, {}, nullptr, 8);
-    expect_identical(gs_8, gs_1, "gs beta=" + std::to_string(beta));
-    EXPECT_EQ(gs_8.converged, gs_1.converged);
     if (beta == 0.2) {
       // ERRev* = 0.4393 here, so β = 0.2 exits on its certified sign well
       // before the tol rule: the sign exit is thread-count invariant too.
       EXPECT_GT(vi_1.gain_lo, 0.0);
       EXPECT_GE(vi_1.gain_hi - vi_1.gain_lo, 1e-7);
-      EXPECT_GT(gs_1.gain_lo, 0.0);
-      EXPECT_GE(gs_1.gain_hi - gs_1.gain_lo, 1e-7);
     }
   }
 }
@@ -225,15 +197,9 @@ TEST(BellmanKernel, NonConvergedRunStillReturnsConsistentPolicy) {
     const auto vi = kernel.value_iteration(0.41, options, nullptr, threads);
     EXPECT_FALSE(vi.converged);
     expect_identical(vi, mdp::value_iteration(model.mdp, rewards, options),
-                     "non-converged vi");
-    const auto gs = kernel.gauss_seidel(0.41, options, nullptr, threads);
-    EXPECT_FALSE(gs.converged);
-    expect_identical(
-        gs, mdp::gauss_seidel_value_iteration(model.mdp, rewards, options),
-        "non-converged gs");
+                     "non-converged");
     // Every state got a real action even without convergence.
     for (const mdp::ActionId a : vi.policy) EXPECT_NE(a, mdp::kInvalidAction);
-    for (const mdp::ActionId a : gs.policy) EXPECT_NE(a, mdp::kInvalidAction);
   }
 }
 
@@ -241,12 +207,9 @@ TEST(BellmanKernel, RejectsBadArguments) {
   const mdp::Mdp m = test_helpers::two_state_cycle();
   const mdp::BellmanKernel kernel(m);
   mdp::MeanPayoffOptions options;
-  options.tau = 0.0;
+  options.tol = 0.0;
   EXPECT_THROW(kernel.value_iteration(0.0, options),
                support::InvalidArgument);
-  options.tau = 0.5;
-  options.tol = 0.0;
-  EXPECT_THROW(kernel.gauss_seidel(0.0, options), support::InvalidArgument);
   options.tol = 1e-7;
   options.max_iterations = 0;
   EXPECT_THROW(kernel.value_iteration(0.0, options),
@@ -266,11 +229,60 @@ TEST(BellmanKernel, WarmStartSizeMismatchRejectsWithReason) {
                support::InvalidArgument);
   EXPECT_THROW(kernel.value_iteration(0.41, {}, &wrong_big),
                support::InvalidArgument);
-  EXPECT_THROW(kernel.gauss_seidel(0.41, {}, &wrong_small),
-               support::InvalidArgument);
   // Exact-size warm start still accepted.
   const auto seed = kernel.value_iteration(0.41);
   EXPECT_NO_THROW(kernel.value_iteration(0.42, {}, &seed.values));
+}
+
+TEST(BellmanKernel, SplitIsTheSelfishMiningStepType) {
+  // The kernel's split, derived from the arrays alone, is §3.2's StepType:
+  // the mining states are exactly the states whose type is kMining.
+  for (const auto& [d, f] : {std::pair{1, 1}, {2, 1}, {2, 2}}) {
+    for (const double p : {0.0, 0.3, 1.0}) {
+      const auto model = selfish::build_model(selfish::AttackParams{
+          .p = p, .gamma = 0.5, .d = d, .f = f, .l = 4});
+      const std::vector<mdp::StepClass> classes =
+          mdp::step_classes(model.mdp);
+      ASSERT_EQ(classes.size(), model.mdp.num_states());
+      for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
+        EXPECT_EQ(classes[s] == mdp::StepClass::kMining,
+                  model.space.state_of(s).type == selfish::StepType::kMining)
+            << "state " << s;
+      }
+    }
+  }
+}
+
+TEST(BellmanKernel, RefusesAModelWithoutTheMiningSplit) {
+  // An edge inside one class: two_action_choice's "stay" self-loop.
+  const mdp::Mdp choice = test_helpers::two_action_choice();
+  try {
+    const mdp::BellmanKernel kernel(choice);
+    ADD_FAILURE() << "a model with a same-class edge was accepted";
+  } catch (const support::InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "the model is not 2-periodic: the edge 0 -> 0 joins two "
+              "states of one class");
+  }
+  // A state the initial state never reaches: s2 of s0 <-> s1, s2 -> s1.
+  mdp::MdpBuilder b;
+  b.add_state();
+  b.add_action();
+  b.add_transition(1, 1.0);
+  b.add_state();
+  b.add_action();
+  b.add_transition(0, 1.0);
+  b.add_state();
+  b.add_action();
+  b.add_transition(1, 1.0);
+  const mdp::Mdp unreached = b.build(0);
+  try {
+    const mdp::BellmanKernel kernel(unreached);
+    ADD_FAILURE() << "a model with an unreachable state was accepted";
+  } catch (const support::InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "state 2 is unreachable from the initial state");
+  }
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
-// Property-based cross-validation of the reference VI and GS solvers
-// against the exact dense oracle on randomly generated unichain MDPs,
-// parameterized over seeds and β.
+// Property-based checks of the mining-step operator: the reference loop
+// against the exact dense oracle on random unichain MDPs (each behind a
+// mining step per state, test_helpers::with_mining_steps), and the
+// kernel's certificate — its interval holds the exact optimal gain, and
+// its strategy earns at least gain_lo — on those fixtures and on the
+// selfish-mining models with d ≤ 2, at any thread count.
 #include <gtest/gtest.h>
 
-#include "support/check.hpp"
+#include <cstring>
+#include <string>
+#include <utility>
 
+#include "analysis/algorithm1.hpp"
+#include "mdp/bellman_kernel.hpp"
 #include "mdp/dense_solver.hpp"
-#include "mdp/solve.hpp"
 #include "mdp/value_iteration.hpp"
+#include "selfish/build.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -19,32 +26,29 @@ struct Case {
 
 class SolverAgreement : public ::testing::TestWithParam<Case> {};
 
-TEST_P(SolverAgreement, AllThreeSolversAgree) {
+TEST_P(SolverAgreement, ReferenceAgreesWithDense) {
   const Case c = GetParam();
   support::Rng rng(c.seed);
-  const mdp::Mdp m = test_helpers::random_unichain(rng, 30, 3, 4);
+  const mdp::Mdp m = test_helpers::with_mining_steps(
+      test_helpers::random_unichain(rng, 30, 3, 4));
   const auto rewards = m.beta_rewards(c.beta);
 
   const auto vi = mdp::value_iteration(m, rewards);
-  const auto gs = mdp::gauss_seidel_value_iteration(m, rewards);
   const auto dense = mdp::dense_policy_iteration(m, rewards);
   ASSERT_TRUE(vi.converged);
-  ASSERT_TRUE(gs.converged);
   ASSERT_TRUE(dense.converged);
 
   EXPECT_NEAR(vi.gain, dense.gain, 2e-5);
-  EXPECT_NEAR(gs.gain, dense.gain, 2e-5);
-  // The certified VI and GS intervals must contain the exact optimum.
+  // The certified interval must contain the exact optimum.
   EXPECT_LE(vi.gain_lo, dense.gain + 1e-7);
   EXPECT_GE(vi.gain_hi, dense.gain - 1e-7);
-  EXPECT_LE(gs.gain_lo, dense.gain + 1e-7);
-  EXPECT_GE(gs.gain_hi, dense.gain - 1e-7);
 }
 
 TEST_P(SolverAgreement, GreedyPolicyAchievesReportedGain) {
   const Case c = GetParam();
   support::Rng rng(c.seed ^ 0xabcdefULL);
-  const mdp::Mdp m = test_helpers::random_unichain(rng, 25, 3, 3);
+  const mdp::Mdp m = test_helpers::with_mining_steps(
+      test_helpers::random_unichain(rng, 25, 3, 3));
   const auto rewards = m.beta_rewards(c.beta);
   const auto vi = mdp::value_iteration(m, rewards);
   ASSERT_TRUE(vi.converged);
@@ -56,7 +60,8 @@ TEST_P(SolverAgreement, GreedyPolicyAchievesReportedGain) {
 TEST_P(SolverAgreement, GainMonotoneDecreasingInBeta) {
   const Case c = GetParam();
   support::Rng rng(c.seed ^ 0x5a5a5aULL);
-  const mdp::Mdp m = test_helpers::random_unichain(rng, 20, 2, 3);
+  const mdp::Mdp m = test_helpers::with_mining_steps(
+      test_helpers::random_unichain(rng, 20, 2, 3));
   double previous = 1e100;
   for (double beta = 0.0; beta <= 1.0; beta += 0.25) {
     const auto vi = mdp::value_iteration(m, m.beta_rewards(beta));
@@ -77,32 +82,94 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(static_cast<int>(info.param.beta * 100));
     });
 
-TEST(SolverFacade, ParsesMethods) {
-  EXPECT_EQ(mdp::parse_solver_method("vi"), mdp::SolverMethod::kValueIteration);
-  EXPECT_EQ(mdp::parse_solver_method("gs"), mdp::SolverMethod::kGaussSeidel);
-  EXPECT_EQ(mdp::to_string(mdp::SolverMethod::kValueIteration), "vi");
-  // Only vi and gs are solver methods; the dense oracle above is not.
-  for (const std::string name : {"pi", "dense", "storm"}) {
-    try {
-      mdp::parse_solver_method(name);
-      ADD_FAILURE() << name << " parsed";
-    } catch (const support::InvalidArgument& e) {
-      EXPECT_EQ(std::string(e.what()),
-                "unknown solver method: " + name + " (expected vi | gs)");
+/// Byte-level equality of two double vectors (EXPECT_EQ would compare by
+/// value and let -0.0 == 0.0 slip through).
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// ERRev(σ) = g_A / (g_A + g_H), each rate evaluated exactly.
+double exact_errev(const mdp::Mdp& m, const mdp::Policy& policy) {
+  std::vector<double> adversary(m.num_actions());
+  std::vector<double> honest(m.num_actions());
+  for (mdp::ActionId a = 0; a < m.num_actions(); ++a) {
+    adversary[a] = m.expected_adversary(a);
+    honest[a] = m.expected_honest(a);
+  }
+  const double g_a = mdp::dense_evaluate_policy(m, policy, adversary).gain;
+  const double g_h = mdp::dense_evaluate_policy(m, policy, honest).gain;
+  return g_a / (g_a + g_h);
+}
+
+TEST(MiningStepOperator, CertificateHoldsOnFixturesAndSelfishModels) {
+  std::vector<std::pair<std::string, mdp::Mdp>> fixtures;
+  fixtures.emplace_back("cycle", test_helpers::two_state_cycle());
+  fixtures.emplace_back("choice", test_helpers::with_mining_steps(
+                                      test_helpers::two_action_choice()));
+  support::Rng rng(2024);
+  for (int i = 0; i < 4; ++i) {
+    fixtures.emplace_back("random" + std::to_string(i),
+                          test_helpers::with_mining_steps(
+                              test_helpers::random_unichain(rng, 30, 3, 4)));
+  }
+  for (const auto& [d, f] : {std::pair{1, 1}, {2, 1}, {1, 2}}) {
+    fixtures.emplace_back(
+        "selfish d=" + std::to_string(d) + " f=" + std::to_string(f),
+        selfish::build_model(selfish::AttackParams{
+                                 .p = 0.3, .gamma = 0.5, .d = d, .f = f,
+                                 .l = 4})
+            .mdp);
+  }
+  for (const auto& [name, m] : fixtures) {
+    const mdp::BellmanKernel kernel(m);
+    for (const double beta : {0.2, 0.35, 0.5, 0.8}) {
+      SCOPED_TRACE(name + " beta=" + std::to_string(beta));
+      const auto serial = kernel.value_iteration(beta, {}, nullptr, 1);
+      const auto threaded = kernel.value_iteration(beta, {}, nullptr, 8);
+      ASSERT_TRUE(serial.converged);
+      EXPECT_EQ(threaded.iterations, serial.iterations);
+      EXPECT_EQ(threaded.gain_lo, serial.gain_lo);
+      EXPECT_EQ(threaded.gain_hi, serial.gain_hi);
+      EXPECT_EQ(threaded.policy, serial.policy);
+      EXPECT_TRUE(same_bytes(threaded.values, serial.values));
+
+      const auto rewards = m.beta_rewards(beta);
+      const auto exact = mdp::dense_policy_iteration(m, rewards);
+      ASSERT_TRUE(exact.converged);
+      EXPECT_LE(serial.gain_lo, exact.gain + 1e-9);
+      EXPECT_GE(serial.gain_hi, exact.gain - 1e-9);
+      // σ is greedy w.r.t. the certifying sweep's vectors, so its own gain
+      // is at least gain_lo, and a certified positive gain puts ERRev(σ)
+      // above β (Theorem 3.1(2)).
+      EXPECT_GE(mdp::dense_evaluate_policy(m, serial.policy, rewards).gain,
+                serial.gain_lo - 1e-9);
+      if (serial.gain_lo > 0.0) {
+        EXPECT_GT(exact_errev(m, serial.policy), beta);
+      }
     }
   }
 }
 
-TEST(SolverFacade, AllMethodsSolveTheChoiceModel) {
-  const mdp::Mdp m = test_helpers::two_action_choice();
-  const mdp::BellmanKernel kernel(m);
-  for (const auto method :
-       {mdp::SolverMethod::kValueIteration, mdp::SolverMethod::kGaussSeidel}) {
-    mdp::SolveOptions options;
-    options.method = method;
-    const auto result = mdp::solve_mean_payoff(kernel, 0.4, options);
-    ASSERT_TRUE(result.converged) << mdp::to_string(method);
-    EXPECT_NEAR(result.gain, 0.6, 1e-5) << mdp::to_string(method);
+TEST(MiningStepOperator, StrategyErrevLiesInTheBracketOnSelfishModels) {
+  for (const auto& [d, f] : {std::pair{1, 1}, {2, 1}, {1, 2}, {2, 2}}) {
+    for (const double gamma : {0.0, 0.5, 1.0}) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " f=" + std::to_string(f) +
+                   " gamma=" + std::to_string(gamma));
+      const auto model = selfish::build_model(selfish::AttackParams{
+          .p = 0.3, .gamma = gamma, .d = d, .f = f, .l = 4});
+      analysis::AnalysisOptions serial, threaded;
+      threaded.solver.threads = 8;
+      const auto result = analysis::analyze(model, serial);
+      EXPECT_GE(result.errev_of_policy, result.beta_lo);
+      EXPECT_LE(result.errev_of_policy, result.beta_hi);
+      const auto parallel = analysis::analyze(model, threaded);
+      EXPECT_EQ(parallel.beta_lo, result.beta_lo);
+      EXPECT_EQ(parallel.beta_hi, result.beta_hi);
+      EXPECT_EQ(parallel.policy, result.policy);
+      EXPECT_EQ(parallel.solver_iterations, result.solver_iterations);
+    }
   }
 }
 

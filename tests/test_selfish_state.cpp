@@ -1,6 +1,8 @@
 // State representation: validation, canonicalization, packing.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "selfish/state.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -28,6 +30,31 @@ TEST(AttackParams, ValidatesRanges) {
   p.f = 1;
   p.l = 0;
   EXPECT_THROW(p.validate(), support::InvalidArgument);
+}
+
+TEST(AttackParams, RangeMessagesArePlain) {
+  // The CLI prints these after `error: ` and a served reply carries them
+  // as is, so they name the parameter, its range and the value only.
+  const auto message = [](selfish::AttackParams p) {
+    try {
+      p.validate();
+    } catch (const support::InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  selfish::AttackParams p;
+  p.p = 2.0;
+  EXPECT_EQ(message(p), "p out of [0,1]: 2");
+  p = {};
+  p.gamma = 1.5;
+  EXPECT_EQ(message(p), "gamma out of [0,1]: 1.5");
+  p = {};
+  p.d = 9;
+  EXPECT_EQ(message(p), "d out of [1,8]: 9");
+  p = {};
+  p.l = 0;
+  EXPECT_EQ(message(p), "l out of [1,15]: 0");
 }
 
 TEST(AttackParams, RejectsOverflowingConfiguration) {

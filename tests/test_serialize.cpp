@@ -59,7 +59,8 @@ TEST(MdpSerialize, RoundTripSmallModel) {
 
 TEST(MdpSerialize, RoundTripRandomModel) {
   support::Rng rng(606);
-  const mdp::Mdp original = test_helpers::random_unichain(rng, 40, 3, 4);
+  const mdp::Mdp original = test_helpers::with_mining_steps(
+      test_helpers::random_unichain(rng, 40, 3, 4));
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
   mdp::save_binary(original, buffer);
   const mdp::Mdp loaded = mdp::load_binary(buffer);

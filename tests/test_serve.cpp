@@ -227,7 +227,7 @@ TEST(ServeProtocol, DefaultsMatchTheCliSubcommands) {
   for (const std::string& token :
        {"gamma=" + num(0.5), std::string("|d=2"), std::string("|f=1"),
         std::string("|l=4"), std::string("|burn=0"), "|p=" + num(0.3),
-        "eps=" + num(0.001), std::string("|solver=vi"),
+        "eps=" + num(0.001), "|tol=" + num(1e-7),
         std::string("|stats=1")}) {
     EXPECT_NE(point.find(token), std::string::npos)
         << point << "  missing: " << token;
@@ -237,15 +237,15 @@ TEST(ServeProtocol, DefaultsMatchTheCliSubcommands) {
                        "|pstep=" + num(0.05)),
             std::string::npos)
       << sweep;
-  // A threshold probe is one mean-payoff solve: its key names the solver
-  // but no ε, no exact-evaluation flag and no search range.
+  // A threshold probe is one mean-payoff solve: its key names the solve's
+  // tolerances but no ε, no exact-evaluation flag and no search range.
   const std::string threshold = options_of("{\"kind\":\"threshold\"}");
-  EXPECT_NE(threshold.find("|solver=vi|tol=" + num(1e-7) +
-                           "|maxit=2000000|tau=" + num(0.5) +
+  EXPECT_NE(threshold.find("|tol=" + num(1e-7) + "|maxit=2000000" +
                            "|margin=" + num(0.005) + "|ptol=" + num(0.005)),
             std::string::npos)
       << threshold;
-  for (const char* absent : {"eps=", "exact=", "pmax=", "|p="}) {
+  for (const char* absent :
+       {"eps=", "exact=", "pmax=", "|p=", "solver=", "tau="}) {
     EXPECT_EQ(threshold.find(absent), std::string::npos)
         << threshold << "  has: " << absent;
   }
@@ -312,19 +312,18 @@ TEST(ServeProtocol, SchemaFrontEndsBuildTheSameJobs) {
   const std::map<std::string, std::vector<std::string>> populated = {
       {"point",
        {"--p=0.25", "--gamma=0.3", "--d=1", "--f=2", "--l=2",
-        "--burn-lost-races=true", "--epsilon=0.01", "--solver=gs",
-        "--stats=false"}},
+        "--burn-lost-races=true", "--epsilon=0.01", "--stats=false"}},
       {"sweep",
        {"--gamma=0.4", "--d=1", "--f=2", "--l=3", "--burn-lost-races=true",
-        "--epsilon=0.002", "--solver=gs", "--pmin=0.1", "--pmax=0.2",
+        "--epsilon=0.002", "--pmin=0.1", "--pmax=0.2",
         "--step=0.025"}},
       {"threshold",
        {"--gamma=0.25", "--d=3", "--f=2", "--l=2", "--burn-lost-races=true",
-        "--solver=gs", "--margin=0.01", "--ptol=0.002"}},
+        "--margin=0.01", "--ptol=0.002"}},
       {"upper-bound",
        {"--p=0.35", "--gamma=0.75", "--d=1", "--f=2",
-        "--burn-lost-races=true", "--epsilon=0.005", "--solver=gs",
-        "--lmin=1", "--lmax=3"}},
+        "--burn-lost-races=true", "--epsilon=0.005", "--lmin=1",
+        "--lmax=3"}},
       {"net-batch",
        {"--scenario=partition-attack", "--p=0.25", "--gamma=0.4", "--d=1",
         "--f=2", "--l=2", "--delay=1.5", "--interval=300", "--blocks=3000",
@@ -423,16 +422,17 @@ TEST(ServeProtocol, RejectsMalformedAndInvalidRequests) {
   EXPECT_FALSE(reply_of(service, "{\"kind\":\"point\",\"d\":1.5}")
                    .find("ok")->as_bool());
 
-  // Out-of-range model parameters (AttackParams::validate).
+  // Out-of-range model parameters (AttackParams::validate), in plain
+  // words.
   reply = reply_of(service, "{\"id\":2,\"kind\":\"point\",\"p\":1.5}");
   EXPECT_FALSE(reply.find("ok")->as_bool());
   EXPECT_EQ(reply.find("id")->as_number(), 2.0);
+  EXPECT_EQ(reply.find("error")->as_string(), "p out of [0,1]: 1.5");
 
-  // Removed solver methods are unknown names, like any typo.
-  reply = reply_of(service, "{\"kind\":\"point\",\"solver\":\"pi\"}");
+  // The deleted solver menu is an unknown field, like any typo.
+  reply = reply_of(service, "{\"kind\":\"point\",\"solver\":\"vi\"}");
   EXPECT_FALSE(reply.find("ok")->as_bool());
-  EXPECT_NE(reply.find("error")->as_string().find(
-                "unknown solver method: pi (expected vi | gs)"),
+  EXPECT_NE(reply.find("error")->as_string().find("unknown field"),
             std::string::npos);
 
   // Out-of-range kind-specific options.

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "analysis/algorithm1.hpp"
 #include "analysis/render.hpp"
@@ -167,6 +168,15 @@ TEST(Threshold, RejectsBadOptions) {
   options.p_tolerance = 0.0;
   EXPECT_THROW(analysis::fairness_threshold(base, options),
                support::InvalidArgument);
+  // The message is plain text, as `threshold --margin=inf` prints it.
+  options = {};
+  options.unfairness_margin = std::numeric_limits<double>::infinity();
+  try {
+    options.validate();
+    ADD_FAILURE() << "an infinite margin was accepted";
+  } catch (const support::InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()), "margin out of (0,0.55): inf");
+  }
 }
 
 }  // namespace

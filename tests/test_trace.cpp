@@ -15,10 +15,12 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/algorithm1.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "selfish/build.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
@@ -166,6 +168,44 @@ TEST(FlightRing, NoTornRecordsUnderConcurrentWriters) {
     EXPECT_STREQ(record.name, expected);
     EXPECT_LT(record.span_id & 0xffffffffu, per_writer);
   }
+  obs::flight_reset();
+}
+
+TEST(KernelSpan, RecordsEachBisectionStepsBetaAndCertifiedSign) {
+  // Each Algorithm 1 step is one mdp.value_iteration span carrying its β
+  // and certified [gain_lo, gain_hi] next to states, iterations and
+  // converged, so a trace shows which sign every step certified.
+  const EnabledGuard on(true);
+  obs::flight_reset();
+  const auto model = selfish::build_model(
+      selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = 2, .f = 1, .l = 4});
+  const analysis::AnalysisResult result = analysis::analyze(model);
+
+  double lo = 0.0, hi = 1.0;
+  int steps = 0;
+  for (const obs::FlightRecord& record : obs::flight_snapshot()) {
+    if (std::strcmp(record.name, "mdp.value_iteration") != 0) continue;
+    ASSERT_NE(record.attrs[0], '\0') << "attrs did not fit the record";
+    const serve::Json attrs = serve::Json::parse(record.attrs);
+    for (const char* key : {"states", "beta", "iterations", "converged",
+                            "gain_lo", "gain_hi"}) {
+      ASSERT_NE(attrs.find(key), nullptr) << key << " in " << record.attrs;
+    }
+    EXPECT_EQ(attrs.find("states")->as_number(), model.mdp.num_states());
+    EXPECT_TRUE(attrs.find("converged")->as_bool());
+    // Replay the bisection from the recorded signs alone.
+    const double beta = attrs.find("beta")->as_number();
+    EXPECT_EQ(beta, 0.5 * (lo + hi)) << "step " << steps;
+    const double gain_lo = attrs.find("gain_lo")->as_number();
+    const double gain_hi = attrs.find("gain_hi")->as_number();
+    EXPECT_LE(gain_lo, gain_hi);
+    ASSERT_TRUE(gain_lo > 0.0 || gain_hi < 0.0) << "step " << steps;
+    (gain_lo > 0.0 ? lo : hi) = beta;
+    ++steps;
+  }
+  EXPECT_EQ(steps, result.search_iterations);
+  EXPECT_EQ(lo, result.beta_lo);
+  EXPECT_EQ(hi, result.beta_hi);
   obs::flight_reset();
 }
 

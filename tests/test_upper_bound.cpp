@@ -2,6 +2,8 @@
 // extrapolation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/upper_bound.hpp"
 #include "support/check.hpp"
 
@@ -98,6 +100,15 @@ TEST(UpperBound, OneValidatorRefusesEveryBadRange) {
   options.l_min = selfish::kMaxForkLength - 1;
   options.l_max = selfish::kMaxForkLength;
   EXPECT_NO_THROW(options.validate());
+  // The message is plain text, as `upper-bound --lmax=16` prints it.
+  options = {};
+  options.l_max = 16;
+  try {
+    options.validate();
+    ADD_FAILURE() << "lmax=16 was accepted";
+  } catch (const support::InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()), "lmax must be at most 15, got 16");
+  }
 }
 
 }  // namespace

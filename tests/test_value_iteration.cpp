@@ -1,4 +1,6 @@
-// Relative value iteration on hand-solvable mean-payoff MDPs.
+// Relative value iteration on hand-solvable mean-payoff MDPs. Models
+// without the mining/decision split go through
+// test_helpers::with_mining_steps, which halves every gain.
 #include <gtest/gtest.h>
 
 #include "mdp/builder.hpp"
@@ -10,11 +12,12 @@ namespace {
 
 TEST(ValueIteration, DeterministicCycleGain) {
   // Reward alternates 1 (adv) and 0·…: with β = 0 reward is (1, 0) per
-  // period of 2 → gain 1/2. The chain is 2-periodic — exactly the case the
-  // aperiodicity transform must handle.
+  // period of 2 → gain 1/2. The chain is 2-periodic — the case one sweep
+  // of two passes handles exactly, so the first sweep already certifies.
   const mdp::Mdp m = test_helpers::two_state_cycle();
   const auto result = mdp::value_iteration(m, m.beta_rewards(0.0));
   ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.iterations, 1);
   EXPECT_NEAR(result.gain, 0.5, 1e-6);
   EXPECT_LE(result.gain_lo, result.gain);
   EXPECT_GE(result.gain_hi, result.gain);
@@ -33,30 +36,33 @@ TEST(ValueIteration, BetaShiftsCycleGain) {
 
 TEST(ValueIteration, PicksBetterAction) {
   // "go" yields mean payoff 1 − β vs "stay" 1 − 2β; for β = 0.4 go wins.
-  const mdp::Mdp m = test_helpers::two_action_choice();
+  // With a mining step in front of each state the gain halves.
+  const mdp::Mdp m =
+      test_helpers::with_mining_steps(test_helpers::two_action_choice());
   const auto result = mdp::value_iteration(m, m.beta_rewards(0.4));
   ASSERT_TRUE(result.converged);
-  EXPECT_NEAR(result.gain, 1.0 - 0.4, 1e-6);
-  EXPECT_EQ(m.action_label(result.policy[0]), 1u);  // "go"
+  EXPECT_NEAR(result.gain, (1.0 - 0.4) / 2.0, 1e-6);
+  EXPECT_EQ(m.action_label(result.policy[1]), 1u);  // "go" at decision s0
 }
 
 TEST(ValueIteration, ProbabilisticGain) {
   // One state, one action: with prob .3 counts (1,0), with prob .7 (0,1).
-  // Gain at β=0 is .3.
+  // Gain at β=0 is .3 per decision, .15 per step with its mining step.
   mdp::MdpBuilder b;
   b.add_state();
   b.add_action();
   b.add_transition(0, 0.3, {1, 0});
   b.add_transition(0, 0.7, {0, 1});
-  const mdp::Mdp m = b.build(0);
+  const mdp::Mdp m = test_helpers::with_mining_steps(b.build(0));
   const auto result = mdp::value_iteration(m, m.beta_rewards(0.0));
   ASSERT_TRUE(result.converged);
-  EXPECT_NEAR(result.gain, 0.3, 1e-6);
+  EXPECT_NEAR(result.gain, 0.15, 1e-6);
 }
 
 TEST(ValueIteration, GainBoundsBracketTrueGain) {
   support::Rng rng(99);
-  const mdp::Mdp m = test_helpers::random_unichain(rng, 30, 3, 4);
+  const mdp::Mdp m = test_helpers::with_mining_steps(
+      test_helpers::random_unichain(rng, 30, 3, 4));
   mdp::MeanPayoffOptions opts;
   opts.tol = 1e-9;
   const auto tight = mdp::value_iteration(m, m.beta_rewards(0.3), opts);
@@ -70,7 +76,8 @@ TEST(ValueIteration, GainBoundsBracketTrueGain) {
 
 TEST(ValueIteration, WarmStartConvergesFasterOrEqual) {
   support::Rng rng(7);
-  const mdp::Mdp m = test_helpers::random_unichain(rng, 50, 3, 4);
+  const mdp::Mdp m = test_helpers::with_mining_steps(
+      test_helpers::random_unichain(rng, 50, 3, 4));
   const auto cold = mdp::value_iteration(m, m.beta_rewards(0.31));
   ASSERT_TRUE(cold.converged);
   const auto warm =
@@ -80,7 +87,9 @@ TEST(ValueIteration, WarmStartConvergesFasterOrEqual) {
 }
 
 TEST(ValueIteration, MaxIterationsReportsNonConverged) {
-  const mdp::Mdp m = test_helpers::two_state_cycle();
+  support::Rng rng(5);
+  const mdp::Mdp m = test_helpers::with_mining_steps(
+      test_helpers::random_unichain(rng, 30, 3, 4));
   mdp::MeanPayoffOptions opts;
   opts.max_iterations = 1;
   opts.tol = 1e-15;
@@ -93,32 +102,20 @@ TEST(ValueIteration, RejectsBadArguments) {
   const mdp::Mdp m = test_helpers::two_state_cycle();
   EXPECT_THROW(mdp::value_iteration(m, {1.0}), support::InvalidArgument);
   mdp::MeanPayoffOptions opts;
-  opts.tau = 0.0;
+  opts.tol = 0.0;
   EXPECT_THROW(mdp::value_iteration(m, m.beta_rewards(0.0), opts),
                support::InvalidArgument);
-  opts.tau = 0.5;
-  opts.tol = 0.0;
+  opts.tol = 1e-7;
+  opts.max_iterations = 0;
   EXPECT_THROW(mdp::value_iteration(m, m.beta_rewards(0.0), opts),
                support::InvalidArgument);
 }
 
-TEST(ValueIteration, TauInsensitive) {
-  support::Rng rng(21);
-  const mdp::Mdp m = test_helpers::random_unichain(rng, 25, 2, 3);
-  double reference = 0.0;
-  bool first = true;
-  for (const double tau : {0.1, 0.3, 0.5, 0.8}) {
-    mdp::MeanPayoffOptions opts;
-    opts.tau = tau;
-    const auto result = mdp::value_iteration(m, m.beta_rewards(0.5), opts);
-    ASSERT_TRUE(result.converged) << "tau=" << tau;
-    if (first) {
-      reference = result.gain;
-      first = false;
-    } else {
-      EXPECT_NEAR(result.gain, reference, 1e-5) << "tau=" << tau;
-    }
-  }
+TEST(ValueIteration, RefusesAModelWithoutTheMiningSplit) {
+  // two_action_choice's "stay" self-loop joins s0 to its own class.
+  const mdp::Mdp m = test_helpers::two_action_choice();
+  EXPECT_THROW(mdp::value_iteration(m, m.beta_rewards(0.4)),
+               support::InvalidArgument);
 }
 
 }  // namespace
