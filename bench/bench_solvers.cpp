@@ -85,7 +85,7 @@ void BM_BuildModel(benchmark::State& state) {
       selfish::build_model(params).mdp.num_states());
 }
 BENCHMARK(BM_BuildModel)->Args({1, 1})->Args({2, 1})->Args({2, 2})
-    ->Unit(benchmark::kMillisecond);
+    ->Args({3, 2})->Unit(benchmark::kMillisecond);
 
 void BM_ValueIteration(benchmark::State& state) {
   // The reference solver — the baseline every kernel row compares against.

@@ -10,10 +10,14 @@
 
 namespace analysis {
 
+void AnalysisOptions::validate() const {
+  SM_CHECK_INPUT(epsilon > 0.0 && epsilon < 1.0, "epsilon out of (0,1): ",
+                 epsilon);
+}
+
 AnalysisResult analyze(const selfish::SelfishModel& model,
                        const AnalysisOptions& options) {
-  SM_CHECK_INPUT(options.epsilon > 0.0 && options.epsilon < 1.0,
-                 "epsilon out of (0,1): ", options.epsilon);
+  options.validate();
   const support::Timer timer;
   const mdp::Mdp& m = model.mdp;
 

@@ -47,6 +47,11 @@ struct AnalysisOptions {
   /// Also evaluate the returned strategy (one stationary solve, kept in
   /// AnalysisResult::stationary; disable for pure-runtime benches).
   bool evaluate_exact_errev = true;
+
+  /// Throws support::InvalidArgument when epsilon is outside (0, 1).
+  /// Every front end calls it before building a model, so a bad ε fails
+  /// at once instead of after the build.
+  void validate() const;
 };
 
 struct AnalysisResult {

@@ -12,6 +12,7 @@ void UpperBoundOptions::validate() const {
                  ", lmax=", l_max);
   SM_CHECK_INPUT(l_max <= selfish::kMaxForkLength, "lmax must be at most ",
                  selfish::kMaxForkLength, ", got ", l_max);
+  analysis.validate();
 }
 
 UpperBoundResult bound_errev_in_l(const selfish::AttackParams& base,

@@ -26,7 +26,8 @@ struct UpperBoundOptions {
   int l_max = 5;
   AnalysisOptions analysis;  ///< Options for each per-l run of Algorithm 1.
   /// Throws support::InvalidArgument unless 1 ≤ l_min < l_max ≤
-  /// selfish::kMaxForkLength (the extrapolation needs two l values).
+  /// selfish::kMaxForkLength (the extrapolation needs two l values) and
+  /// `analysis` is valid.
   void validate() const;
 };
 

@@ -69,6 +69,7 @@ std::vector<JobOutcome> Engine::run(const std::vector<AnalysisJob>& jobs,
   std::map<std::string, std::size_t> slot_of_key;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].params.validate();
+    jobs[i].options.validate();
     JobKey key = analysis_job_key(jobs[i]);
     const auto [it, inserted] =
         slot_of_key.emplace(key.canonical, slots.size());

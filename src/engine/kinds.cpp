@@ -143,6 +143,7 @@ constexpr JobKind kJobKinds[] = {
 
 GenericJob make_point_job(const PointQuery& query) {
   query.params.validate();
+  query.analysis.validate();
   std::string options = model_id_without_p(query.params);
   options += "|p=" + canonical_double(query.params.p);
   options += "|" + solver_options_id(query.analysis);
@@ -152,6 +153,7 @@ GenericJob make_point_job(const PointQuery& query) {
 
 GenericJob make_sweep_job(const SweepQuery& query) {
   query.base.validate();
+  query.analysis.validate();
   // Refuses a grid the sweep could not run, as the CLI does.
   analysis::linspace_grid(query.p_min, query.p_max, query.step);
   std::string options = model_id_without_p(query.base);
@@ -190,7 +192,9 @@ GenericJob make_net_batch_job(const NetBatchQuery& query) {
              "unknown scenario family ", query.scenario);
   SM_REQUIRE(query.runs > 0, "runs must be positive, got ", query.runs);
   SM_REQUIRE(query.options.blocks > 0, "blocks must be positive");
-  SM_REQUIRE(query.epsilon > 0.0, "epsilon must be positive");
+  analysis::AnalysisOptions analysis_options;
+  analysis_options.epsilon = query.epsilon;
+  analysis_options.validate();
   // "file:<path>" strategies are CLI-only: a file's *contents* are not
   // part of the canonical key (the artifact would silently go stale when
   // the file changes), and jobs reach this builder from the network

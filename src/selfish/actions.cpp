@@ -30,12 +30,12 @@ std::string Action::to_string() const {
   return buf;
 }
 
-std::vector<Action> available_actions(const State& s,
-                                      const AttackParams& params) {
+void available_actions(const State& s, const AttackParams& params,
+                       std::vector<Action>& actions) {
   SM_REQUIRE(s.is_canonical(params), "state must be canonical");
-  std::vector<Action> actions;
+  actions.clear();
   actions.push_back(Action::mine());
-  if (s.type == StepType::kMining) return actions;
+  if (s.type == StepType::kMining) return;
 
   // Decision states: every release that is at least as long as the chain
   // it competes with. A fork of length k at depth i replaces the i−1 public
@@ -51,7 +51,6 @@ std::vector<Action> available_actions(const State& s,
       }
     }
   }
-  return actions;
 }
 
 }  // namespace selfish

@@ -13,6 +13,9 @@
 //
 // Forks in slots of equal length are exchangeable, so only one action per
 // distinct (depth, length) pair is enumerated.
+//
+// The enumeration writes into a caller-owned vector, so the model build's
+// BFS reuses one buffer for every state and allocates nothing per state.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +49,10 @@ struct Action {
   std::string to_string() const;
 };
 
-/// Enumerates the actions available in `s` (state must be canonical).
-/// `mine` is always first, giving solvers a deterministic tie-break that
-/// prefers continued mining.
-std::vector<Action> available_actions(const State& s,
-                                      const AttackParams& params);
+/// Replaces the contents of `actions` with the actions available in `s`
+/// (state must be canonical). `mine` is always first, giving solvers a
+/// deterministic tie-break that prefers continued mining.
+void available_actions(const State& s, const AttackParams& params,
+                       std::vector<Action>& actions);
 
 }  // namespace selfish

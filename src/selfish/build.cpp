@@ -1,6 +1,10 @@
 #include "selfish/build.hpp"
 
+#include <cstdint>
+#include <vector>
+
 #include "mdp/builder.hpp"
+#include "obs/trace.hpp"
 #include "selfish/transitions.hpp"
 #include "support/check.hpp"
 
@@ -8,6 +12,7 @@ namespace selfish {
 
 SelfishModel build_model(const AttackParams& params) {
   params.validate();
+  obs::Span span("selfish.build");
   StateSpace space(params);
   mdp::MdpBuilder builder;
 
@@ -16,15 +21,20 @@ SelfishModel build_model(const AttackParams& params) {
 
   // Ids are assigned in discovery order, so processing states in id order
   // is exactly a BFS; every state's actions are streamed into the builder
-  // the moment the state is processed.
+  // the moment the state is processed. One action list and one outcome
+  // buffer serve the whole BFS.
+  std::vector<Action> actions;
+  Outcomes outcomes;
   for (mdp::StateId s_id = 0; s_id < space.size(); ++s_id) {
     const State s = space.state_of(s_id);
     const mdp::StateId added = builder.add_state();
     SM_ENSURE(added == s_id, "builder/state-space id drift");
 
-    for (const Action& action : available_actions(s, params)) {
+    available_actions(s, params, actions);
+    for (const Action& action : actions) {
       builder.add_action(action.encode());
-      for (const Outcome& outcome : apply_action(s, action, params)) {
+      apply_action(s, action, params, outcomes);
+      for (const Outcome& outcome : outcomes) {
         const mdp::StateId target = space.intern(outcome.next);
         builder.add_transition(target, outcome.prob, outcome.counts);
       }
@@ -32,6 +42,12 @@ SelfishModel build_model(const AttackParams& params) {
   }
 
   mdp::Mdp built = builder.build(initial);
+  span.attr("states", serve::Json(static_cast<std::int64_t>(
+                          built.num_states())));
+  span.attr("actions", serve::Json(static_cast<std::int64_t>(
+                           built.num_actions())));
+  span.attr("transitions", serve::Json(static_cast<std::int64_t>(
+                               built.num_transitions())));
   return SelfishModel{params, std::move(space), std::move(built)};
 }
 

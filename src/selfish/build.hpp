@@ -24,7 +24,9 @@ struct SelfishModel {
 };
 
 /// Enumerates all reachable canonical states by BFS and builds the MDP.
-/// Complexity is linear in the number of reachable transitions.
+/// Complexity is linear in the number of reachable transitions. The build
+/// is one `selfish.build` trace span carrying the model's states, actions
+/// and transitions.
 SelfishModel build_model(const AttackParams& params);
 
 }  // namespace selfish

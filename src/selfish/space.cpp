@@ -6,13 +6,58 @@
 
 namespace selfish {
 
+namespace {
+
+constexpr mdp::StateId kEmptySlot = std::numeric_limits<mdp::StateId>::max();
+constexpr std::size_t kInitialSlots = 16;
+
+/// The murmur3 64-bit finalizer: packed keys differ in a few low cell
+/// bits, so they are mixed before the slot count's mask picks low bits.
+std::uint64_t mix(std::uint64_t key) {
+  key ^= key >> 33;
+  key *= 0xff51afd7ed558ccdULL;
+  key ^= key >> 33;
+  key *= 0xc4ceb9fe1a85ec53ULL;
+  key ^= key >> 33;
+  return key;
+}
+
+}  // namespace
+
+StateSpace::StateSpace(const AttackParams& params)
+    : params_(params), slots_(kInitialSlots, kEmptySlot) {
+  params_.validate();
+}
+
+std::size_t StateSpace::probe(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = mix(key) & mask;
+  while (slots_[slot] != kEmptySlot && keys_[slots_[slot]] != key) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void StateSpace::grow() {
+  slots_.assign(2 * slots_.size(), kEmptySlot);
+  for (mdp::StateId id = 0; id < keys_.size(); ++id) {
+    slots_[probe(keys_[id])] = id;
+  }
+}
+
 mdp::StateId StateSpace::intern(const State& s) {
   SM_REQUIRE(s.is_canonical(params_), "interning a non-canonical state");
   const std::uint64_t key = s.pack(params_);
-  const auto [it, inserted] =
-      index_.emplace(key, static_cast<mdp::StateId>(keys_.size()));
-  if (inserted) keys_.push_back(key);
-  return it->second;
+  std::size_t slot = probe(key);
+  if (slots_[slot] != kEmptySlot) return slots_[slot];
+  if (2 * (keys_.size() + 1) > slots_.size()) {
+    grow();
+    slot = probe(key);
+  }
+  const auto id = static_cast<mdp::StateId>(keys_.size());
+  keys_.push_back(key);
+  slots_[slot] = id;
+  return id;
 }
 
 mdp::StateId StateSpace::id_of(const State& s) const {
@@ -27,9 +72,9 @@ bool StateSpace::contains(const State& s) const {
 }
 
 std::optional<mdp::StateId> StateSpace::find(std::uint64_t key) const {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const mdp::StateId id = slots_[probe(key)];
+  if (id == kEmptySlot) return std::nullopt;
+  return id;
 }
 
 State StateSpace::state_of(mdp::StateId id) const {

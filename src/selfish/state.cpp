@@ -1,10 +1,39 @@
 #include "selfish/state.hpp"
 
+#include <bit>
 #include <sstream>
 
 #include "support/check.hpp"
 
 namespace selfish {
+
+namespace {
+
+/// c's bytes as 8-byte words.
+constexpr int kCellWords = kMaxDepth * kMaxForks / 8;
+static_assert(sizeof(State::c) == kCellWords * 8);
+
+using CellWords = std::array<std::uint64_t, kCellWords>;
+
+/// kOutsideWindow[d][f] has 0xff in every byte of c outside rows [0, d)
+/// and columns [0, f), and 0 inside.
+constexpr auto kOutsideWindow = [] {
+  std::array<std::array<CellWords, kMaxForks + 1>, kMaxDepth + 1> masks{};
+  for (int d = 0; d <= kMaxDepth; ++d) {
+    for (int f = 0; f <= kMaxForks; ++f) {
+      std::array<std::uint8_t, kMaxDepth * kMaxForks> bytes{};
+      for (int i = 0; i < kMaxDepth; ++i) {
+        for (int j = 0; j < kMaxForks; ++j) {
+          if (i >= d || j >= f) bytes[i * kMaxForks + j] = 0xff;
+        }
+      }
+      masks[d][f] = std::bit_cast<CellWords>(bytes);
+    }
+  }
+  return masks;
+}();
+
+}  // namespace
 
 const char* to_string(StepType type) {
   switch (type) {
@@ -37,18 +66,20 @@ void State::canonicalize(const AttackParams& params) {
 }
 
 bool State::is_canonical(const AttackParams& params) const {
-  for (int i = 0; i < kMaxDepth; ++i) {
-    for (int j = 0; j < kMaxForks; ++j) {
-      if (i >= params.d || j >= params.f) {
-        if (c[i][j] != 0) return false;
-      } else {
-        if (c[i][j] > params.l) return false;
-        if (j > 0 && c[i][j] > c[i][j - 1]) return false;
-      }
-    }
+  // Cells outside the d×f window must be zero: one masked OR over c's
+  // six 8-byte words.
+  const auto words = std::bit_cast<CellWords>(c);
+  const auto& outside = kOutsideWindow[params.d][params.f];
+  std::uint64_t stray = 0;
+  for (int w = 0; w < kCellWords; ++w) stray |= words[w] & outside[w];
+  bool bad = stray != 0 || (owner_bits >> (params.d - 1)) != 0;
+  // Inside it every row descends from a head ≤ l, so every cell is ≤ l.
+  for (int i = 0; i < params.d; ++i) {
+    const auto& row = c[i];
+    bad |= row[0] > params.l;
+    for (int j = 1; j < params.f; ++j) bad |= row[j] > row[j - 1];
   }
-  if ((owner_bits >> (params.d - 1)) != 0) return false;
-  return true;
+  return !bad;
 }
 
 std::uint64_t State::pack(const AttackParams& params) const {

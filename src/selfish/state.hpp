@@ -50,7 +50,7 @@ struct State {
   void canonicalize(const AttackParams& params);
 
   /// True iff every row is sorted descending and all cells are ≤ l and
-  /// out-of-range cells/bits are zero.
+  /// out-of-range cells/bits are zero. `params` must be valid.
   bool is_canonical(const AttackParams& params) const;
 
   /// Packs into a 64-bit key (requires is_canonical for uniqueness of the

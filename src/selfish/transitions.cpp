@@ -12,10 +12,10 @@ namespace {
 /// tracked block moves one depth deeper, the block leaving the tracked
 /// window (old depth d−1; the pending block itself when d = 1) finalizes,
 /// and forks rooted at the old depth-d block become unusable.
-Outcome incorporate_pending_honest(const State& s, double prob,
-                                   const AttackParams& params) {
-  Outcome out;
-  out.prob = prob;
+void incorporate_pending_honest(const State& s, double prob,
+                                const AttackParams& params,
+                                Outcomes& outcomes) {
+  Outcome& out = outcomes.add(State{}, prob);
 
   // Finalization at the depth-d boundary.
   if (params.d == 1) {
@@ -27,7 +27,6 @@ Outcome incorporate_pending_honest(const State& s, double prob,
   }
 
   State& next = out.next;
-  next = State{};
   for (int i = params.d - 1; i >= 1; --i) next.c[i] = s.c[i - 1];
   // Row 0 (the new tip) starts with no forks; old row d−1 is dropped.
 
@@ -38,21 +37,19 @@ Outcome incorporate_pending_honest(const State& s, double prob,
     next.owner_bits = static_cast<std::uint8_t>((s.owner_bits << 1) & mask);
   }
   next.type = StepType::kMining;
-  return out;
 }
 
 /// The accepted release of the first k blocks of fork (i, j): the new main
 /// chain is the k released adversary blocks on top of the fork's root (the
 /// old depth-i block). Old depths 1..i−1 — and the pending honest block,
 /// when releasing from type = honest — are orphaned.
-Outcome accept_release(const State& s, int i, int j, int k, double prob,
-                       const AttackParams& params) {
+void accept_release(const State& s, int i, int j, int k, double prob,
+                    const AttackParams& params, Outcomes& outcomes) {
   SM_ENSURE(i >= 1 && i <= params.d, "release depth out of range");
   SM_ENSURE(j >= 0 && j < params.f, "release slot out of range");
   SM_ENSURE(k >= i && k <= s.c[i - 1][j], "release length out of range");
 
-  Outcome out;
-  out.prob = prob;
+  Outcome& out = outcomes.add(State{}, prob);
 
   // Released blocks landing at new depth ≥ d are immediately final.
   if (k >= params.d) {
@@ -70,7 +67,6 @@ Outcome accept_release(const State& s, int i, int j, int k, double prob,
   }
 
   State& next = out.next;
-  next = State{};
   // New tip: the unreleased remainder of the published fork continues as a
   // private fork on the new tip.
   next.c[0][0] = static_cast<std::uint8_t>(s.c[i - 1][j] - k);
@@ -99,27 +95,19 @@ Outcome accept_release(const State& s, int i, int j, int k, double prob,
   next.owner_bits = bits;
   next.type = StepType::kMining;
   next.canonicalize(params);
-  return out;
 }
 
-std::vector<Outcome> apply_mine(const State& s, const AttackParams& params) {
-  std::vector<Outcome> outcomes;
-
+void apply_mine(const State& s, const AttackParams& params,
+                Outcomes& outcomes) {
   switch (s.type) {
-    case StepType::kAdversaryFound: {
+    case StepType::kAdversaryFound:
       // The freshly mined block was already recorded in its fork when it
       // arrived; declining to release just resumes mining.
-      Outcome out;
-      out.next = s;
-      out.next.type = StepType::kMining;
-      out.prob = 1.0;
-      outcomes.push_back(out);
-      return outcomes;
-    }
-    case StepType::kHonestFound: {
-      outcomes.push_back(incorporate_pending_honest(s, 1.0, params));
-      return outcomes;
-    }
+      outcomes.add(s, 1.0).next.type = StepType::kMining;
+      return;
+    case StepType::kHonestFound:
+      incorporate_pending_honest(s, 1.0, params, outcomes);
+      return;
     case StepType::kMining: break;
   }
 
@@ -142,42 +130,31 @@ std::vector<Outcome> apply_mine(const State& s, const AttackParams& params) {
         }
         // Extend the fork tip; at the cap l the block is wasted and the
         // configuration is unchanged (paper's min(C+1, l)).
-        Outcome out;
-        out.next = s;
-        out.next.c[i][j] = static_cast<std::uint8_t>(
+        State& next = outcomes.add(s, target_prob).next;
+        next.c[i][j] = static_cast<std::uint8_t>(
             std::min<int>(s.c[i][j] + 1, params.l));
-        out.next.type = StepType::kAdversaryFound;
-        out.next.canonicalize(params);
-        out.prob = target_prob;
-        outcomes.push_back(out);
+        next.type = StepType::kAdversaryFound;
+        next.canonicalize(params);
       }
       if (row_has_empty) {
         // Start a new fork of length 1 in the first empty slot.
-        Outcome out;
-        out.next = s;
+        State& next = outcomes.add(s, target_prob).next;
         for (int j = 0; j < params.f; ++j) {
-          if (out.next.c[i][j] == 0) {
-            out.next.c[i][j] = 1;
+          if (next.c[i][j] == 0) {
+            next.c[i][j] = 1;
             break;
           }
         }
-        out.next.type = StepType::kAdversaryFound;
-        out.next.canonicalize(params);
-        out.prob = target_prob;
-        outcomes.push_back(out);
+        next.type = StepType::kAdversaryFound;
+        next.canonicalize(params);
       }
     }
   }
   if (honest_prob > 0.0) {
     // The honest block is *pending*: the adversary gets to react (match /
     // override) before it is incorporated.
-    Outcome out;
-    out.next = s;
-    out.next.type = StepType::kHonestFound;
-    out.prob = honest_prob;
-    outcomes.push_back(out);
+    outcomes.add(s, honest_prob).next.type = StepType::kHonestFound;
   }
-  return outcomes;
 }
 
 }  // namespace
@@ -203,11 +180,15 @@ double min_finalization_rate(const AttackParams& params) {
   return honest / (2.0 * (honest + params.p * params.d * params.f));
 }
 
-std::vector<Outcome> apply_action(const State& s, const Action& action,
-                                  const AttackParams& params) {
+void apply_action(const State& s, const Action& action,
+                  const AttackParams& params, Outcomes& outcomes) {
   SM_REQUIRE(s.is_canonical(params), "state must be canonical");
+  outcomes.clear();
 
-  if (action.kind == Action::Kind::kMine) return apply_mine(s, params);
+  if (action.kind == Action::Kind::kMine) {
+    apply_mine(s, params, outcomes);
+    return;
+  }
 
   const int i = action.depth;
   const int j = action.slot;
@@ -219,19 +200,18 @@ std::vector<Outcome> apply_action(const State& s, const Action& action,
              "release length ", k, " invalid for fork of length ",
              static_cast<int>(s.c[i - 1][j]), " at depth ", i);
 
-  std::vector<Outcome> outcomes;
   if (s.type == StepType::kAdversaryFound || k >= i + 1) {
     // Strictly longer than everything public (including a pending honest
     // block when k ≥ i+1): accepted with certainty.
-    outcomes.push_back(accept_release(s, i, j, k, 1.0, params));
-    return outcomes;
+    accept_release(s, i, j, k, 1.0, params, outcomes);
+    return;
   }
 
   // type = honest and k = i: the released fork ties with the public chain
   // extended by the pending honest block — a race the adversary wins with
   // the switching probability γ.
   if (params.gamma > 0.0) {
-    outcomes.push_back(accept_release(s, i, j, k, params.gamma, params));
+    accept_release(s, i, j, k, params.gamma, params, outcomes);
   }
   if (params.gamma < 1.0) {
     State rejected_base = s;
@@ -241,10 +221,9 @@ std::vector<Outcome> apply_action(const State& s, const Action& action,
       rejected_base.c[i - 1][j] = 0;
       rejected_base.canonicalize(params);
     }
-    outcomes.push_back(
-        incorporate_pending_honest(rejected_base, 1.0 - params.gamma, params));
+    incorporate_pending_honest(rejected_base, 1.0 - params.gamma, params,
+                               outcomes);
   }
-  return outcomes;
 }
 
 }  // namespace selfish

@@ -11,14 +11,20 @@
 // rewards fire exactly when a block crosses the depth-d boundary, and
 // orphaned blocks (public blocks replaced by an accepted fork, or a pending
 // honest block that loses a race) never pay.
+//
+// apply_action writes into a caller-owned, fixed-capacity Outcomes buffer,
+// so the model build's BFS reuses one buffer for every action and
+// allocates nothing per action.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "mdp/types.hpp"
 #include "selfish/actions.hpp"
 #include "selfish/state.hpp"
+#include "support/check.hpp"
 
 namespace selfish {
 
@@ -27,6 +33,33 @@ struct Outcome {
   State next;
   double prob = 0.0;
   mdp::RewardCounts counts;  ///< Blocks finalized by this outcome.
+};
+
+/// The outcomes of one action, in a fixed-capacity buffer that the caller
+/// reuses across calls. An action has at most d·f + 1 outcomes: a mining
+/// step's σ ≤ d·f adversary targets plus the honest block.
+class Outcomes {
+ public:
+  static constexpr std::size_t kCapacity = kMaxDepth * kMaxForks + 1;
+
+  const Outcome* begin() const { return items_.data(); }
+  const Outcome* end() const { return items_.data() + size_; }
+  std::size_t size() const { return size_; }
+
+  void clear() { size_ = 0; }
+
+  /// Appends the outcome {next, prob} with no finalized blocks and
+  /// returns it for the caller to finish.
+  Outcome& add(const State& next, double prob) {
+    SM_ENSURE(size_ < kCapacity, "more than ", kCapacity, " outcomes");
+    Outcome& out = items_[size_++];
+    out = Outcome{next, prob, {}};
+    return out;
+  }
+
+ private:
+  std::array<Outcome, kCapacity> items_;
+  std::size_t size_ = 0;
 };
 
 /// Number of concurrent adversary mining targets σ in `s`: one per
@@ -51,11 +84,12 @@ std::uint32_t mining_targets(const State& s, const AttackParams& params);
 double min_finalization_rate(const AttackParams& params);
 
 /// Applies `action` (must be available in `s` per available_actions) and
-/// returns the successor distribution over canonical states. Outcomes with
+/// replaces the contents of `outcomes`, which must not hold `s`, with the
+/// successor distribution over canonical states. Outcomes with
 /// probability 0 (e.g. the losing side of a γ ∈ {0,1} race) are omitted;
 /// outcomes reaching the same canonical state are NOT merged here — the
 /// model builder merges them.
-std::vector<Outcome> apply_action(const State& s, const Action& action,
-                                  const AttackParams& params);
+void apply_action(const State& s, const Action& action,
+                  const AttackParams& params, Outcomes& outcomes);
 
 }  // namespace selfish

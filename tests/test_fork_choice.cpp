@@ -11,6 +11,7 @@
 #include "selfish/transitions.hpp"
 #include "sim/strategies.hpp"
 #include "support/check.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -28,7 +29,7 @@ TEST(ForkChoice, BurnDiscardsTheLosingFork) {
   s.c[0][0] = 1;
   s.type = selfish::StepType::kHonestFound;
   const auto outcomes =
-      selfish::apply_action(s, selfish::Action::release(1, 0, 1), params);
+      test_helpers::outcomes_of(s, selfish::Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 2u);
   // Losing branch: the fork is gone instead of shifting to depth 2.
   EXPECT_EQ(outcomes[1].next.c[0][0], 0);
@@ -41,7 +42,7 @@ TEST(ForkChoice, DefaultKeepsTheLosingFork) {
   s.c[0][0] = 1;
   s.type = selfish::StepType::kHonestFound;
   const auto outcomes =
-      selfish::apply_action(s, selfish::Action::release(1, 0, 1), params);
+      test_helpers::outcomes_of(s, selfish::Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[1].next.c[1][0], 1);  // survives one depth deeper
 }

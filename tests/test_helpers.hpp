@@ -1,5 +1,6 @@
 // Shared fixtures: small hand-checkable MDPs and random-model generators
-// used across the solver test files.
+// used across the solver test files, the selfish-mining enumeration in
+// by-value form, and fingerprints of built models.
 #pragma once
 
 #include <bit>
@@ -8,6 +9,9 @@
 
 #include "mdp/builder.hpp"
 #include "mdp/mdp.hpp"
+#include "selfish/actions.hpp"
+#include "selfish/space.hpp"
+#include "selfish/transitions.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 
@@ -135,6 +139,36 @@ inline std::uint64_t model_hash(const mdp::Mdp& m) {
     }
   }
   return hash;
+}
+
+/// FNV-1a fingerprint of a state dictionary: the packed keys in id order.
+/// Equal hashes mean the same states under the same ids.
+inline std::uint64_t state_keys_hash(const selfish::StateSpace& space) {
+  std::uint64_t hash = support::kFnv1aBasis;
+  for (mdp::StateId s = 0; s < space.size(); ++s) {
+    const std::uint64_t key = space.state_of(s).pack(space.params());
+    hash = support::fnv1a64(&key, sizeof key, hash);
+  }
+  return hash;
+}
+
+/// The actions available in `s`, through the scratch form the model
+/// build uses.
+inline std::vector<selfish::Action> actions_of(
+    const selfish::State& s, const selfish::AttackParams& params) {
+  std::vector<selfish::Action> actions;
+  selfish::available_actions(s, params, actions);
+  return actions;
+}
+
+/// The outcomes of `action` in `s`, through the scratch form the model
+/// build uses.
+inline std::vector<selfish::Outcome> outcomes_of(
+    const selfish::State& s, const selfish::Action& action,
+    const selfish::AttackParams& params) {
+  selfish::Outcomes outcomes;
+  selfish::apply_action(s, action, params, outcomes);
+  return {outcomes.begin(), outcomes.end()};
 }
 
 }  // namespace test_helpers

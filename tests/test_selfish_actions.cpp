@@ -3,6 +3,7 @@
 
 #include "selfish/actions.hpp"
 #include "support/check.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -29,7 +30,7 @@ TEST(AvailableActions, MiningStateHasOnlyMine) {
   selfish::State s;
   s.c[0][0] = 3;
   s.type = selfish::StepType::kMining;
-  const auto actions = selfish::available_actions(s, params);
+  const auto actions = test_helpers::actions_of(s, params);
   ASSERT_EQ(actions.size(), 1u);
   EXPECT_EQ(actions[0], selfish::Action::mine());
 }
@@ -39,7 +40,7 @@ TEST(AvailableActions, MineIsAlwaysFirst) {
   selfish::State s;
   s.c[0][0] = 2;
   s.type = selfish::StepType::kAdversaryFound;
-  const auto actions = selfish::available_actions(s, params);
+  const auto actions = test_helpers::actions_of(s, params);
   ASSERT_GE(actions.size(), 1u);
   EXPECT_EQ(actions[0], selfish::Action::mine());
 }
@@ -50,7 +51,7 @@ TEST(AvailableActions, ReleaseRequiresLengthAtLeastDepth) {
   s.type = selfish::StepType::kAdversaryFound;
   s.c[0][0] = 2;  // depth 1, length 2 → k ∈ {1, 2}
   s.c[1][0] = 1;  // depth 2, length 1 < i=2 → not releasable
-  const auto actions = selfish::available_actions(s, params);
+  const auto actions = test_helpers::actions_of(s, params);
   ASSERT_EQ(actions.size(), 3u);
   EXPECT_EQ(actions[1], selfish::Action::release(1, 0, 1));
   EXPECT_EQ(actions[2], selfish::Action::release(1, 0, 2));
@@ -61,7 +62,7 @@ TEST(AvailableActions, DeepForkReleasableOnceLongEnough) {
   selfish::State s;
   s.type = selfish::StepType::kHonestFound;
   s.c[1][0] = 3;  // depth 2, length 3 → k ∈ {2, 3}
-  const auto actions = selfish::available_actions(s, params);
+  const auto actions = test_helpers::actions_of(s, params);
   ASSERT_EQ(actions.size(), 3u);
   EXPECT_EQ(actions[1], selfish::Action::release(2, 0, 2));
   EXPECT_EQ(actions[2], selfish::Action::release(2, 0, 3));
@@ -73,7 +74,7 @@ TEST(AvailableActions, SkipsExchangeableDuplicateForks) {
   s.type = selfish::StepType::kAdversaryFound;
   s.c[0][0] = 2;
   s.c[0][1] = 2;  // identical fork → only one set of release actions
-  const auto actions = selfish::available_actions(s, params);
+  const auto actions = test_helpers::actions_of(s, params);
   ASSERT_EQ(actions.size(), 3u);  // mine + k=1,2 on slot 0 only
   for (const auto& a : actions) {
     if (a.kind == selfish::Action::Kind::kRelease) {
@@ -88,7 +89,7 @@ TEST(AvailableActions, DistinctLengthsBothOffered) {
   s.type = selfish::StepType::kAdversaryFound;
   s.c[0][0] = 3;
   s.c[0][1] = 1;
-  const auto actions = selfish::available_actions(s, params);
+  const auto actions = test_helpers::actions_of(s, params);
   // mine + slot0 k∈{1,2,3} + slot1 k=1.
   ASSERT_EQ(actions.size(), 5u);
   EXPECT_EQ(actions[4], selfish::Action::release(1, 1, 1));
@@ -98,7 +99,7 @@ TEST(AvailableActions, EmptyStateOnlyMine) {
   const auto params = params_22();
   selfish::State s;
   s.type = selfish::StepType::kHonestFound;
-  const auto actions = selfish::available_actions(s, params);
+  const auto actions = test_helpers::actions_of(s, params);
   ASSERT_EQ(actions.size(), 1u);
 }
 
@@ -107,7 +108,7 @@ TEST(AvailableActions, RequiresCanonicalState) {
   selfish::State s;
   s.c[0][0] = 1;
   s.c[0][1] = 3;  // unsorted
-  EXPECT_THROW(selfish::available_actions(s, params),
+  EXPECT_THROW(test_helpers::actions_of(s, params),
                support::InvalidArgument);
 }
 

@@ -55,7 +55,7 @@ TEST(SelfishModel, ActionLabelsDecodeToAvailableActions) {
   const auto model = selfish::build_model(params);
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
     const auto state = model.space.state_of(s);
-    const auto expected = selfish::available_actions(state, params);
+    const auto expected = test_helpers::actions_of(state, params);
     ASSERT_EQ(model.mdp.num_actions_of(s), expected.size());
     std::size_t idx = 0;
     for (mdp::ActionId a = model.mdp.action_begin(s);
@@ -69,22 +69,42 @@ TEST(SelfishModel, BuiltArraysArePinnedBitForBit) {
   // The kernel and the reference solvers read the same arrays, so their
   // agreement cannot catch a builder that enumerates, merges or
   // renormalizes differently; these fingerprints can. Any change to
-  // state ids, action order or a single probability bit moves them.
+  // state ids, action order or a single probability bit moves them, and
+  // any change to the state dictionary moves the key hash. The cases:
+  // three regression models, perfbench's analyze-cold centre points,
+  // d = f = 1, and the edges p ∈ {0, 1} and γ ∈ {0, 1}.
   struct Case {
     selfish::AttackParams params;
     mdp::StateId states;
     mdp::ActionId actions;
     std::size_t transitions;
     std::uint64_t hash;
+    std::uint64_t keys_hash;
   };
   const Case cases[] = {
       {{.p = 0.3, .gamma = 0.5, .d = 2, .f = 2, .l = 4},
-       1348, 6148, 8648, 0x492ec88c78806e44ULL},
+       1348, 6148, 8648, 0x492ec88c78806e44ULL, 0x26b9594e871b2649ULL},
       {{.p = 0.25, .gamma = 0.75, .d = 3, .f = 1, .l = 3},
-       764, 2044, 3152, 0xfeda1a9fffa4729aULL},
+       764, 2044, 3152, 0xfeda1a9fffa4729aULL, 0xca38d4720033e035ULL},
       {{.p = 0.2, .gamma = 0.0, .d = 2, .f = 1, .l = 4,
         .burn_lost_races = true},
-       148, 468, 566, 0xc3ced0426a23c5bcULL},
+       148, 468, 566, 0xc3ced0426a23c5bcULL, 0xcc9275c81d24cb31ULL},
+      {{.p = 0.2, .gamma = 0.5, .d = 2, .f = 3, .l = 4},
+       7348, 40948, 58348, 0x1e51804c03f9de16ULL, 0xf42590fdddff2f2dULL},
+      {{.p = 0.2, .gamma = 0.5, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0x736cf8dd612fbe54ULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 0.06, .gamma = 0.5, .d = 3, .f = 2, .l = 4},
+       40496, 211496, 315496, 0x353592b6b2e9c072ULL, 0xe8ab2f6976c7d819ULL},
+      {{.p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 4},
+       14, 34, 43, 0xee92b9d41b98995aULL, 0x40bfff3c7a0c59e9ULL},
+      {{.p = 0.0, .gamma = 0.5, .d = 2, .f = 2, .l = 3},
+       2, 2, 2, 0x44662d770e588241ULL, 0xfd7b28a4bd57beafULL},
+      {{.p = 1.0, .gamma = 0.5, .d = 2, .f = 2, .l = 3},
+       398, 1118, 1526, 0xda95225a0694617eULL, 0x643ed338060308c6ULL},
+      {{.p = 0.3, .gamma = 0.0, .d = 2, .f = 2, .l = 3},
+       598, 2038, 2646, 0x5543d5e679009db8ULL, 0x82b31f0fa1138edaULL},
+      {{.p = 0.3, .gamma = 1.0, .d = 2, .f = 2, .l = 3},
+       598, 2038, 2646, 0x623a352594841ae4ULL, 0x82b31f0fa1138edaULL},
   };
   for (const Case& c : cases) {
     const auto model = selfish::build_model(c.params);
@@ -93,6 +113,8 @@ TEST(SelfishModel, BuiltArraysArePinnedBitForBit) {
     EXPECT_EQ(model.mdp.num_transitions(), c.transitions)
         << c.params.to_string();
     EXPECT_EQ(test_helpers::model_hash(model.mdp), c.hash)
+        << c.params.to_string();
+    EXPECT_EQ(test_helpers::state_keys_hash(model.space), c.keys_hash)
         << c.params.to_string();
   }
 }

@@ -1,9 +1,17 @@
-// State-space enumeration: sizes, canonical reduction, id stability.
+// State-space enumeration: sizes, canonical reduction, id stability, and
+// the interning table.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <unordered_set>
+#include <vector>
 
 #include "selfish/build.hpp"
 #include "selfish/space.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -39,6 +47,86 @@ TEST(StateSpace, NonCanonicalInternRejected) {
   s.c[0][0] = 1;
   s.c[0][1] = 3;
   EXPECT_THROW(space.intern(s), support::InvalidArgument);
+}
+
+TEST(StateSpace, IdsSurviveManyTableGrowths) {
+  // Every state of d=3, f=1, l=15 is canonical: 16^3 fork lengths × 4
+  // ownerships × 3 types = 49,152 states. From its 16-slot start the
+  // table doubles whenever an insert would pass load ½, so this many
+  // states grow it 13 times.
+  const selfish::AttackParams params{
+      .p = 0.3, .gamma = 0.5, .d = 3, .f = 1, .l = 15};
+  std::vector<selfish::State> states;
+  for (int type = 0; type < 3; ++type) {
+    for (int owners = 0; owners < 4; ++owners) {
+      for (int cells = 0; cells < 16 * 16 * 16; ++cells) {
+        selfish::State s;
+        s.c[0][0] = static_cast<std::uint8_t>(cells % 16);
+        s.c[1][0] = static_cast<std::uint8_t>(cells / 16 % 16);
+        s.c[2][0] = static_cast<std::uint8_t>(cells / 256);
+        s.owner_bits = static_cast<std::uint8_t>(owners);
+        s.type = static_cast<selfish::StepType>(type);
+        states.push_back(s);
+      }
+    }
+  }
+  ASSERT_EQ(states.size(), 49152u);
+  ASSERT_EQ(states.front(), selfish::State::initial(params));
+  ASSERT_EQ(states.front().pack(params), 0u);
+  // The initial state first, then the rest in a scrambled order.
+  support::Rng rng(7);
+  for (std::size_t i = states.size() - 1; i > 1; --i) {
+    std::swap(states[i], states[1 + rng.next_below(i)]);
+  }
+
+  selfish::StateSpace space(params);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    ASSERT_EQ(space.intern(states[i]), i);
+  }
+  EXPECT_EQ(space.find(0), std::optional<mdp::StateId>(0));
+  EXPECT_EQ(space.id_of(selfish::State::initial(params)), 0u);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    ASSERT_EQ(space.intern(states[i]), i);
+    ASSERT_EQ(space.find(states[i].pack(params)),
+              std::optional<mdp::StateId>(i));
+    ASSERT_EQ(space.state_of(static_cast<mdp::StateId>(i)), states[i]);
+  }
+  EXPECT_EQ(space.size(), states.size());
+}
+
+TEST(StateSpace, FindRefusesAbsentKeys) {
+  // find takes any u64, e.g. a key read from a strategy file
+  // (analysis::load_strategy), so absent keys must miss whether or not
+  // they fit the packed width (15 bits here).
+  const selfish::AttackParams params{
+      .p = 0.3, .gamma = 0.5, .d = 2, .f = 2, .l = 4};
+  const auto model = selfish::build_model(params);
+  std::unordered_set<std::uint64_t> present;
+  for (mdp::StateId s = 0; s < model.space.size(); ++s) {
+    const std::uint64_t key = model.space.state_of(s).pack(params);
+    present.insert(key);
+    ASSERT_EQ(model.space.find(key), std::optional<mdp::StateId>(s));
+  }
+  support::Rng rng(11);
+  int absent = 0, wide = 0;
+  while (absent < 10000) {
+    std::uint64_t key = rng.next_u64();
+    // Half of the keys fit the packed width, half carry higher bits.
+    if (absent % 2 == 0) key &= (1u << 15) - 1;
+    if (present.count(key) != 0) continue;
+    ASSERT_EQ(model.space.find(key), std::nullopt) << key;
+    wide += (key >> 15) != 0;
+    ++absent;
+  }
+  EXPECT_GE(wide, 4000);
+  // A present key with one bit set above the width must miss too, not
+  // alias the state it extends.
+  for (const std::uint64_t key : present) {
+    for (int bit = 15; bit < 64; bit += 7) {
+      ASSERT_EQ(model.space.find(key | (1ULL << bit)), std::nullopt)
+          << key << " | 1 << " << bit;
+    }
+  }
 }
 
 TEST(RawStateCount, MatchesPaperFormula) {

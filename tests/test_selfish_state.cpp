@@ -1,6 +1,7 @@
 // State representation: validation, canonicalization, packing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "selfish/state.hpp"
@@ -176,6 +177,96 @@ TEST(State, IsCanonicalRejectsOutOfRange) {
   selfish::State bad_bits;
   bad_bits.owner_bits = 0xff;
   EXPECT_FALSE(bad_bits.is_canonical(params));
+}
+
+/// The canonical predicate as a plain walk over every cell.
+bool reference_is_canonical(const selfish::State& s,
+                            const selfish::AttackParams& params) {
+  for (int i = 0; i < selfish::kMaxDepth; ++i) {
+    for (int j = 0; j < selfish::kMaxForks; ++j) {
+      if (i >= params.d || j >= params.f) {
+        if (s.c[i][j] != 0) return false;
+      } else {
+        if (s.c[i][j] > params.l) return false;
+        if (j > 0 && s.c[i][j] > s.c[i][j - 1]) return false;
+      }
+    }
+  }
+  return (s.owner_bits >> (params.d - 1)) == 0;
+}
+
+TEST(State, IsCanonicalAgreesWithReferenceLoop) {
+  // Random states for every valid (d, f, l): canonical ones, then each
+  // with one defect a non-canonical state can carry — a stray byte
+  // outside the d×f window, an unsorted row, a cell above l, or an owner
+  // bit at or above d−1.
+  support::Rng rng(2024);
+  int configs = 0, canonical = 0, rejected = 0;
+  for (int d = 1; d <= selfish::kMaxDepth; ++d) {
+    for (int f = 1; f <= selfish::kMaxForks; ++f) {
+      for (int l = 1; l <= selfish::kMaxForkLength; ++l) {
+        const selfish::AttackParams params{
+            .p = 0.3, .gamma = 0.5, .d = d, .f = f, .l = l};
+        try {
+          params.validate();
+        } catch (const support::InvalidArgument&) {
+          continue;
+        }
+        ++configs;
+        for (int trial = 0; trial < 25; ++trial) {
+          selfish::State s;
+          for (int i = 0; i < d; ++i) {
+            for (int j = 0; j < f; ++j) {
+              s.c[i][j] = static_cast<std::uint8_t>(rng.next_below(l + 1));
+            }
+          }
+          s.owner_bits =
+              static_cast<std::uint8_t>(rng.next_below(1u << (d - 1)));
+          s.type = static_cast<selfish::StepType>(rng.next_below(3));
+          s.canonicalize(params);
+          const int i = static_cast<int>(rng.next_below(d));
+          const int j = static_cast<int>(rng.next_below(f));
+          switch (trial % 5) {
+            case 0: break;  // canonical
+            case 1: {       // stray byte outside the window
+              const int cell = static_cast<int>(
+                  rng.next_below(selfish::kMaxDepth * selfish::kMaxForks));
+              const int row = cell / selfish::kMaxForks;
+              const int col = cell % selfish::kMaxForks;
+              if (row < d && col < f) break;  // landed inside: canonical
+              s.c[row][col] = static_cast<std::uint8_t>(
+                  1 + rng.next_below(255));
+              break;
+            }
+            case 2:  // unsorted row (a no-op when f = 1)
+              if (j > 0) {
+                s.c[i][j] = static_cast<std::uint8_t>(
+                    std::min(s.c[i][j - 1] + 1 + static_cast<int>(
+                                 rng.next_below(3)),
+                             255));
+              }
+              break;
+            case 3:  // a cell above l
+              s.c[i][j] = static_cast<std::uint8_t>(
+                  l + 1 + static_cast<int>(rng.next_below(255 - l)));
+              break;
+            case 4:  // an owner bit at or above d−1
+              s.owner_bits |= static_cast<std::uint8_t>(
+                  1u << (d - 1 + static_cast<int>(rng.next_below(9 - d))));
+              break;
+          }
+          const bool expected = reference_is_canonical(s, params);
+          ASSERT_EQ(s.is_canonical(params), expected)
+              << params.to_string() << ' ' << s.to_string(params)
+              << " owner_bits=" << static_cast<int>(s.owner_bits);
+          ++(expected ? canonical : rejected);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 472);
+  EXPECT_GE(canonical, configs * 5);
+  EXPECT_GE(rejected, configs * 10);
 }
 
 TEST(State, OwnershipAccessor) {

@@ -7,6 +7,7 @@
 
 #include "selfish/transitions.hpp"
 #include "support/check.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -57,7 +58,8 @@ TEST(MiningTargets, AlwaysAtLeastDepth) {
 
 TEST(ApplyMine, InitialStateDistribution) {
   const AttackParams params{.p = 0.3, .gamma = 0.5, .d = 2, .f = 2, .l = 4};
-  const auto outcomes = selfish::apply_action(State{}, Action::mine(), params);
+  const auto outcomes =
+      test_helpers::outcomes_of(State{}, Action::mine(), params);
   // Two new-fork targets (depth 1, depth 2) + honest.
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_NEAR(total_prob(outcomes), 1.0, 1e-12);
@@ -82,7 +84,7 @@ TEST(ApplyMine, ExtendingCappedForkWastesBlock) {
   const AttackParams params{.p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 4};
   const State capped = make_state(params, {{4}}, StepType::kMining);
   const auto outcomes =
-      selfish::apply_action(capped, Action::mine(), params);
+      test_helpers::outcomes_of(capped, Action::mine(), params);
   ASSERT_EQ(outcomes.size(), 2u);
   for (const auto& o : outcomes) {
     if (o.next.type == StepType::kAdversaryFound) {
@@ -94,7 +96,7 @@ TEST(ApplyMine, ExtendingCappedForkWastesBlock) {
 TEST(ApplyMine, AdversaryDeclineKeepsForks) {
   const AttackParams params{.p = 0.3, .gamma = 0.5, .d = 2, .f = 1, .l = 4};
   const State s = make_state(params, {{2}, {0}}, StepType::kAdversaryFound);
-  const auto outcomes = selfish::apply_action(s, Action::mine(), params);
+  const auto outcomes = test_helpers::outcomes_of(s, Action::mine(), params);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].next.type, StepType::kMining);
   EXPECT_EQ(outcomes[0].next.c[0][0], 2);
@@ -108,7 +110,7 @@ TEST(ApplyMine, IncorporationShiftsAndFinalizes) {
   const AttackParams params{.p = 0.3, .gamma = 0.5, .d = 3, .f = 1, .l = 4};
   const State s = make_state(params, {{1}, {2}, {3}}, StepType::kHonestFound,
                              /*owner_bits=*/0b10);  // depth2 adversary-owned
-  const auto outcomes = selfish::apply_action(s, Action::mine(), params);
+  const auto outcomes = test_helpers::outcomes_of(s, Action::mine(), params);
   ASSERT_EQ(outcomes.size(), 1u);
   const auto& o = outcomes[0];
   EXPECT_EQ(o.counts.adversary, 1);  // the old depth-2 block finalized
@@ -124,7 +126,7 @@ TEST(ApplyMine, IncorporationShiftsAndFinalizes) {
 TEST(ApplyMine, IncorporationAtDepthOneFinalizesPending) {
   const AttackParams params{.p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 4};
   const State s = make_state(params, {{3}}, StepType::kHonestFound);
-  const auto outcomes = selfish::apply_action(s, Action::mine(), params);
+  const auto outcomes = test_helpers::outcomes_of(s, Action::mine(), params);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].counts.honest, 1);  // pending block instantly final
   EXPECT_EQ(outcomes[0].next.c[0][0], 0);   // withheld fork abandoned
@@ -136,7 +138,7 @@ TEST(ApplyRelease, ImmediatePublishFromTip) {
   const State s = make_state(params, {{3}, {0}}, StepType::kAdversaryFound,
                              /*owner_bits=*/0b0);  // depth1 honest-owned
   const auto outcomes =
-      selfish::apply_action(s, Action::release(1, 0, 1), params);
+      test_helpers::outcomes_of(s, Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 1u);
   const auto& o = outcomes[0];
   EXPECT_DOUBLE_EQ(o.prob, 1.0);
@@ -157,7 +159,7 @@ TEST(ApplyRelease, OverridePendingBlock) {
   const State s = make_state(params, {{2}, {0}}, StepType::kHonestFound,
                              /*owner_bits=*/0b1);  // depth1 adversary-owned
   const auto outcomes =
-      selfish::apply_action(s, Action::release(1, 0, 2), params);
+      test_helpers::outcomes_of(s, Action::release(1, 0, 2), params);
   ASSERT_EQ(outcomes.size(), 1u);
   const auto& o = outcomes[0];
   EXPECT_DOUBLE_EQ(o.prob, 1.0);
@@ -175,7 +177,7 @@ TEST(ApplyRelease, TieRace) {
   const AttackParams params{.p = 0.3, .gamma = 0.25, .d = 2, .f = 1, .l = 4};
   const State s = make_state(params, {{1}, {0}}, StepType::kHonestFound);
   const auto outcomes =
-      selfish::apply_action(s, Action::release(1, 0, 1), params);
+      test_helpers::outcomes_of(s, Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_NEAR(total_prob(outcomes), 1.0, 1e-12);
 
@@ -201,7 +203,7 @@ TEST(ApplyRelease, TieRaceAtDepthOne) {
   const AttackParams params{.p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 4};
   const State s = make_state(params, {{1}}, StepType::kHonestFound);
   const auto outcomes =
-      selfish::apply_action(s, Action::release(1, 0, 1), params);
+      test_helpers::outcomes_of(s, Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].counts.adversary, 1);
   EXPECT_EQ(outcomes[0].counts.honest, 0);
@@ -215,7 +217,7 @@ TEST(ApplyRelease, GammaOneOmitsLosingBranch) {
   const AttackParams params{.p = 0.3, .gamma = 1.0, .d = 1, .f = 1, .l = 4};
   const State s = make_state(params, {{1}}, StepType::kHonestFound);
   const auto outcomes =
-      selfish::apply_action(s, Action::release(1, 0, 1), params);
+      test_helpers::outcomes_of(s, Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_DOUBLE_EQ(outcomes[0].prob, 1.0);
   EXPECT_EQ(outcomes[0].counts.adversary, 1);
@@ -229,7 +231,7 @@ TEST(ApplyRelease, DeepReleaseFinalizesWindow) {
   const State s = make_state(params, {{0}, {0}, {3}}, StepType::kAdversaryFound,
                              /*owner_bits=*/0b11);  // depths 1,2 adversary
   const auto outcomes =
-      selfish::apply_action(s, Action::release(3, 0, 3), params);
+      test_helpers::outcomes_of(s, Action::release(3, 0, 3), params);
   ASSERT_EQ(outcomes.size(), 1u);
   const auto& o = outcomes[0];
   // k − (d−1) = 1 released block final; orphaned depths 1-2 pay nothing.
@@ -246,7 +248,7 @@ TEST(ApplyRelease, SurvivingSiblingForkKeepsPosition) {
   const State s =
       make_state(params, {{2, 1}, {0, 0}}, StepType::kAdversaryFound);
   const auto outcomes =
-      selfish::apply_action(s, Action::release(1, 0, 1), params);
+      test_helpers::outcomes_of(s, Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 1u);
   const auto& o = outcomes[0];
   EXPECT_EQ(o.next.c[0][0], 1);  // remainder on the new tip
@@ -258,16 +260,16 @@ TEST(ApplyRelease, RejectsInvalidReleases) {
   const State s = make_state(params, {{1}, {1}}, StepType::kAdversaryFound);
   // Fork shorter than its depth.
   EXPECT_THROW(
-      selfish::apply_action(s, Action::release(2, 0, 1), params),
+      test_helpers::outcomes_of(s, Action::release(2, 0, 1), params),
       support::InvalidArgument);
   // k exceeding the fork length.
   EXPECT_THROW(
-      selfish::apply_action(s, Action::release(1, 0, 3), params),
+      test_helpers::outcomes_of(s, Action::release(1, 0, 3), params),
       support::InvalidArgument);
   // Releasing while mining.
   const State mining = make_state(params, {{2}, {0}}, StepType::kMining);
   EXPECT_THROW(
-      selfish::apply_action(mining, Action::release(1, 0, 1), params),
+      test_helpers::outcomes_of(mining, Action::release(1, 0, 1), params),
       support::InvalidArgument);
 }
 
@@ -276,6 +278,40 @@ TEST(ApplyRelease, RejectsInvalidReleases) {
 // every action's outcome distribution is a probability distribution over
 // canonical in-range states.
 // ---------------------------------------------------------------------------
+
+TEST(Scratch, ReusedBuffersHoldOnlyTheLatestCall) {
+  // The model build reuses one action list and one outcome buffer for
+  // every state; each call must replace what the previous one left.
+  const AttackParams params{.p = 0.3, .gamma = 0.5, .d = 2, .f = 2, .l = 4};
+  State rich;
+  rich.c[0] = {3, 1};
+  rich.c[1] = {2, 0};
+  rich.type = StepType::kHonestFound;
+  State mining = rich;
+  mining.type = StepType::kMining;
+
+  std::vector<Action> actions;
+  selfish::available_actions(rich, params, actions);
+  EXPECT_EQ(actions.size(), 6u);  // mine + (1,0,k≤3) + (1,1,1) + (2,0,2)
+  selfish::available_actions(mining, params, actions);
+  EXPECT_EQ(actions, test_helpers::actions_of(mining, params));
+
+  selfish::Outcomes outcomes;
+  selfish::apply_action(mining, Action::mine(), params, outcomes);
+  // Row 0: two tips; row 1: one tip and a new fork; the honest block.
+  EXPECT_EQ(outcomes.size(), 5u);
+  selfish::apply_action(rich, Action::release(1, 0, 1), params, outcomes);
+  const std::vector<selfish::Outcome> reused(outcomes.begin(),
+                                             outcomes.end());
+  const auto fresh =
+      test_helpers::outcomes_of(rich, Action::release(1, 0, 1), params);
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (std::size_t k = 0; k < fresh.size(); ++k) {
+    EXPECT_EQ(reused[k].next, fresh[k].next);
+    EXPECT_EQ(reused[k].prob, fresh[k].prob);
+    EXPECT_EQ(reused[k].counts, fresh[k].counts);
+  }
+}
 
 class TransitionProperties
     : public ::testing::TestWithParam<selfish::AttackParams> {};
@@ -292,8 +328,8 @@ TEST_P(TransitionProperties, OutcomesFormDistributionsOverCanonicalStates) {
   while (!frontier.empty()) {
     const State s = frontier.front();
     frontier.pop();
-    for (const Action& action : selfish::available_actions(s, params)) {
-      const auto outcomes = selfish::apply_action(s, action, params);
+    for (const Action& action : test_helpers::actions_of(s, params)) {
+      const auto outcomes = test_helpers::outcomes_of(s, action, params);
       ASSERT_FALSE(outcomes.empty());
       ++checked_actions;
       double total = 0.0;
@@ -320,11 +356,11 @@ TEST_P(TransitionProperties, MiningStatesAlternateWithDecisionStates) {
   const AttackParams params = GetParam();
   const State init = State::initial(params);
   for (const auto& o :
-       selfish::apply_action(init, Action::mine(), params)) {
+       test_helpers::outcomes_of(init, Action::mine(), params)) {
     EXPECT_NE(o.next.type, StepType::kMining);
     for (const Action& action :
-         selfish::available_actions(o.next, params)) {
-      for (const auto& o2 : selfish::apply_action(o.next, action, params)) {
+         test_helpers::actions_of(o.next, params)) {
+      for (const auto& o2 : test_helpers::outcomes_of(o.next, action, params)) {
         EXPECT_EQ(o2.next.type, StepType::kMining);
       }
     }

@@ -43,6 +43,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "support/check.hpp"
 
 namespace {
 
@@ -207,6 +208,31 @@ TEST(GenericKeys, PinKindAndOptions) {
   engine::GenericJob relabeled = job;
   relabeled.kind = "upper-bound";
   EXPECT_NE(engine::generic_job_key(relabeled).hash, key.hash);
+}
+
+TEST(GenericKeys, JobBuildersRefuseEpsilonOutsideTheOpenUnitInterval) {
+  // ε is checked when the job is built, before any model is, by the same
+  // AnalysisOptions::validate that analysis::analyze runs.
+  for (const double epsilon :
+       {0.0, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    engine::PointQuery point;
+    point.analysis.epsilon = epsilon;
+    EXPECT_THROW(engine::make_point_job(point), support::InvalidArgument)
+        << epsilon;
+    engine::SweepQuery sweep;
+    sweep.analysis.epsilon = epsilon;
+    EXPECT_THROW(engine::make_sweep_job(sweep), support::InvalidArgument)
+        << epsilon;
+    engine::UpperBoundQuery upper;
+    upper.options.analysis.epsilon = epsilon;
+    EXPECT_THROW(engine::make_upper_bound_job(upper),
+                 support::InvalidArgument)
+        << epsilon;
+    engine::NetBatchQuery net;
+    net.epsilon = epsilon;
+    EXPECT_THROW(engine::make_net_batch_job(net), support::InvalidArgument)
+        << epsilon;
+  }
 }
 
 // ------------------------------------------------------------- protocol
@@ -428,6 +454,12 @@ TEST(ServeProtocol, RejectsMalformedAndInvalidRequests) {
   EXPECT_FALSE(reply.find("ok")->as_bool());
   EXPECT_EQ(reply.find("id")->as_number(), 2.0);
   EXPECT_EQ(reply.find("error")->as_string(), "p out of [0,1]: 1.5");
+
+  // ε is refused by the job builder, before a model is built (the solves
+  // count below stays 0).
+  reply = reply_of(service, "{\"kind\":\"point\",\"epsilon\":0}");
+  EXPECT_FALSE(reply.find("ok")->as_bool());
+  EXPECT_EQ(reply.find("error")->as_string(), "epsilon out of (0,1): 0");
 
   // The deleted solver menu is an unknown field, like any typo.
   reply = reply_of(service, "{\"kind\":\"point\",\"solver\":\"vi\"}");

@@ -190,4 +190,22 @@ TEST(StrategyIo, OutOfRangeKeyIsInvalidArgument) {
                  "line 5: key 18446744073709551615 is not a decision state");
 }
 
+TEST(StrategyIo, KeyWithBitsAboveThePackedWidthIsRefused) {
+  // StateSpace::find takes any u64 a file holds: a decision state's key
+  // with one bit set above the packed width (9 bits at d=2, f=1, l=4)
+  // must miss the interning table, not alias that state.
+  const auto model = make_model();
+  StrategyText text =
+      split(analysis::strategy_to_string(model, optimal_policy(model)));
+  std::uint64_t key = 0;
+  std::uint32_t label = 0;
+  std::istringstream(text.entries[0]) >> key >> label;
+  ASSERT_TRUE(model.space.find(key).has_value());
+  const std::uint64_t wide = key | (1ULL << 9);
+  text.entries[0] = std::to_string(wide) + ' ' + std::to_string(label);
+  expect_refused(model, text.join(),
+                 "line 4: key " + std::to_string(wide) +
+                     " is not a decision state");
+}
+
 }  // namespace

@@ -209,6 +209,32 @@ TEST(KernelSpan, RecordsEachBisectionStepsBetaAndCertifiedSign) {
   obs::flight_reset();
 }
 
+TEST(BuildSpan, RecordsTheModelSizes) {
+  // selfish::build_model opens one selfish.build span carrying the
+  // built model's states, actions and transitions, so a trace of
+  // `analyze` shows the build next to the kernel's spans.
+  const EnabledGuard on(true);
+  obs::flight_reset();
+  const auto model = selfish::build_model(
+      selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = 2, .f = 2, .l = 4});
+  int spans = 0;
+  for (const obs::FlightRecord& record : obs::flight_snapshot()) {
+    if (std::strcmp(record.name, "selfish.build") != 0) continue;
+    ASSERT_NE(record.attrs[0], '\0') << "attrs did not fit the record";
+    const serve::Json attrs = serve::Json::parse(record.attrs);
+    for (const char* key : {"states", "actions", "transitions"}) {
+      ASSERT_NE(attrs.find(key), nullptr) << key << " in " << record.attrs;
+    }
+    EXPECT_EQ(attrs.find("states")->as_number(), model.mdp.num_states());
+    EXPECT_EQ(attrs.find("actions")->as_number(), model.mdp.num_actions());
+    EXPECT_EQ(attrs.find("transitions")->as_number(),
+              static_cast<double>(model.mdp.num_transitions()));
+    ++spans;
+  }
+  EXPECT_EQ(spans, 1);
+  obs::flight_reset();
+}
+
 TEST(TraceDump, AnswersRequestRootedSpanTree) {
   const EnabledGuard on(true);
   obs::flight_reset();

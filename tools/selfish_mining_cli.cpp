@@ -145,6 +145,7 @@ int cmd_analyze(int argc, const char* const* argv) {
   engine::read_options(options, query);
   query.analysis.solver.threads = options.get_int("threads");
 
+  query.analysis.validate();  // before the build, which may take seconds
   const auto model = model_from(options, query.params);
   const auto result = analysis::analyze(model, query.analysis);
 
@@ -243,12 +244,13 @@ int cmd_simulate(int argc, const char* const* argv) {
   analysis_options.solver.threads = options.get_int("threads");
   const int steps = options.get_int("steps");
   SM_REQUIRE(steps > 0, "--steps must be positive, got ", steps);
+  const std::string which = options.get_string("strategy");
+  if (which == "optimal") analysis_options.validate();
 
   const auto model = model_from(options, params);
 
   mdp::Policy policy;
   std::unique_ptr<sim::Strategy> strategy;
-  const std::string which = options.get_string("strategy");
   if (which == "optimal") {
     policy = analysis::analyze(model, analysis_options).policy;
     strategy = std::make_unique<sim::MdpPolicyStrategy>(model, policy);
@@ -356,9 +358,10 @@ int cmd_export(int argc, const char* const* argv) {
   engine::read_options(options, params);
   engine::read_options(options, analysis_options);
   analysis_options.solver.threads = options.get_int("threads");
+  double beta = options.get_double("beta");
+  if (beta < 0.0) analysis_options.validate();
 
   const auto model = model_from(options, params);
-  double beta = options.get_double("beta");
   if (beta < 0.0) {
     analysis_options.evaluate_exact_errev = false;
     beta = analysis::analyze(model, analysis_options).errev_lower_bound;
