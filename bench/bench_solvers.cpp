@@ -246,7 +246,7 @@ void BM_Algorithm1(benchmark::State& state) {
   options.solver.threads = static_cast<int>(state.range(2));
   for (auto _ : state) {
     const auto result = analysis::analyze(model, options);
-    benchmark::DoNotOptimize(result.errev_lower_bound);
+    benchmark::DoNotOptimize(result.beta_lo);
   }
 }
 BENCHMARK(BM_Algorithm1)

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     const engine::StoredResult& expect = serial[i].result;
     for (const engine::StoredResult* got :
          {&parallel[i].result, &warm[i].result}) {
-      SM_ENSURE(got->errev_lower_bound == expect.errev_lower_bound &&
+      SM_ENSURE(got->beta_lo == expect.beta_lo &&
                     got->errev_of_policy == expect.errev_of_policy &&
                     got->solver_iterations == expect.solver_iterations &&
                     got->policy == expect.policy,

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     analysis::AnalysisOptions analysis_options;
     analysis_options.epsilon = 1e-4;
     analysis_options.evaluate_exact_errev = false;
-    beta = analysis::analyze(model, analysis_options).errev_lower_bound;
+    beta = analysis::analyze(model, analysis_options).beta_lo;
     std::printf("computed beta = ERRev lower bound = %.6f "
                 "(MP*_beta should be ~0 there)\n", beta);
   }

@@ -80,7 +80,6 @@ AnalysisResult analyze(const selfish::SelfishModel& model,
       break;
     }
   }
-  result.errev_lower_bound = result.beta_lo;
 
   if (options.evaluate_exact_errev) {
     result.stationary = mdp::stationary_distribution(m, result.policy);

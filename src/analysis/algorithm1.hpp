@@ -55,8 +55,7 @@ struct AnalysisOptions {
 };
 
 struct AnalysisResult {
-  double errev_lower_bound = 0.0;  ///< β_lo: certified ε-tight lower bound.
-  double beta_lo = 0.0;
+  double beta_lo = 0.0;  ///< Certified ε-tight lower bound on ERRev*.
   double beta_hi = 1.0;
   /// Exact ERRev(σ) of `policy` (g_A/(g_A+g_H)); NaN when not evaluated.
   double errev_of_policy = 0.0;

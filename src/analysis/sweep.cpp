@@ -53,7 +53,7 @@ SweepResult sweep_p(const selfish::AttackParams& base,
     const engine::StoredResult& stored = outcomes[i].result;
     SweepPoint point;
     point.p = ps[i];
-    point.errev = stored.errev_lower_bound;
+    point.errev = stored.beta_lo;
     point.errev_of_policy = stored.errev_of_policy;
     point.seconds = stored.seconds;
     point.num_states = static_cast<std::size_t>(stored.num_states);

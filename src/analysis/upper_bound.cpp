@@ -26,7 +26,7 @@ UpperBoundResult bound_errev_in_l(const selfish::AttackParams& base,
     params.validate();
     const auto model = selfish::build_model(params);
     const auto analysis = analyze(model, options.analysis);
-    result.points.push_back(LPoint{l, analysis.errev_lower_bound,
+    result.points.push_back(LPoint{l, analysis.beta_lo,
                                    analysis.beta_hi,
                                    model.mdp.num_states()});
   }

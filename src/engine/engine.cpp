@@ -44,7 +44,6 @@ struct Slot {
 StoredResult to_stored(const analysis::AnalysisResult& analysis,
                        std::uint64_t num_states, double seconds) {
   StoredResult stored;
-  stored.errev_lower_bound = analysis.errev_lower_bound;
   stored.beta_lo = analysis.beta_lo;
   stored.beta_hi = analysis.beta_hi;
   stored.errev_of_policy = analysis.errev_of_policy;

@@ -45,7 +45,12 @@ namespace engine {
 /// no lazy transform, and the stationary solve iterates P². Sweep counts,
 /// tie brackets and the last digits of errev_of_policy move, and keys lost
 /// their `solver=` and `tau=` tokens.
-inline constexpr std::uint32_t kCodeVersionSalt = 6;
+/// v7: a stationary solve still unconverged after 256 iterations of μP²
+/// averages μ with μP² instead of stepping by a period stride, so
+/// errev_of_policy moves in its last bits where a solve runs that long
+/// (1.4e-12 at d=4,f=1,p=0.55,γ=1), and no solve refuses a long period.
+/// Analysis entries also lost their copy of β_lo (frame magic SELRES03).
+inline constexpr std::uint32_t kCodeVersionSalt = 7;
 
 /// One Algorithm 1 evaluation: build the model for `params`, analyze with
 /// `options`. This is the unit of work behind `analysis::sweep_p`, the

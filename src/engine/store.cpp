@@ -39,7 +39,7 @@ StoreMetrics& store_metrics() {
 [[maybe_unused]] const StoreMetrics& g_registered_store_metrics =
     store_metrics();
 
-constexpr std::uint64_t kMagic = 0x53454c5245533032ULL;      // "SELRES02"
+constexpr std::uint64_t kMagic = 0x53454c5245533033ULL;      // "SELRES03"
 constexpr std::uint64_t kMagicBlob = 0x53454c424c423032ULL;  // "SELBLB02"
 
 /// Writes the entry of `key` to `path` atomically (support::write_atomically):
@@ -142,7 +142,6 @@ std::optional<StoredResult> ResultStore::load(const JobKey& key) const {
   StoredResult result;
   const bool hit = read_entry(
       entry_path(key), kMagic, key, [&](support::BinaryReader& reader) {
-        result.errev_lower_bound = reader.pod<double>();
         result.beta_lo = reader.pod<double>();
         result.beta_hi = reader.pod<double>();
         result.errev_of_policy = reader.pod<double>();
@@ -160,7 +159,6 @@ void ResultStore::store(const JobKey& key, const StoredResult& result) const {
   if (!enabled()) return;
   const bool written = write_entry(
       entry_path(key), kMagic, key, [&](support::BinaryWriter& writer) {
-        writer.pod(result.errev_lower_bound);
         writer.pod(result.beta_lo);
         writer.pod(result.beta_hi);
         writer.pod(result.errev_of_policy);

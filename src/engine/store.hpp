@@ -35,7 +35,6 @@ namespace engine {
 /// of the original computation and is replayed verbatim on a cache hit, so
 /// downstream reports don't mix solve times with cache-load times.
 struct StoredResult {
-  double errev_lower_bound = 0.0;
   double beta_lo = 0.0;
   double beta_hi = 1.0;
   double errev_of_policy = 0.0;  ///< NaN when exact evaluation was off.

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <numeric>
 #include <queue>
-#include <utility>
 
 #include "support/check.hpp"
 
@@ -24,15 +21,15 @@ void validate_policy(const Mdp& mdp, const Policy& policy) {
 
 namespace {
 
-// stationary_distribution's power iteration on P^k.
+// stationary_distribution's power iteration on P².
 constexpr double kStationaryTol = 1e-12;  // L1 change at which it stops.
 constexpr int kStationaryMaxIterations = 5'000'000;
-constexpr std::uint64_t kMaxPowerStride = 4096;
-// Iterations of μ ← μP² after which the stride is derived from the chain
-// (power_stride). Every optimal strategy's chain measured converges well
-// before (d=4,f=2: 189), and the derivation costs a third of a typical
-// solve, so only slow or periodic chains pay for it.
-constexpr int kStrideCheckIteration = 256;
+// Iterations of μ ← μP² before each step averages μ with μP². Plain steps
+// mix about twice as fast (58/58/19 iterations at the perfbench centre
+// points against 126/120/53 averaged), and the optimal strategies there
+// converge within them; the averaged chain (I + P²)/2 is aperiodic on
+// every closed class, so a chain that still cycles converges too.
+constexpr int kPlainIterations = 256;
 
 template <typename SuccessorsFn>
 std::vector<bool> bfs(StateId num_states, StateId from, SuccessorsFn&& succ) {
@@ -117,116 +114,6 @@ std::vector<StepClass> step_classes(const Mdp& mdp) {
   return colour;
 }
 
-namespace {
-
-/// The stride k of stationary_distribution's power iteration: the least
-/// common multiple of 2 and the period of every closed class of the
-/// policy's chain reachable from the initial state. Each such class is
-/// aperiodic under P^k, so μ ← μP^k converges from any iterate. On the
-/// selfish-mining chains k is 2 whenever p < 1 (the empty-window mining
-/// state returns to itself in two steps when an honest block is found); a
-/// strategy that cycles at p = 1 can need more.
-std::uint64_t power_stride(const Mdp& mdp, const Policy& policy) {
-  const StateId n = mdp.num_states();
-  constexpr StateId kNone = std::numeric_limits<StateId>::max();
-  // Tarjan's strongly connected components of the states reachable from
-  // the initial state, with an explicit stack of (state, next transition)
-  // frames. A visited state without a component is on Tarjan's stack.
-  std::vector<StateId> order(n, kNone);
-  std::vector<StateId> low(n, 0);
-  std::vector<StateId> component(n, kNone);
-  std::vector<StateId> open;
-  std::vector<std::pair<StateId, std::uint32_t>> frames;
-  std::vector<StateId> roots;  // Each component's first-visited state.
-  StateId visited = 0;
-  const auto enter = [&](StateId s) {
-    order[s] = low[s] = visited++;
-    open.push_back(s);
-    frames.emplace_back(s, mdp.transition_begin(policy[s]));
-  };
-  enter(mdp.initial_state());
-  while (!frames.empty()) {
-    const auto [s, i] = frames.back();
-    if (i < mdp.transition_end(policy[s])) {
-      ++frames.back().second;
-      const StateId t = mdp.target(i);
-      if (order[t] == kNone) {
-        enter(t);
-      } else if (component[t] == kNone) {
-        low[s] = std::min(low[s], order[t]);
-      }
-      continue;
-    }
-    frames.pop_back();
-    if (!frames.empty()) {
-      StateId& parent_low = low[frames.back().first];
-      parent_low = std::min(parent_low, low[s]);
-    }
-    if (low[s] == order[s]) {
-      const auto id = static_cast<StateId>(roots.size());
-      StateId t = kNone;
-      do {
-        t = open.back();
-        open.pop_back();
-        component[t] = id;
-      } while (t != s);
-      roots.push_back(s);
-    }
-  }
-
-  // A component is closed when no transition leaves it.
-  std::vector<bool> closed(roots.size(), true);
-  for (StateId s = 0; s < n; ++s) {
-    if (component[s] == kNone) continue;
-    const ActionId a = policy[s];
-    for (std::uint32_t i = mdp.transition_begin(a);
-         i < mdp.transition_end(a); ++i) {
-      if (component[mdp.target(i)] != component[s]) {
-        closed[component[s]] = false;
-      }
-    }
-  }
-
-  // A closed class's period is the gcd of level(u) + 1 − level(v) over
-  // its transitions u → v, with BFS levels from any of its states.
-  std::vector<StateId>& level = order;
-  std::fill(level.begin(), level.end(), kNone);
-  std::uint64_t stride = 2;
-  for (std::size_t c = 0; c < roots.size(); ++c) {
-    if (!closed[c]) continue;
-    std::uint64_t period = 0;
-    std::vector<StateId>& frontier = open;  // Empty once Tarjan is done.
-    level[roots[c]] = 0;
-    frontier.push_back(roots[c]);
-    for (std::size_t next = 0; next < frontier.size(); ++next) {
-      const StateId u = frontier[next];
-      const ActionId a = policy[u];
-      for (std::uint32_t i = mdp.transition_begin(a);
-           i < mdp.transition_end(a); ++i) {
-        const StateId v = mdp.target(i);
-        if (level[v] == kNone) {
-          level[v] = level[u] + 1;
-          frontier.push_back(v);
-        } else {
-          const std::int64_t gap = static_cast<std::int64_t>(level[u]) + 1 -
-                                   static_cast<std::int64_t>(level[v]);
-          period = std::gcd(period, static_cast<std::uint64_t>(
-                                        gap < 0 ? -gap : gap));
-        }
-      }
-    }
-    frontier.clear();
-    stride = std::lcm(stride, period);
-    SM_CHECK_INPUT(stride <= kMaxPowerStride,
-                   "the strategy's chain has closed classes whose periods "
-                   "need a power-iteration stride above ",
-                   kMaxPowerStride);
-  }
-  return stride;
-}
-
-}  // namespace
-
 StationaryResult stationary_distribution(const Mdp& mdp,
                                          const Policy& policy) {
   validate_policy(mdp, policy);
@@ -254,14 +141,12 @@ StationaryResult stationary_distribution(const Mdp& mdp,
   std::vector<double> next(n, 0.0);
   std::vector<double> scratch(n, 0.0);
 
-  std::uint64_t stride = 2;
   bool converged = false;
   for (int iter = 1; iter <= kStationaryMaxIterations && !converged; ++iter) {
-    if (iter == kStrideCheckIteration) stride = power_stride(mdp, policy);
-    step(mu, next);
-    for (std::uint64_t j = 1; j < stride; ++j) {
-      step(next, scratch);
-      next.swap(scratch);
+    step(mu, scratch);
+    step(scratch, next);
+    if (iter > kPlainIterations) {
+      for (StateId s = 0; s < n; ++s) next[s] = 0.5 * (mu[s] + next[s]);
     }
     double l1 = 0.0;
     for (StateId s = 0; s < n; ++s) l1 += std::fabs(next[s] - mu[s]);
@@ -272,14 +157,10 @@ StationaryResult stationary_distribution(const Mdp& mdp,
   SM_ENSURE(converged, "stationary distribution did not converge in ",
             kStationaryMaxIterations, " iterations");
 
-  // μP^k = μ, so π = (μ + μP + … + μP^(k−1))/k has πP = π.
-  next.assign(mu.begin(), mu.end());
-  for (std::uint64_t j = 1; j < stride; ++j) {
-    step(next, scratch);
-    next.swap(scratch);
-    for (StateId s = 0; s < n; ++s) mu[s] += next[s];
-  }
-  for (double& x : mu) x /= static_cast<double>(stride);
+  // μP² = μ, so π = (μ + μP)/2 has πP = π.
+  step(mu, next);
+  for (StateId s = 0; s < n; ++s) mu[s] += next[s];
+  for (double& x : mu) x /= 2.0;
 
   // Guard against drift: renormalize to a probability vector.
   double total = 0.0;

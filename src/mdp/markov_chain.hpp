@@ -55,22 +55,27 @@ struct StationaryResult {
   std::vector<double> distribution;  ///< μ with μP = μ, Σμ = 1.
   /// Σ_s μ(s) · expected_{adversary,honest}(policy(s)).
   CounterRates rates;
+  /// Power-iteration steps taken. Each applies P twice; from the 257th
+  /// on, a step also averages the result with the iterate it started from.
   int iterations = 0;
 };
 
-/// Stationary distribution of the chain induced by `policy`, and the
-/// counter rates averaged over it. Power iteration μ ← μP^k starts from
-/// the initial state with k = 2. A chain still unconverged after 256
-/// iterations gets k = the least common multiple of 2 and the periods of
-/// the closed classes it reaches (Tarjan's SCCs and BFS levels), so a
-/// strategy that cycles with a longer period also converges; on the
-/// selfish-mining chains k stays 2, and μ stays on the mining states. It
-/// stops once one iteration changes μ by less than 1e-12 in L1, and
-/// returns π = (μ + μP + … + μP^(k−1))/k, which satisfies πP = π whenever
-/// μP^k = μ, so no lazy transform is needed. It throws support::InternalError if its iteration cap comes
-/// first, and support::InvalidArgument if k would exceed 4096. For a
-/// unichain model this is the unique stationary distribution of the
-/// recurrent class reachable from the initial state.
+/// The long-run distribution of the chain induced by `policy` from the
+/// initial state, and the counter rates averaged over it. Power iteration
+/// starts from the initial state with 256 steps of μ ← μP², then steps
+/// μ ← (μ + μP²)/2 until one step changes μ by less than 1e-12 in L1, and
+/// returns π = (μ + μP)/2, which satisfies πP = π whenever μP² = μ. On the
+/// selfish-mining chains μ stays on the mining states, and the optimal
+/// strategies at the perfbench points converge within the plain steps.
+/// The averaged chain (I + P²)/2 is aperiodic on every closed class and
+/// has the same limit, so a chain that cycles (possible at p = 1, where no
+/// honest block resets the window) converges too, in iterations that grow
+/// with the square of its period. Where the chain has several closed
+/// classes, each is weighted by the probability of entering it from the
+/// initial state. For a unichain model this is the unique stationary
+/// distribution. No period is refused: it throws support::InvalidArgument
+/// only when validate_policy refuses `policy`, and support::InternalError
+/// if its 5,000,000-iteration cap comes first.
 StationaryResult stationary_distribution(const Mdp& mdp, const Policy& policy);
 
 }  // namespace mdp

@@ -30,7 +30,6 @@ TEST(Algorithm1, BoundIsEpsilonTight) {
   options.epsilon = 1e-3;
   const auto result = analysis::analyze(model, options);
   EXPECT_LT(result.beta_hi - result.beta_lo, options.epsilon);
-  EXPECT_EQ(result.errev_lower_bound, result.beta_lo);
   // The exact revenue of the returned strategy lies inside the certified
   // band, with no slack: σ's own gain is at least the gain_lo > 0 that
   // certified β_lo, and no strategy beats ERRev* ≤ β_hi.
@@ -83,6 +82,42 @@ TEST(Algorithm1, EdgePointBracketsArePinned) {
     EXPECT_GE(result.errev_of_policy, result.beta_lo);
     EXPECT_LE(result.errev_of_policy, result.beta_hi);
   }
+}
+
+TEST(Algorithm1, StrategyEvaluationIsPinned) {
+  // The optimal strategy's exact ERRev and its stationary solve's
+  // iteration count, recorded before the solve's tail changed from a
+  // period stride to averaging μ with μP². Solves that converge within the
+  // 256 plain iterations (the perfbench centres and d=3,f=2 at p=0.3) stay
+  // bit-identical.
+  const auto optimal = [](double p, double gamma, int d, int f) {
+    return analysis::analyze(selfish::build_model(selfish::AttackParams{
+        .p = p, .gamma = gamma, .d = d, .f = f, .l = 4}));
+  };
+  struct Pin {
+    double p;
+    int d, f;
+    double errev;
+    int iterations;
+  };
+  for (const Pin& pin : {Pin{0.2, 2, 3, 0x1.04564820aa56fp-2, 58},
+                         Pin{0.2, 4, 1, 0x1.182d3b421f154p-2, 58},
+                         Pin{0.06, 3, 2, 0x1.13bbe6d625c8p-4, 19},
+                         Pin{0.3, 3, 2, 0x1.fc1140bde9cbcp-2, 132}}) {
+    SCOPED_TRACE(testing::Message() << "p=" << pin.p << " d=" << pin.d
+                                    << " f=" << pin.f);
+    const auto result = optimal(pin.p, 0.5, pin.d, pin.f);
+    EXPECT_EQ(result.errev_of_policy, pin.errev);
+    EXPECT_EQ(result.stationary.iterations, pin.iterations);
+  }
+  // These two run past 256 iterations (the stride loop took 304 and 288,
+  // the averaged tail 337 and 305), so the last bits of ERRev may move.
+  const auto d4 = optimal(0.55, 1.0, 4, 1);
+  EXPECT_NEAR(d4.errev_of_policy, 0x1.ede0c8b2deab7p-1, 1e-11);
+  EXPECT_GT(d4.stationary.iterations, 256);
+  const auto d3 = optimal(0.5, 1.0, 3, 2);
+  EXPECT_NEAR(d3.errev_of_policy, 0x1.e22be15c0d0bfp-1, 1e-11);
+  EXPECT_GT(d3.stationary.iterations, 256);
 }
 
 TEST(Algorithm1, ExactTiesEndTheSearchWithACertifiedBracket) {

@@ -17,6 +17,7 @@
 #include "engine/engine.hpp"
 #include "engine/kinds.hpp"
 #include "obs/metrics.hpp"
+#include "support/binary_io.hpp"
 #include "support/check.hpp"
 
 namespace {
@@ -89,15 +90,16 @@ TEST(EngineKeys, PinAllInputs) {
   EXPECT_NE(engine::analysis_job_key(other).hash, key.hash);
 }
 
-TEST(EngineKeys, SaltV6InvalidatesLazyOperatorEntries) {
-  // The mining-step operator shipped with a salt bump 5→6 (sweep counts,
-  // tie brackets and strategies moved): every canonical key must carry
-  // the v6 prefix (so all v5 store entries miss cleanly), must never
-  // render an older one, and names no solver method or laziness τ.
-  EXPECT_EQ(engine::kCodeVersionSalt, 6u);
+TEST(EngineKeys, SaltV7InvalidatesStrideEntries) {
+  // The stationary solve's averaged tail shipped with a salt bump 6→7
+  // (errev_of_policy moved in its last bits where a solve ran past 256
+  // iterations): every canonical key must carry the v7 prefix (so all v6
+  // store entries miss cleanly), must never render an older one, and
+  // names no solver method or laziness τ.
+  EXPECT_EQ(engine::kCodeVersionSalt, 7u);
   const engine::JobKey key = engine::analysis_job_key(job_at(0.2));
-  EXPECT_EQ(key.canonical.rfind("analysis/v6|", 0), 0u) << key.canonical;
-  EXPECT_EQ(key.canonical.find("analysis/v5"), std::string::npos);
+  EXPECT_EQ(key.canonical.rfind("analysis/v7|", 0), 0u) << key.canonical;
+  EXPECT_EQ(key.canonical.find("analysis/v6"), std::string::npos);
   EXPECT_EQ(key.canonical.find("solver="), std::string::npos);
   EXPECT_EQ(key.canonical.find("tau="), std::string::npos);
 }
@@ -137,7 +139,6 @@ TEST(Engine, EachSweepPointEqualsColdAnalyzeBitwise) {
     const std::string at = "p=" + std::to_string(jobs[i].params.p);
     EXPECT_EQ(got.beta_lo, cold.beta_lo) << at;
     EXPECT_EQ(got.beta_hi, cold.beta_hi) << at;
-    EXPECT_EQ(got.errev_lower_bound, cold.errev_lower_bound) << at;
     EXPECT_EQ(got.errev_of_policy, cold.errev_of_policy) << at;
     EXPECT_EQ(got.search_iterations, cold.search_iterations) << at;
     EXPECT_EQ(got.solver_iterations, cold.solver_iterations) << at;
@@ -292,7 +293,7 @@ TEST(ResultStore, EveryMutatedFrameLoadsAsAMissAndHeals) {
   });
   const auto rerun = engine.run({job}).front();
   EXPECT_FALSE(rerun.cached);
-  EXPECT_EQ(rerun.result.errev_lower_bound, solved.errev_lower_bound);
+  EXPECT_EQ(rerun.result.beta_lo, solved.beta_lo);
   EXPECT_EQ(rerun.result.errev_of_policy, solved.errev_of_policy);
   EXPECT_EQ(rerun.result.solver_iterations, solved.solver_iterations);
   EXPECT_EQ(rerun.result.policy, solved.policy);
@@ -317,6 +318,38 @@ TEST(ResultStore, EveryMutatedFrameLoadsAsAMissAndHeals) {
   EXPECT_EQ(without_seconds(recomputed.result.payload),
             without_seconds(report));
   EXPECT_TRUE(run_point().cached);
+}
+
+TEST(ResultStore, AnEntryInTheV6LayoutIsNotServed) {
+  // Analysis frames lost their copy of beta_lo, and their magic moved from
+  // SELRES02 to SELRES03. A well-formed SELRES02 frame, with the extra
+  // leading double, at an entry's path must read as a miss and heal.
+  ScratchDir dir("selfish-engine-test-old-frame");
+  engine::EngineOptions options;
+  options.cache_dir = dir.path;
+  const engine::Engine engine(options);
+  const engine::AnalysisJob job = job_at(0.2);
+  const engine::JobKey key = engine::analysis_job_key(job);
+  const engine::StoredResult solved = engine.run({job}).front().result;
+  const std::string path = engine.store().entry_path(key);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    support::BinaryWriter writer(out);
+    writer.pod<std::uint64_t>(0x53454c5245533032ULL);  // "SELRES02"
+    writer.array<char>(key.canonical);
+    for (const double x : {solved.beta_lo, solved.beta_lo, solved.beta_hi,
+                           solved.errev_of_policy, solved.seconds}) {
+      writer.pod(x);
+    }
+    writer.pod(solved.search_iterations);
+    writer.pod(solved.solver_iterations);
+    writer.pod(solved.num_states);
+    writer.array<mdp::ActionId>(solved.policy);
+    writer.checksum();
+  }
+  EXPECT_FALSE(engine.store().load(key).has_value());
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_FALSE(engine.run({job}).front().cached);
 }
 
 TEST(Engine, DuplicateJobsShareOneSolve) {

@@ -131,10 +131,10 @@ mdp::Mdp cycle(int k) {
 }
 
 TEST(MarkovChain, StationaryOfLongerCyclesIsUniform) {
-  // Periods 3 and 4 leave P² periodic too. Once μP² has not converged
-  // after 256 iterations the stride becomes the least common multiple of
-  // 2 and the period, and the next step converges (μP² alone oscillated
-  // on these until the 5,000,000-iteration cap).
+  // Periods 3, 4 and 6 leave P² periodic too, so μP² alone oscillates on
+  // these until the 5,000,000-iteration cap. After 256 plain iterations
+  // each step averages μ with μP², and the averaged chain is aperiodic:
+  // these converge at 297, 258 and 297 iterations.
   for (const int k : {3, 4, 6}) {
     SCOPED_TRACE(k);
     const mdp::Mdp m = cycle(k);
@@ -142,14 +142,49 @@ TEST(MarkovChain, StationaryOfLongerCyclesIsUniform) {
     for (int s = 0; s < k; ++s) policy[s] = static_cast<mdp::ActionId>(s);
     const auto result = mdp::stationary_distribution(m, policy);
     for (const double x : result.distribution) EXPECT_NEAR(x, 1.0 / k, 1e-12);
-    EXPECT_LE(result.iterations, 256);
+    EXPECT_LE(result.iterations, 320);
   }
 }
 
-TEST(MarkovChain, StationaryFindsThePeriodOfTheClosedClass) {
+TEST(MarkovChain, StationaryWeighsClosedCyclesByAbsorption) {
+  // A transient root enters a 64-cycle or a 65-cycle with probability ½
+  // each, so μP² keeps cycling. The averaged tail converges on both cycles
+  // at once and weights each by its absorption probability: ½ · 1/64 and
+  // ½ · 1/65 per state.
+  constexpr mdp::StateId kA = 64, kB = 65;
+  mdp::MdpBuilder b;
+  b.add_state();  // the root, state 0
+  b.add_action();
+  b.add_transition(1, 0.5);
+  b.add_transition(1 + kA, 0.5);
+  for (mdp::StateId i = 0; i < kA; ++i) {
+    b.add_state();
+    b.add_action();
+    b.add_transition(1 + (i + 1) % kA, 1.0);
+  }
+  for (mdp::StateId i = 0; i < kB; ++i) {
+    b.add_state();
+    b.add_action();
+    b.add_transition(1 + kA + (i + 1) % kB, 1.0);
+  }
+  const mdp::Mdp m = b.build(0);
+  mdp::Policy policy(m.num_states());
+  for (mdp::StateId s = 0; s < m.num_states(); ++s) policy[s] = s;
+  const auto result = mdp::stationary_distribution(m, policy);
+  EXPECT_NEAR(result.distribution[0], 0.0, 1e-12);
+  for (mdp::StateId i = 0; i < kA; ++i) {
+    EXPECT_NEAR(result.distribution[1 + i], 1.0 / 128, 1e-12) << "a" << i;
+  }
+  for (mdp::StateId i = 0; i < kB; ++i) {
+    EXPECT_NEAR(result.distribution[1 + kA + i], 1.0 / 130, 1e-12)
+        << "b" << i;
+  }
+}
+
+TEST(MarkovChain, StationaryOfACycleEnteredAtTwoPhases) {
   // s0 is transient and enters the 4-cycle a -> b -> c -> d -> a at a and
-  // at c, two phases apart: BFS levels from s0 alone would suggest period
-  // 2. The closed class's own levels give 4.
+  // at c, two phases apart. Then μP² = (b + d)/2 is already a fixed point
+  // of P², though not of P, and π = (μ + μP)/2 spreads it over the cycle.
   mdp::MdpBuilder b;
   b.add_state();  // s0
   b.add_action();

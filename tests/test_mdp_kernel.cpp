@@ -181,7 +181,7 @@ TEST(BellmanKernel, AnalyzeThreadCountInvariant) {
   options_8.solver.threads = 8;
   const auto serial = analysis::analyze(model, options_1);
   const auto threaded = analysis::analyze(model, options_8);
-  EXPECT_EQ(threaded.errev_lower_bound, serial.errev_lower_bound);
+  EXPECT_EQ(threaded.beta_lo, serial.beta_lo);
   EXPECT_EQ(threaded.errev_of_policy, serial.errev_of_policy);
   EXPECT_EQ(threaded.policy, serial.policy);
 }

@@ -212,7 +212,7 @@ TEST(ObsInvariance, AnalysisResultsIdenticalOnAndOff) {
     const EnabledGuard off(false);
     off_result = analysis::analyze(model, {});
   }
-  EXPECT_EQ(on_result.errev_lower_bound, off_result.errev_lower_bound);
+  EXPECT_EQ(on_result.beta_lo, off_result.beta_lo);
   EXPECT_EQ(on_result.policy, off_result.policy);
 }
 

@@ -50,20 +50,28 @@ TEST_P(RandomPolicies, EveryPolicyHasWellDefinedRevenue) {
 
 TEST(RandomPolicies, StationarySolveConvergesAtFullResource) {
   // At p = 1 no honest block returns the chain to the empty window, and
-  // many random strategies cycle with period 4 or more; the stationary
-  // solve must still converge (a plain μP² iteration did not on 15 of
-  // these 50).
-  const selfish::AttackParams params{
-      .p = 1.0, .gamma = 0.5, .d = 1, .f = 1, .l = 4};
-  const auto model = selfish::build_model(params);
-  support::Rng rng(7);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto policy = random_policy(model.mdp, rng);
-    const auto result = mdp::stationary_distribution(model.mdp, policy);
-    double total = 0.0;
-    for (const double x : result.distribution) total += x;
-    EXPECT_NEAR(total, 1.0, 1e-12) << "trial " << trial;
-    EXPECT_LT(result.iterations, 1000) << "trial " << trial;
+  // many random strategies cycle with period 4 or more (a plain μP²
+  // iteration never converged on 15 of the 50 at d=1,f=1). Near p = 1 a
+  // reset is rare, so the chains are nearly periodic: at p = 0.99 a plain
+  // μP² loop took up to 2,819 (d=1) and 3,327 (d=2) iterations on these.
+  // The averaged tail converges on every one within 297.
+  for (const int d : {1, 2}) {
+    for (const double p : {0.9, 0.99, 1.0}) {
+      const selfish::AttackParams params{
+          .p = p, .gamma = 0.5, .d = d, .f = 1, .l = 4};
+      const auto model = selfish::build_model(params);
+      support::Rng rng(7);
+      for (int trial = 0; trial < 50; ++trial) {
+        SCOPED_TRACE(testing::Message()
+                     << "d=" << d << " p=" << p << " trial " << trial);
+        const auto policy = random_policy(model.mdp, rng);
+        const auto result = mdp::stationary_distribution(model.mdp, policy);
+        double total = 0.0;
+        for (const double x : result.distribution) total += x;
+        EXPECT_NEAR(total, 1.0, 1e-12);
+        EXPECT_LT(result.iterations, 1000);
+      }
+    }
   }
 }
 

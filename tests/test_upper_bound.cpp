@@ -66,7 +66,7 @@ TEST(UpperBound, ExtrapolatedLimitBoundsLargerL) {
   analysis::AnalysisOptions deep_options;
   deep_options.epsilon = 1e-4;
   const auto deep = analysis::analyze(model, deep_options);
-  EXPECT_GE(result.extrapolated_limit + 1e-3, deep.errev_lower_bound);
+  EXPECT_GE(result.extrapolated_limit + 1e-3, deep.beta_lo);
 }
 
 TEST(UpperBound, RejectsDegenerateRanges) {

@@ -364,7 +364,7 @@ int cmd_export(int argc, const char* const* argv) {
   const auto model = model_from(options, params);
   if (beta < 0.0) {
     analysis_options.evaluate_exact_errev = false;
-    beta = analysis::analyze(model, analysis_options).errev_lower_bound;
+    beta = analysis::analyze(model, analysis_options).beta_lo;
   }
   const std::string prefix = options.get_string("prefix");
   const auto write = [&](const char* suffix, auto&& writer) {
