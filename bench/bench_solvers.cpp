@@ -1,4 +1,5 @@
-// Solver micro-benchmarks (google-benchmark): model construction, one
+// Solver micro-benchmarks (google-benchmark): model construction (a whole
+// build, and one render on a built shape), one
 // mean-payoff solve — the reference solver vs the BellmanKernel at
 // several thread counts — full Algorithm 1, the
 // single-tree baseline, and the stationary evaluation: the building
@@ -86,6 +87,22 @@ void BM_BuildModel(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildModel)->Args({1, 1})->Args({2, 1})->Args({2, 2})
     ->Args({3, 2})->Unit(benchmark::kMillisecond);
+
+void BM_RenderModel(benchmark::State& state) {
+  // One point rendered on a shape built once: the model cost of every
+  // further point of an engine batch or threshold run, against
+  // BM_BuildModel's whole enumeration.
+  const auto params = params_for(static_cast<int>(state.range(0)),
+                                 static_cast<int>(state.range(1)));
+  const selfish::ModelShape shape = selfish::build_shape(params);
+  for (auto _ : state) {
+    auto model = selfish::render(shape, params);
+    benchmark::DoNotOptimize(model.mdp.num_states());
+  }
+  state.counters["states"] =
+      static_cast<double>(shape.structure()->num_states());
+}
+BENCHMARK(BM_RenderModel)->Args({3, 2})->Unit(benchmark::kMillisecond);
 
 void BM_ValueIteration(benchmark::State& state) {
   // The reference solver — the baseline every kernel row compares against.

@@ -78,12 +78,7 @@ void write_sweep_csv(const SweepResult& sweep, std::ostream& out) {
               "single_tree", "states", "search_steps", "solver_iterations"});
   for (const SweepPoint& point : sweep.points) {
     const double tree =
-        baselines::analyze_single_tree(
-            baselines::SingleTreeParams{.p = point.p,
-                                        .gamma = sweep.base.gamma,
-                                        .max_depth = 4,
-                                        .max_width = 5})
-            .errev;
+        baselines::single_tree_errev(point.p, sweep.base.gamma);
     csv.row({support::format_double(point.p, 6),
              support::format_double(point.errev, 6),
              support::format_double(point.errev_of_policy, 6),

@@ -7,12 +7,14 @@ namespace analysis {
 
 namespace {
 
-ThresholdProbe probe_at(const selfish::AttackParams& base, double p,
+/// The probe at p, rendered on `shape`: every probed p lies in
+/// (0, kPMax], so one shape serves the whole search.
+ThresholdProbe probe_at(const selfish::ModelShape& shape,
+                        const selfish::AttackParams& base, double p,
                         const ThresholdOptions& options) {
   selfish::AttackParams params = base;
   params.p = p;
-  params.validate();
-  const auto model = selfish::build_model(params);
+  const selfish::SelfishModel model = selfish::render(shape, params);
   const mdp::BellmanKernel kernel(model.mdp);
   const double beta = p + options.unfairness_margin;
   const mdp::MeanPayoffResult solve = kernel.value_iteration(
@@ -35,9 +37,13 @@ ThresholdResult fairness_threshold(const selfish::AttackParams& base,
                                    const ThresholdOptions& options) {
   options.validate();
   ThresholdResult result;
+  selfish::AttackParams top_params = base;
+  top_params.p = ThresholdOptions::kPMax;
+  const selfish::ModelShape shape = selfish::build_shape(top_params);
 
   // Fairness at p = 0 is trivial; check the top of the range first.
-  ThresholdProbe top = probe_at(base, ThresholdOptions::kPMax, options);
+  ThresholdProbe top =
+      probe_at(shape, base, ThresholdOptions::kPMax, options);
   result.probes.push_back(top);
   if (!top.unfair) {
     result.always_fair = true;
@@ -53,7 +59,7 @@ ThresholdResult fairness_threshold(const selfish::AttackParams& base,
     // Once lo and hi are adjacent doubles no p lies strictly between them,
     // so a p_tolerance below their gap ends the search here.
     if (!(lo < mid && mid < hi)) break;
-    const ThresholdProbe probe = probe_at(base, mid, options);
+    const ThresholdProbe probe = probe_at(shape, base, mid, options);
     result.probes.push_back(probe);
     if (probe.unfair) {
       hi = mid;

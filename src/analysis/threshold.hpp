@@ -55,7 +55,9 @@ struct ThresholdResult {
 };
 
 /// Locates the profitability frontier for the configuration in `base`
-/// (its p field is ignored).
+/// (its p field is ignored). Every probe lies in (0, kPMax], one model
+/// shape, so the run builds that shape once and renders each probe on
+/// it.
 ThresholdResult fairness_threshold(const selfish::AttackParams& base,
                                    const ThresholdOptions& options = {});
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "support/check.hpp"
@@ -136,6 +137,11 @@ SingleTreeResult analyze_single_tree(const SingleTreeParams& params) {
   SM_ENSURE(total > 0.0, "a round finalizes at least one block on average");
   result.errev = e.adversary / total;
   return result;
+}
+
+double single_tree_errev(double p, double gamma) {
+  if (p == 1.0) return std::numeric_limits<double>::quiet_NaN();
+  return analyze_single_tree(SingleTreeParams{.p = p, .gamma = gamma}).errev;
 }
 
 }  // namespace baselines

@@ -38,4 +38,9 @@ struct SingleTreeResult {
 /// Exact analysis of the single-tree attack.
 SingleTreeResult analyze_single_tree(const SingleTreeParams& params);
 
+/// ERRev of the single-tree attack at the paper's bounds (the defaults of
+/// SingleTreeParams), or NaN at p = 1, where a round never ends and the
+/// baseline has no value. The `baselines` report and the sweep CSV print it.
+double single_tree_errev(double p, double gamma);
+
 }  // namespace baselines

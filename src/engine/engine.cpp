@@ -1,5 +1,8 @@
 #include "engine/engine.hpp"
 
+#include <atomic>
+#include <exception>
+#include <future>
 #include <map>
 #include <utility>
 
@@ -39,6 +42,31 @@ EngineMetrics& engine_metrics() {
 struct Slot {
   AnalysisJob job;
   JobKey key;
+  std::size_t shape = 0;  ///< Its model's ShapeCell.
+};
+
+/// A model shape the batch needs. The first slot that asks builds it;
+/// every other slot of the shape blocks on the future until it is ready,
+/// and a build that throws fails each of them with the build's error.
+class ShapeCell {
+ public:
+  const selfish::ModelShape& get(const selfish::AttackParams& params) {
+    if (!claimed_.exchange(true)) {
+      try {
+        built_.set_value(std::make_shared<const selfish::ModelShape>(
+            selfish::build_shape(params)));
+      } catch (...) {
+        built_.set_exception(std::current_exception());
+      }
+    }
+    return *shape_.get();
+  }
+
+ private:
+  std::atomic<bool> claimed_{false};
+  std::promise<std::shared_ptr<const selfish::ModelShape>> built_;
+  std::shared_future<std::shared_ptr<const selfish::ModelShape>> shape_ =
+      built_.get_future().share();
 };
 
 StoredResult to_stored(const analysis::AnalysisResult& analysis,
@@ -62,20 +90,32 @@ Engine::Engine(EngineOptions options)
 
 std::vector<JobOutcome> Engine::run(const std::vector<AnalysisJob>& jobs,
                                     bool keep_models) const {
-  // ---- Dedupe by key.
+  // ---- Dedupe by key, and group the distinct jobs by model shape.
   std::vector<Slot> slots;
   std::vector<std::size_t> slot_of_input(jobs.size(), 0);
   std::map<std::string, std::size_t> slot_of_key;
+  std::map<selfish::ShapeKey, std::size_t> cell_of_shape;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].params.validate();
     jobs[i].options.validate();
     JobKey key = analysis_job_key(jobs[i]);
     const auto [it, inserted] =
         slot_of_key.emplace(key.canonical, slots.size());
-    if (inserted) slots.push_back(Slot{jobs[i], std::move(key)});
+    if (inserted) {
+      const std::size_t cell =
+          cell_of_shape
+              .emplace(selfish::ShapeKey::of(jobs[i].params),
+                       cell_of_shape.size())
+              .first->second;
+      slots.push_back(Slot{jobs[i], std::move(key), cell});
+    }
     slot_of_input[i] = it->second;
   }
   if (obs::enabled()) engine_metrics().planned.add(slots.size());
+  // Each shape is built at most once, by the first slot that needs it. It
+  // lives until the batch ends, and its structure as long as a model
+  // rendered on it.
+  std::vector<ShapeCell> cells(cell_of_shape.size());
 
   // ---- Fan out: load or solve-and-store, one task per distinct job.
   std::vector<JobOutcome> by_slot(slots.size());
@@ -92,8 +132,8 @@ std::vector<JobOutcome> Engine::run(const std::vector<AnalysisJob>& jobs,
       obs::Span solve_span("engine.solve");
       solve_span.attr("p", serve::Json(slot.job.params.p));
       const support::Timer timer;
-      auto built = std::make_shared<selfish::SelfishModel>(
-          selfish::build_model(slot.job.params));
+      auto built = std::make_shared<selfish::SelfishModel>(selfish::render(
+          cells[slot.shape].get(slot.job.params), slot.job.params));
       const analysis::AnalysisResult analysis =
           analysis::analyze(*built, slot.job.options);
       out.result =
@@ -103,8 +143,8 @@ std::vector<JobOutcome> Engine::run(const std::vector<AnalysisJob>& jobs,
     }
     if (keep_models) {
       if (model == nullptr) {
-        model = std::make_shared<selfish::SelfishModel>(
-            selfish::build_model(slot.job.params));
+        model = std::make_shared<selfish::SelfishModel>(selfish::render(
+            cells[slot.shape].get(slot.job.params), slot.job.params));
         // Guard the replayed policy against a store entry produced by
         // incompatible code (the salt should prevent this).
         mdp::validate_policy(model->mdp, out.result.policy);

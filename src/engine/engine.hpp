@@ -4,12 +4,20 @@
 // A batch runs in three steps:
 //
 //   1. Dedupe. Jobs with equal keys (engine/job.hpp) are one job, solved
-//      once; duplicates share its outcome.
+//      once; duplicates share its outcome. The distinct jobs are grouped
+//      by model shape (selfish::ShapeKey).
 //   2. Fan out. Every distinct job is an independent task on a
 //      support::ThreadPool — a one-γ sweep uses every thread.
 //   3. Load or solve and store. A job whose entry is in the ResultStore
-//      is served from it; any other is solved cold (build the model, run
-//      Algorithm 1) and persisted as soon as it finishes.
+//      is served from it; any other is solved cold (render the model at
+//      its point, run Algorithm 1) and persisted as soon as it finishes.
+//
+// Each shape is built once per batch, by the first job that needs it;
+// the shape's other jobs block until it is ready, then render their
+// points on it, and a build that throws fails each of them. A batch
+// served wholly from the store builds nothing. Shapes live for one run,
+// so N concurrent points of one shape hold one structure plus each
+// point's probabilities and expected counters, not N whole models.
 //
 // A job's result is a pure function of its key, never of the batch it
 // ran in, the thread count or the order of completion: a killed sweep
@@ -46,8 +54,8 @@ struct EngineOptions {
 struct JobOutcome {
   StoredResult result;
   bool cached = false;  ///< Served from the store (not solved this run).
-  /// The built model, when the caller asked keep_models (rebuilt
-  /// deterministically on cache hits). Shared across duplicate jobs.
+  /// The model, when the caller asked keep_models (rendered on its
+  /// shape on cache hits too). Shared across duplicate jobs.
   std::shared_ptr<const selfish::SelfishModel> model;
 };
 

@@ -47,6 +47,11 @@ void StateSpace::grow() {
 
 mdp::StateId StateSpace::intern(const State& s) {
   SM_REQUIRE(s.is_canonical(params_), "interning a non-canonical state");
+  return intern_canonical(s);
+}
+
+mdp::StateId StateSpace::intern_canonical(const State& s) {
+  SM_DEBUG_ENSURE(s.is_canonical(params_), "interning a non-canonical state");
   const std::uint64_t key = s.pack(params_);
   std::size_t slot = probe(key);
   if (slots_[slot] != kEmptySlot) return slots_[slot];
@@ -80,6 +85,15 @@ std::optional<mdp::StateId> StateSpace::find(std::uint64_t key) const {
 State StateSpace::state_of(mdp::StateId id) const {
   SM_REQUIRE(id < keys_.size(), "state id out of range: ", id);
   return State::unpack(keys_[id], params_);
+}
+
+void StateSpace::relabel(const AttackParams& params) {
+  params.validate();
+  SM_REQUIRE(params.d == params_.d && params.f == params_.f &&
+                 params.l == params_.l,
+             "relabelling a state space across shapes: ", params.to_string(),
+             " vs ", params_.to_string());
+  params_ = params;
 }
 
 std::uint64_t raw_state_count(const AttackParams& params) {

@@ -31,8 +31,13 @@ class StateSpace {
   const AttackParams& params() const { return params_; }
   std::size_t size() const { return keys_.size(); }
 
-  /// Id of a canonical state, inserting it if new.
+  /// Id of a canonical state, inserting it if new; throws on a state that
+  /// is not canonical.
   mdp::StateId intern(const State& s);
+
+  /// intern for a state that is canonical by construction (a successor
+  /// from apply_action, or State::initial): debug builds alone re-check.
+  mdp::StateId intern_canonical(const State& s);
 
   /// Id of a canonical state; throws if unknown.
   mdp::StateId id_of(const State& s) const;
@@ -45,6 +50,11 @@ class StateSpace {
   std::optional<mdp::StateId> find(std::uint64_t key) const;
 
   State state_of(mdp::StateId id) const;
+
+  /// Labels this dictionary with `params`, which must agree with params()
+  /// on d, f and l: a model rendered from a shape carries its own point's
+  /// p and γ.
+  void relabel(const AttackParams& params);
 
  private:
   /// The slot holding `key`'s id, or the empty slot where the probe for

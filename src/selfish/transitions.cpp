@@ -12,10 +12,10 @@ namespace {
 /// tracked block moves one depth deeper, the block leaving the tracked
 /// window (old depth d−1; the pending block itself when d = 1) finalizes,
 /// and forks rooted at the old depth-d block become unusable.
-void incorporate_pending_honest(const State& s, double prob,
+void incorporate_pending_honest(const State& s, Term term,
                                 const AttackParams& params,
                                 Outcomes& outcomes) {
-  Outcome& out = outcomes.add(State{}, prob);
+  Outcome& out = outcomes.add(State{}, term);
 
   // Finalization at the depth-d boundary.
   if (params.d == 1) {
@@ -43,13 +43,13 @@ void incorporate_pending_honest(const State& s, double prob,
 /// chain is the k released adversary blocks on top of the fork's root (the
 /// old depth-i block). Old depths 1..i−1 — and the pending honest block,
 /// when releasing from type = honest — are orphaned.
-void accept_release(const State& s, int i, int j, int k, double prob,
+void accept_release(const State& s, int i, int j, int k, Term term,
                     const AttackParams& params, Outcomes& outcomes) {
   SM_ENSURE(i >= 1 && i <= params.d, "release depth out of range");
   SM_ENSURE(j >= 0 && j < params.f, "release slot out of range");
   SM_ENSURE(k >= i && k <= s.c[i - 1][j], "release length out of range");
 
-  Outcome& out = outcomes.add(State{}, prob);
+  Outcome& out = outcomes.add(State{}, term);
 
   // Released blocks landing at new depth ≥ d are immediately final.
   if (k >= params.d) {
@@ -103,10 +103,10 @@ void apply_mine(const State& s, const AttackParams& params,
     case StepType::kAdversaryFound:
       // The freshly mined block was already recorded in its fork when it
       // arrived; declining to release just resumes mining.
-      outcomes.add(s, 1.0).next.type = StepType::kMining;
+      outcomes.add(s, Term{}).next.type = StepType::kMining;
       return;
     case StepType::kHonestFound:
-      incorporate_pending_honest(s, 1.0, params, outcomes);
+      incorporate_pending_honest(s, Term{}, params, outcomes);
       return;
     case StepType::kMining: break;
   }
@@ -114,13 +114,11 @@ void apply_mine(const State& s, const AttackParams& params,
   // One proof-generation step of (p, k)-mining: each adversary target wins
   // with probability p/(1−p+p·σ); the honest miners win the step with the
   // remaining probability (1−p)/(1−p+p·σ).
-  const std::uint32_t sigma = mining_targets(s, params);
-  const double denominator =
-      1.0 - params.p + params.p * static_cast<double>(sigma);
-  const double target_prob = params.p / denominator;
-  const double honest_prob = (1.0 - params.p) / denominator;
+  const auto sigma = static_cast<std::uint8_t>(mining_targets(s, params));
+  const Term target{Term::Kind::kAdversaryBlock, sigma};
+  const Term honest{Term::Kind::kHonestBlock, sigma};
 
-  if (target_prob > 0.0) {
+  if (target.value(params.p, params.gamma) > 0.0) {
     for (int i = 0; i < params.d; ++i) {
       bool row_has_empty = false;
       for (int j = 0; j < params.f; ++j) {
@@ -130,7 +128,7 @@ void apply_mine(const State& s, const AttackParams& params,
         }
         // Extend the fork tip; at the cap l the block is wasted and the
         // configuration is unchanged (paper's min(C+1, l)).
-        State& next = outcomes.add(s, target_prob).next;
+        State& next = outcomes.add(s, target).next;
         next.c[i][j] = static_cast<std::uint8_t>(
             std::min<int>(s.c[i][j] + 1, params.l));
         next.type = StepType::kAdversaryFound;
@@ -138,7 +136,7 @@ void apply_mine(const State& s, const AttackParams& params,
       }
       if (row_has_empty) {
         // Start a new fork of length 1 in the first empty slot.
-        State& next = outcomes.add(s, target_prob).next;
+        State& next = outcomes.add(s, target).next;
         for (int j = 0; j < params.f; ++j) {
           if (next.c[i][j] == 0) {
             next.c[i][j] = 1;
@@ -150,14 +148,28 @@ void apply_mine(const State& s, const AttackParams& params,
       }
     }
   }
-  if (honest_prob > 0.0) {
+  if (honest.value(params.p, params.gamma) > 0.0) {
     // The honest block is *pending*: the adversary gets to react (match /
     // override) before it is incorporated.
-    outcomes.add(s, honest_prob).next.type = StepType::kHonestFound;
+    outcomes.add(s, honest).next.type = StepType::kHonestFound;
   }
 }
 
 }  // namespace
+
+double Term::value(double p, double gamma) const {
+  switch (kind) {
+    case Kind::kCertain: return 1.0;
+    case Kind::kRaceWon: return gamma;
+    case Kind::kRaceLost: return 1.0 - gamma;
+    case Kind::kAdversaryBlock:
+      return p / (1.0 - p + p * static_cast<double>(sigma));
+    case Kind::kHonestBlock:
+      return (1.0 - p) / (1.0 - p + p * static_cast<double>(sigma));
+  }
+  SM_ENSURE(false, "unknown term kind ", static_cast<int>(kind));
+  return 0.0;
+}
 
 std::uint32_t mining_targets(const State& s, const AttackParams& params) {
   std::uint32_t sigma = 0;
@@ -182,7 +194,7 @@ double min_finalization_rate(const AttackParams& params) {
 
 void apply_action(const State& s, const Action& action,
                   const AttackParams& params, Outcomes& outcomes) {
-  SM_REQUIRE(s.is_canonical(params), "state must be canonical");
+  SM_DEBUG_ENSURE(s.is_canonical(params), "state must be canonical");
   outcomes.clear();
 
   if (action.kind == Action::Kind::kMine) {
@@ -203,7 +215,7 @@ void apply_action(const State& s, const Action& action,
   if (s.type == StepType::kAdversaryFound || k >= i + 1) {
     // Strictly longer than everything public (including a pending honest
     // block when k ≥ i+1): accepted with certainty.
-    accept_release(s, i, j, k, 1.0, params, outcomes);
+    accept_release(s, i, j, k, Term{}, params, outcomes);
     return;
   }
 
@@ -211,7 +223,7 @@ void apply_action(const State& s, const Action& action,
   // extended by the pending honest block — a race the adversary wins with
   // the switching probability γ.
   if (params.gamma > 0.0) {
-    accept_release(s, i, j, k, params.gamma, params, outcomes);
+    accept_release(s, i, j, k, Term{Term::Kind::kRaceWon}, params, outcomes);
   }
   if (params.gamma < 1.0) {
     State rejected_base = s;
@@ -221,8 +233,8 @@ void apply_action(const State& s, const Action& action,
       rejected_base.c[i - 1][j] = 0;
       rejected_base.canonicalize(params);
     }
-    incorporate_pending_honest(rejected_base, 1.0 - params.gamma, params,
-                               outcomes);
+    incorporate_pending_honest(rejected_base, Term{Term::Kind::kRaceLost},
+                               params, outcomes);
   }
 }
 

@@ -12,6 +12,12 @@
 // orphaned blocks (public blocks replaced by an accepted fork, or a pending
 // honest block that loses a race) never pay.
 //
+// Each outcome carries its probability symbolically, as a Term in p and γ;
+// Term::value evaluates it at given parameters. The model build records
+// the terms, so one enumeration serves every (p, γ) of a shape
+// (selfish/build.hpp); p and γ decide the enumeration only through the
+// outcomes they give probability zero.
+//
 // apply_action writes into a caller-owned, fixed-capacity Outcomes buffer,
 // so the model build's BFS reuses one buffer for every action and
 // allocates nothing per action.
@@ -28,10 +34,35 @@
 
 namespace selfish {
 
+/// The probability of an outcome in §3.2's model, symbolic in p and γ. A
+/// mining step's outcomes are p/(1−p+p·σ) for each adversary target and
+/// (1−p)/(1−p+p·σ) for the honest block, σ being the state's mining
+/// targets; a tie race is won with γ and lost with 1−γ; every other
+/// outcome is certain.
+struct Term {
+  enum class Kind : std::uint8_t {
+    kCertain,         ///< 1
+    kRaceWon,         ///< γ
+    kRaceLost,        ///< 1 − γ
+    kAdversaryBlock,  ///< p / (1 − p + p·σ)
+    kHonestBlock,     ///< (1 − p) / (1 − p + p·σ)
+  };
+  static constexpr int kKinds = 5;
+
+  Kind kind = Kind::kCertain;
+  std::uint8_t sigma = 0;  ///< σ, for the two block kinds only.
+
+  friend bool operator==(const Term&, const Term&) = default;
+
+  /// The term at (p, γ): the model's probability formulas, written here
+  /// and nowhere else.
+  double value(double p, double gamma) const;
+};
+
 /// One probabilistic outcome of an action.
 struct Outcome {
   State next;
-  double prob = 0.0;
+  Term term;  ///< The outcome's probability in p and γ.
   mdp::RewardCounts counts;  ///< Blocks finalized by this outcome.
 };
 
@@ -48,12 +79,12 @@ class Outcomes {
 
   void clear() { size_ = 0; }
 
-  /// Appends the outcome {next, prob} with no finalized blocks and
+  /// Appends the outcome {next, term} with no finalized blocks and
   /// returns it for the caller to finish.
-  Outcome& add(const State& next, double prob) {
+  Outcome& add(const State& next, Term term) {
     SM_ENSURE(size_ < kCapacity, "more than ", kCapacity, " outcomes");
     Outcome& out = items_[size_++];
-    out = Outcome{next, prob, {}};
+    out = Outcome{next, term, {}};
     return out;
   }
 
@@ -83,12 +114,14 @@ std::uint32_t mining_targets(const State& s, const AttackParams& params);
 /// ERRev*.
 double min_finalization_rate(const AttackParams& params);
 
-/// Applies `action` (must be available in `s` per available_actions) and
-/// replaces the contents of `outcomes`, which must not hold `s`, with the
-/// successor distribution over canonical states. Outcomes with
-/// probability 0 (e.g. the losing side of a γ ∈ {0,1} race) are omitted;
-/// outcomes reaching the same canonical state are NOT merged here — the
-/// model builder merges them.
+/// Applies `action` (must be available in `s` per available_actions, so
+/// `s` is canonical; debug builds re-check that) and replaces the contents
+/// of `outcomes`, which must not hold `s`, with the successor distribution
+/// over canonical states. Outcomes with probability 0 (e.g. the losing
+/// side of a γ ∈ {0,1} race) are omitted, so which outcomes exist depends
+/// on p and γ only through whether each is 0, 1 or in between; outcomes
+/// reaching the same canonical state are NOT merged here — the model
+/// builder merges them.
 void apply_action(const State& s, const Action& action,
                   const AttackParams& params, Outcomes& outcomes);
 

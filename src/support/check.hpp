@@ -72,3 +72,14 @@ std::string concat(const Args&... args) {
           "invariant failed: ", #cond, " — ", __VA_ARGS__));               \
     }                                                                      \
   } while (false)
+
+/// SM_ENSURE in debug builds only (NDEBUG unset), for a hot-path re-check
+/// of what holds by construction, e.g. that a successor the model build
+/// derived is canonical. Release builds do not evaluate `cond`.
+#ifdef NDEBUG
+#define SM_DEBUG_ENSURE(cond, ...) \
+  do {                             \
+  } while (false)
+#else
+#define SM_DEBUG_ENSURE(cond, ...) SM_ENSURE(cond, __VA_ARGS__)
+#endif

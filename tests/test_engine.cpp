@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -16,6 +17,7 @@
 #include "analysis/sweep.hpp"
 #include "engine/engine.hpp"
 #include "engine/kinds.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "support/binary_io.hpp"
 #include "support/check.hpp"
@@ -143,6 +145,79 @@ TEST(Engine, EachSweepPointEqualsColdAnalyzeBitwise) {
     EXPECT_EQ(got.search_iterations, cold.search_iterations) << at;
     EXPECT_EQ(got.solver_iterations, cold.solver_iterations) << at;
     EXPECT_EQ(got.policy, cold.policy) << at;
+  }
+}
+
+/// The model shapes `run` builds: its selfish.build spans, read from the
+/// flight recorder with obs switched on for the call.
+template <typename Run>
+int shape_builds(Run&& run) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::flight_reset();
+  run();
+  int builds = 0;
+  for (const obs::FlightRecord& record : obs::flight_snapshot()) {
+    if (std::strcmp(record.name, "selfish.build") == 0) ++builds;
+  }
+  obs::flight_reset();
+  obs::set_enabled(was_enabled);
+  return builds;
+}
+
+TEST(EngineShapes, PointsOfOneShapeShareOneBuild) {
+  // p and γ move only the probabilities, so a batch enumerates a shape
+  // once and renders every point on it: four slots racing on four
+  // threads wait for one build and share its structure.
+  std::vector<engine::AnalysisJob> jobs;
+  for (const double p : grid()) jobs.push_back(job_at(p));
+  jobs.push_back(job_at(0.2));
+  jobs.back().params.gamma = 0.75;
+  engine::EngineOptions options;
+  options.threads = 4;
+  std::vector<engine::JobOutcome> outcomes;
+  EXPECT_EQ(shape_builds([&] {
+              outcomes = engine::Engine(options).run(jobs, true);
+            }),
+            1);
+  ASSERT_EQ(outcomes.size(), jobs.size());
+  for (const engine::JobOutcome& outcome : outcomes) {
+    ASSERT_NE(outcome.model, nullptr);
+    EXPECT_EQ(outcome.model->mdp.structure(),
+              outcomes.front().model->mdp.structure());
+  }
+  EXPECT_EQ(outcomes.back().model->params.gamma, 0.75);
+  EXPECT_EQ(outcomes.back().model->space.params().gamma, 0.75);
+}
+
+TEST(EngineShapes, ZeroAndFullResourceAreShapesOfTheirOwn) {
+  // At p = 0 and p = 1 some outcomes have probability zero and are left
+  // out, so those points are shapes of their own, built concurrently.
+  std::vector<engine::AnalysisJob> jobs;
+  for (const double p : {0.0, 0.3, 1.0}) jobs.push_back(job_at(p));
+  engine::EngineOptions options;
+  options.threads = 3;
+  std::vector<engine::JobOutcome> outcomes;
+  EXPECT_EQ(shape_builds([&] {
+              outcomes = engine::Engine(options).run(jobs);
+            }),
+            3);
+  ASSERT_EQ(outcomes.size(), 3u);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(outcomes[i].result.num_states,
+              selfish::build_model(jobs[i].params).mdp.num_states());
+  }
+  EXPECT_LT(outcomes[0].result.num_states, outcomes[2].result.num_states);
+  EXPECT_LT(outcomes[2].result.num_states, outcomes[1].result.num_states);
+}
+
+TEST(EngineShapes, AFullyCachedBatchBuildsNothing) {
+  ScratchDir dir("selfish-engine-test-shapes");
+  EXPECT_EQ(shape_builds([&] { sweep(dir.path, 2); }), 1);
+  analysis::SweepResult cached;
+  EXPECT_EQ(shape_builds([&] { cached = sweep(dir.path, 2); }), 0);
+  for (const analysis::SweepPoint& point : cached.points) {
+    EXPECT_TRUE(point.cached);
   }
 }
 

@@ -2,12 +2,16 @@
 // closed-form checks against honest mining.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "support/check.hpp"
 
 #include "analysis/errev.hpp"
 #include "baselines/honest.hpp"
 #include "mdp/markov_chain.hpp"
 #include "selfish/build.hpp"
+#include "selfish/cache.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -72,7 +76,11 @@ TEST(SelfishModel, BuiltArraysArePinnedBitForBit) {
   // state ids, action order or a single probability bit moves them, and
   // any change to the state dictionary moves the key hash. The cases:
   // three regression models, perfbench's analyze-cold centre points,
-  // d = f = 1, and the edges p ∈ {0, 1} and γ ∈ {0, 1}.
+  // d = f = 1, the edges p ∈ {0, 1} and γ ∈ {0, 1}, perfbench's
+  // sweep-chain shape at its two γ and three p near its grid, and that
+  // shape at p and γ one part in 10⁹ from the edges. Every value was
+  // recorded from the enumeration that built each point's model on its
+  // own, before shapes were built once and rendered per point.
   struct Case {
     selfish::AttackParams params;
     mdp::StateId states;
@@ -105,6 +113,26 @@ TEST(SelfishModel, BuiltArraysArePinnedBitForBit) {
        598, 2038, 2646, 0x5543d5e679009db8ULL, 0x82b31f0fa1138edaULL},
       {{.p = 0.3, .gamma = 1.0, .d = 2, .f = 2, .l = 3},
        598, 2038, 2646, 0x623a352594841ae4ULL, 0x82b31f0fa1138edaULL},
+      {{.p = 0.09, .gamma = 0.25, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0x98d2f7c79558ae10ULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 0.15, .gamma = 0.25, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0xd505eb848b533454ULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 0.21, .gamma = 0.25, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0xcaa9eab807634528ULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 0.09, .gamma = 0.75, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0x88030f4216dc6460ULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 0.15, .gamma = 0.75, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0x8449f340d73d28a4ULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 0.21, .gamma = 0.75, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0x2c1b93924f301a58ULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 1e-9, .gamma = 1e-9, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0x80e78d83c2a4a2ecULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 1e-9, .gamma = 1 - 1e-9, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0xf46020e3588e20d8ULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 1 - 1e-9, .gamma = 1e-9, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0x0f5feeee2c1b0180ULL, 0x453edfa06ec1dd19ULL},
+      {{.p = 1 - 1e-9, .gamma = 1 - 1e-9, .d = 4, .f = 1, .l = 4},
+       14992, 54992, 83944, 0xdbe3a516edbb5c38ULL, 0x453edfa06ec1dd19ULL},
   };
   for (const Case& c : cases) {
     const auto model = selfish::build_model(c.params);
@@ -117,6 +145,56 @@ TEST(SelfishModel, BuiltArraysArePinnedBitForBit) {
     EXPECT_EQ(test_helpers::state_keys_hash(model.space), c.keys_hash)
         << c.params.to_string();
   }
+}
+
+std::string saved_bytes(const selfish::SelfishModel& model) {
+  std::ostringstream out;
+  selfish::save_model(model, out);
+  return out.str();
+}
+
+TEST(SelfishModel, RenderingOneShapeLeavesNoTraceOfEarlierPoints) {
+  // A shape renders p₁, then p₂, then p₁ again: the first and third
+  // models save the same bytes as each other and as p₁'s build_model,
+  // and each carries its own point's parameters.
+  const selfish::AttackParams p1{.p = 0.15, .gamma = 0.25, .d = 3, .f = 2,
+                                 .l = 4};
+  selfish::AttackParams p2 = p1;
+  p2.p = 0.35;
+  p2.gamma = 0.75;
+  const selfish::ModelShape shape = selfish::build_shape(p2);
+  const selfish::SelfishModel first = selfish::render(shape, p1);
+  const selfish::SelfishModel second = selfish::render(shape, p2);
+  const selfish::SelfishModel third = selfish::render(shape, p1);
+  const std::string bytes = saved_bytes(first);
+  EXPECT_EQ(saved_bytes(third), bytes);
+  EXPECT_EQ(saved_bytes(selfish::build_model(p1)), bytes);
+  EXPECT_EQ(saved_bytes(second), saved_bytes(selfish::build_model(p2)));
+  EXPECT_NE(saved_bytes(second), bytes);
+  EXPECT_EQ(first.space.params().p, p1.p);
+  EXPECT_EQ(second.space.params().gamma, p2.gamma);
+  EXPECT_EQ(third.params.gamma, p1.gamma);
+  EXPECT_EQ(shape.key().p, 0.5);  // the shape holds no point's value
+  EXPECT_EQ(shape.space().params().p, 0.5);
+  EXPECT_EQ(first.mdp.structure(), shape.structure());
+}
+
+TEST(SelfishModel, RenderRefusesAPointOfAnotherShape) {
+  // p = 0 drops every adversary outcome, so it is not a point of an
+  // interior p's shape; nor is another l.
+  const selfish::AttackParams interior{.p = 0.3, .gamma = 0.5, .d = 2,
+                                       .f = 1, .l = 4};
+  const selfish::ModelShape shape = selfish::build_shape(interior);
+  selfish::AttackParams edge = interior;
+  edge.p = 0.0;
+  EXPECT_THROW(selfish::render(shape, edge), support::InvalidArgument);
+  selfish::AttackParams longer = interior;
+  longer.l = 5;
+  EXPECT_THROW(selfish::render(shape, longer), support::InvalidArgument);
+  EXPECT_EQ(selfish::ShapeKey::of(edge).p, 0.0);
+  EXPECT_EQ(selfish::ShapeKey::of(interior), selfish::ShapeKey::of(
+      selfish::AttackParams{.p = 1e-300, .gamma = 1 - 1e-16, .d = 2,
+                            .f = 1, .l = 4}));
 }
 
 TEST(SelfishModel, HonestEquivalentPolicyEarnsExactlyP) {

@@ -34,9 +34,15 @@ State make_state(const AttackParams& params,
   return s;
 }
 
-double total_prob(const std::vector<selfish::Outcome>& outcomes) {
+/// An outcome's probability at `params`.
+double prob(const selfish::Outcome& o, const AttackParams& params) {
+  return o.term.value(params.p, params.gamma);
+}
+
+double total_prob(const std::vector<selfish::Outcome>& outcomes,
+                  const AttackParams& params) {
   double total = 0.0;
-  for (const auto& o : outcomes) total += o.prob;
+  for (const auto& o : outcomes) total += prob(o, params);
   return total;
 }
 
@@ -62,7 +68,7 @@ TEST(ApplyMine, InitialStateDistribution) {
       test_helpers::outcomes_of(State{}, Action::mine(), params);
   // Two new-fork targets (depth 1, depth 2) + honest.
   ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_NEAR(total_prob(outcomes), 1.0, 1e-12);
+  EXPECT_NEAR(total_prob(outcomes, params), 1.0, 1e-12);
   const double denom = 1.0 - 0.3 + 0.3 * 2;
   int honest_seen = 0;
   for (const auto& o : outcomes) {
@@ -70,11 +76,11 @@ TEST(ApplyMine, InitialStateDistribution) {
     EXPECT_EQ(o.counts.honest, 0);
     if (o.next.type == StepType::kHonestFound) {
       ++honest_seen;
-      EXPECT_NEAR(o.prob, 0.7 / denom, 1e-12);
+      EXPECT_NEAR(prob(o, params), 0.7 / denom, 1e-12);
       EXPECT_EQ(o.next.c, State{}.c);  // pending: chain unchanged
     } else {
       EXPECT_EQ(o.next.type, StepType::kAdversaryFound);
-      EXPECT_NEAR(o.prob, 0.3 / denom, 1e-12);
+      EXPECT_NEAR(prob(o, params), 0.3 / denom, 1e-12);
     }
   }
   EXPECT_EQ(honest_seen, 1);
@@ -141,7 +147,7 @@ TEST(ApplyRelease, ImmediatePublishFromTip) {
       test_helpers::outcomes_of(s, Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 1u);
   const auto& o = outcomes[0];
-  EXPECT_DOUBLE_EQ(o.prob, 1.0);
+  EXPECT_DOUBLE_EQ(prob(o, params), 1.0);
   // Old depth-1 honest block moves to depth 2 = final.
   EXPECT_EQ(o.counts.honest, 1);
   EXPECT_EQ(o.counts.adversary, 0);
@@ -162,7 +168,7 @@ TEST(ApplyRelease, OverridePendingBlock) {
       test_helpers::outcomes_of(s, Action::release(1, 0, 2), params);
   ASSERT_EQ(outcomes.size(), 1u);
   const auto& o = outcomes[0];
-  EXPECT_DOUBLE_EQ(o.prob, 1.0);
+  EXPECT_DOUBLE_EQ(prob(o, params), 1.0);
   // One released block lands at depth 2 (final, adversary) and the old
   // depth-1 adversary block moves to depth 3 (final too). The pending
   // honest block is orphaned and pays nothing.
@@ -179,17 +185,17 @@ TEST(ApplyRelease, TieRace) {
   const auto outcomes =
       test_helpers::outcomes_of(s, Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_NEAR(total_prob(outcomes), 1.0, 1e-12);
+  EXPECT_NEAR(total_prob(outcomes, params), 1.0, 1e-12);
 
   const auto& win = outcomes[0];
-  EXPECT_NEAR(win.prob, 0.25, 1e-12);
+  EXPECT_NEAR(prob(win, params), 0.25, 1e-12);
   EXPECT_EQ(win.counts.honest, 1);  // old depth-1 honest block finalizes
   EXPECT_EQ(win.counts.adversary, 0);
   EXPECT_EQ(win.next.owner_bits, 0b1);  // tip now adversary's block
   EXPECT_EQ(win.next.c[0][0], 0);
 
   const auto& lose = outcomes[1];
-  EXPECT_NEAR(lose.prob, 0.75, 1e-12);
+  EXPECT_NEAR(prob(lose, params), 0.75, 1e-12);
   EXPECT_EQ(lose.counts.honest, 1);  // old depth-1 block finalizes via shift
   // The withheld fork survives one depth deeper (can still override later).
   EXPECT_EQ(lose.next.c[0][0], 0);
@@ -219,7 +225,7 @@ TEST(ApplyRelease, GammaOneOmitsLosingBranch) {
   const auto outcomes =
       test_helpers::outcomes_of(s, Action::release(1, 0, 1), params);
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_DOUBLE_EQ(outcomes[0].prob, 1.0);
+  EXPECT_DOUBLE_EQ(prob(outcomes[0], params), 1.0);
   EXPECT_EQ(outcomes[0].counts.adversary, 1);
 }
 
@@ -308,7 +314,7 @@ TEST(Scratch, ReusedBuffersHoldOnlyTheLatestCall) {
   ASSERT_EQ(reused.size(), fresh.size());
   for (std::size_t k = 0; k < fresh.size(); ++k) {
     EXPECT_EQ(reused[k].next, fresh[k].next);
-    EXPECT_EQ(reused[k].prob, fresh[k].prob);
+    EXPECT_EQ(reused[k].term, fresh[k].term);
     EXPECT_EQ(reused[k].counts, fresh[k].counts);
   }
 }
@@ -334,15 +340,15 @@ TEST_P(TransitionProperties, OutcomesFormDistributionsOverCanonicalStates) {
       ++checked_actions;
       double total = 0.0;
       for (const auto& o : outcomes) {
-        EXPECT_GT(o.prob, 0.0);
-        EXPECT_LE(o.prob, 1.0 + 1e-12);
+        EXPECT_GT(prob(o, params), 0.0);
+        EXPECT_LE(prob(o, params), 1.0 + 1e-12);
         EXPECT_TRUE(o.next.is_canonical(params))
             << o.next.to_string(params);
         // Finalization per step is bounded by the window the release can
         // cross: at most l released blocks + d−1 tracked blocks.
         EXPECT_LE(o.counts.adversary + o.counts.honest,
                   params.l + params.d - 1);
-        total += o.prob;
+        total += prob(o, params);
         if (seen.insert(o.next.pack(params)).second) frontier.push(o.next);
       }
       EXPECT_NEAR(total, 1.0, 1e-9) << s.to_string(params) << " / "

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <sstream>
 #include <string>
 
 #include "analysis/sweep.hpp"
@@ -123,6 +124,35 @@ TEST(Sweep, ERRevMonotoneInGamma) {
         << "gamma=" << gamma;
     previous = result.points[0].errev_of_policy;
   }
+}
+
+TEST(Sweep, GridReachingFullResourceWritesEveryRow) {
+  // At p = 1 the single-tree baseline's round never ends, so its CSV cell
+  // is nan while every other column of that row is written as usual.
+  selfish::AttackParams base{.p = 0.0, .gamma = 0.5, .d = 1, .f = 1, .l = 4};
+  analysis::AnalysisOptions options;
+  options.epsilon = 1e-3;
+  std::ostringstream out;
+  analysis::write_sweep_csv(analysis::sweep_p(base, {0.0, 0.5, 1.0}, options),
+                            out);
+  std::istringstream lines(out.str());
+  std::string header, row;
+  std::vector<std::string> rows;
+  ASSERT_TRUE(std::getline(lines, header));
+  while (std::getline(lines, row)) rows.push_back(row);
+  ASSERT_EQ(rows.size(), 3u);
+  const auto cell = [&](const std::string& line, std::size_t column) {
+    std::istringstream cells(line);
+    std::string value;
+    for (std::size_t c = 0; c <= column; ++c) std::getline(cells, value, ',');
+    return value;
+  };
+  ASSERT_EQ(cell(header, 4), "single_tree");
+  EXPECT_NE(cell(rows[0], 4), "nan");
+  EXPECT_NE(cell(rows[1], 4), "nan");
+  EXPECT_EQ(cell(rows[2], 4), "nan");
+  EXPECT_EQ(cell(rows[2], 0), "1");
+  EXPECT_EQ(cell(rows[2], 3), "1");  // honest share at p = 1
 }
 
 }  // namespace

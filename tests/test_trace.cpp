@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "analysis/algorithm1.hpp"
+#include "analysis/sweep.hpp"
+#include "analysis/threshold.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -211,8 +213,8 @@ TEST(KernelSpan, RecordsEachBisectionStepsBetaAndCertifiedSign) {
 
 TEST(BuildSpan, RecordsTheModelSizes) {
   // selfish::build_model opens one selfish.build span carrying the
-  // built model's states, actions and transitions, so a trace of
-  // `analyze` shows the build next to the kernel's spans.
+  // shape's states, actions and transitions, so a trace of `analyze`
+  // shows the build next to the kernel's spans.
   const EnabledGuard on(true);
   obs::flight_reset();
   const auto model = selfish::build_model(
@@ -232,6 +234,52 @@ TEST(BuildSpan, RecordsTheModelSizes) {
     ++spans;
   }
   EXPECT_EQ(spans, 1);
+  obs::flight_reset();
+}
+
+/// The flight recorder's spans named `name`, with their attrs.
+std::vector<serve::Json> spans_named(const char* name) {
+  std::vector<serve::Json> found;
+  for (const obs::FlightRecord& record : obs::flight_snapshot()) {
+    if (std::strcmp(record.name, name) != 0) continue;
+    EXPECT_NE(record.attrs[0], '\0') << "attrs did not fit the record";
+    found.push_back(serve::Json::parse(record.attrs));
+  }
+  return found;
+}
+
+TEST(BuildSpan, ASweepBuildsItsShapeOnceAndRendersEachPoint) {
+  // The five points share one shape: one selfish.build span, then one
+  // selfish.render span per point carrying its p and γ.
+  const EnabledGuard on(true);
+  obs::flight_reset();
+  const std::vector<double> ps = {0.1, 0.15, 0.2, 0.25, 0.3};
+  analysis::AnalysisOptions options;
+  options.epsilon = 1e-3;
+  analysis::sweep_p(
+      selfish::AttackParams{.p = 0.0, .gamma = 0.5, .d = 2, .f = 1, .l = 4},
+      ps, options);
+  EXPECT_EQ(spans_named("selfish.build").size(), 1u);
+  const std::vector<serve::Json> renders = spans_named("selfish.render");
+  ASSERT_EQ(renders.size(), ps.size());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    ASSERT_NE(renders[i].find("p"), nullptr);
+    ASSERT_NE(renders[i].find("gamma"), nullptr);
+    EXPECT_EQ(renders[i].find("p")->as_number(), ps[i]);
+    EXPECT_EQ(renders[i].find("gamma")->as_number(), 0.5);
+  }
+  obs::flight_reset();
+}
+
+TEST(BuildSpan, AThresholdRunBuildsOneShape) {
+  // Every probe of the search renders the one shape of the run.
+  const EnabledGuard on(true);
+  obs::flight_reset();
+  const analysis::ThresholdResult result = analysis::fairness_threshold(
+      selfish::AttackParams{.gamma = 0.5, .d = 2, .f = 1, .l = 4});
+  EXPECT_EQ(spans_named("selfish.build").size(), 1u);
+  EXPECT_EQ(spans_named("selfish.render").size(), result.probes.size());
+  EXPECT_GT(result.probes.size(), 1u);
   obs::flight_reset();
 }
 

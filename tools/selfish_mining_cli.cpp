@@ -395,12 +395,7 @@ int cmd_baselines(int argc, const char* const* argv) {
                  support::format_double(baselines::honest_errev(p), 6)});
   table.add_row(
       {"single-tree NaS (l=4, f=5)",
-       support::format_double(
-           baselines::analyze_single_tree(
-               baselines::SingleTreeParams{.p = p, .gamma = gamma,
-                                           .max_depth = 4, .max_width = 5})
-               .errev,
-           6)});
+       support::format_double(baselines::single_tree_errev(p, gamma), 6)});
   if (p < 0.5) {
     table.add_row({"Eyal-Sirer PoW selfish mining",
                    support::format_double(
