@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     write(".dot", [&](std::ostream& o) {
       mdp::DotOptions dot;
       dot.labeler = [&](mdp::StateId s) {
-        return model.space.state_of(s).to_string(params);
+        return model.space->state_of(s).to_string(params);
       };
       mdp::export_dot(model.mdp, o, dot);
     });

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   int rows = 0;
   const int max_rows = options.get_int("max-rows");
   for (const mdp::StateId s : order) {
-    const auto state = model.space.state_of(s);
+    const auto state = model.space->state_of(s);
     if (state.type == selfish::StepType::kMining) continue;  // forced mine
     if (stationary[s] < 1e-9) continue;
     const auto action = model.action_of(result.policy[s]);

@@ -26,7 +26,7 @@ PolicyStats compute_policy_stats(const selfish::SelfishModel& model,
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
     const double mu = stationary[s];
     if (mu < cutoff) continue;
-    const selfish::State state = model.space.state_of(s);
+    const selfish::State state = model.space->state_of(s);
 
     int withheld = 0;
     for (int i = 0; i < params.d; ++i) {

@@ -18,7 +18,7 @@ namespace {
 constexpr const char* kMagic = "selfish-mining-strategy v1";
 
 bool is_decision_state(const selfish::SelfishModel& model, mdp::StateId s) {
-  return model.space.state_of(s).type != selfish::StepType::kMining;
+  return model.space->state_of(s).type != selfish::StepType::kMining;
 }
 
 std::size_t count_decision_states(const selfish::SelfishModel& model) {
@@ -46,7 +46,7 @@ void save_strategy(const selfish::SelfishModel& model,
   out << "states " << count_decision_states(model) << '\n';
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
     if (!is_decision_state(model, s)) continue;
-    out << model.space.state_of(s).pack(params) << ' '
+    out << model.space->state_of(s).pack(params) << ' '
         << model.mdp.action_label(policy[s]) << '\n';
   }
 }
@@ -104,12 +104,12 @@ mdp::Policy load_strategy(const selfish::SelfishModel& model,
     SM_REQUIRE(std::sscanf(line.c_str(), "%" SCNu64 " %" SCNu32, &key,
                            &label) == 2,
                "malformed strategy entry on line ", line_no, ": ", line);
-    const std::optional<mdp::StateId> id = model.space.find(key);
+    const std::optional<mdp::StateId> id = model.space->find(key);
     SM_REQUIRE(id.has_value() && is_decision_state(model, *id), "line ",
                line_no, ": key ", key, " is not a decision state of ",
                params.to_string());
     SM_REQUIRE(!listed[*id], "line ", line_no, ": state ",
-               model.space.state_of(*id).to_string(params),
+               model.space->state_of(*id).to_string(params),
                " is listed twice");
     listed[*id] = true;
     bool found = false;
@@ -124,7 +124,7 @@ mdp::Policy load_strategy(const selfish::SelfishModel& model,
     SM_REQUIRE(found, "line ", line_no, ": action ",
                selfish::Action::decode(label).to_string(),
                " is not available in state ",
-               model.space.state_of(*id).to_string(params));
+               model.space->state_of(*id).to_string(params));
     ++loaded;
   }
   SM_REQUIRE(loaded == expected, "strategy file advertised ", expected,

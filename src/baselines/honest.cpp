@@ -13,7 +13,7 @@ mdp::Policy release_immediately_policy(const selfish::SelfishModel& model) {
   const mdp::Mdp& m = model.mdp;
   mdp::Policy policy(m.num_states());
   for (mdp::StateId s = 0; s < m.num_states(); ++s) {
-    const selfish::State state = model.space.state_of(s);
+    const selfish::State state = model.space->state_of(s);
     mdp::ActionId chosen = m.action_begin(s);  // mine (always first)
     if (state.type == selfish::StepType::kAdversaryFound) {
       // Publish the tip fork in full if it is releasable (depth 1 forks

@@ -185,25 +185,46 @@ GenericJob make_upper_bound_job(const UpperBoundQuery& query) {
   return make_job("upper-bound", std::move(options), query);
 }
 
+void NetBatchQuery::validate() const {
+  SM_CHECK_INPUT(runs > 0, "runs must be positive, got ", runs);
+  const net::ScenarioOptions& o = options;
+  SM_CHECK_INPUT(o.blocks > 0, "blocks must be positive, got ", o.blocks);
+  SM_CHECK_INPUT(std::isfinite(o.block_interval) && o.block_interval > 0.0,
+                 "interval out of (0,inf): ", o.block_interval);
+  SM_CHECK_INPUT(std::isfinite(o.delay) && o.delay >= 0.0,
+                 "delay out of [0,inf): ", o.delay);
+  SM_CHECK_INPUT(o.honest_miners >= 1, "honest must be at least 1, got ",
+                 o.honest_miners);
+  SM_CHECK_INPUT(0.0 <= o.partition_start &&
+                     o.partition_start < o.partition_stop &&
+                     std::isfinite(o.partition_stop),
+                 "partition window must satisfy 0 <= partition-start < "
+                 "partition-stop < inf, got ",
+                 o.partition_start, " and ", o.partition_stop);
+  SM_CHECK_INPUT(o.partition_fraction > 0.0 && o.partition_fraction < 1.0,
+                 "partition-frac out of (0,1): ", o.partition_fraction);
+  SM_CHECK_INPUT(std::isfinite(o.asymmetry) && o.asymmetry >= 1.0,
+                 "asymmetry out of [1,inf): ", o.asymmetry);
+  analysis::AnalysisOptions analysis_options;
+  analysis_options.epsilon = epsilon;
+  analysis_options.validate();
+}
+
 GenericJob make_net_batch_job(const NetBatchQuery& query) {
   const auto names = net::scenario_names();
-  SM_REQUIRE(std::find(names.begin(), names.end(), query.scenario) !=
-                 names.end(),
-             "unknown scenario family ", query.scenario);
-  SM_REQUIRE(query.runs > 0, "runs must be positive, got ", query.runs);
-  SM_REQUIRE(query.options.blocks > 0, "blocks must be positive");
-  analysis::AnalysisOptions analysis_options;
-  analysis_options.epsilon = query.epsilon;
-  analysis_options.validate();
+  SM_CHECK_INPUT(std::find(names.begin(), names.end(), query.scenario) !=
+                     names.end(),
+                 "unknown scenario family ", query.scenario);
+  query.validate();
   // "file:<path>" strategies are CLI-only: a file's *contents* are not
   // part of the canonical key (the artifact would silently go stale when
   // the file changes), and jobs reach this builder from the network
   // protocol — client-chosen strings must never open server-side paths.
-  SM_REQUIRE(query.options.strategy == "optimal" ||
-                 query.options.strategy == "honest" ||
-                 query.options.strategy == "never-release",
-             "net-batch strategy must be optimal | honest | never-release "
-             "(strategy files are not content-addressable)");
+  SM_CHECK_INPUT(query.options.strategy == "optimal" ||
+                     query.options.strategy == "honest" ||
+                     query.options.strategy == "never-release",
+                 "net-batch strategy must be optimal | honest | "
+                 "never-release (strategy files are not content-addressable)");
   const net::ScenarioOptions& o = query.options;
   std::string options = "scenario=" + query.scenario;
   options += "|p=" + canonical_double(o.p);

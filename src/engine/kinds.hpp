@@ -83,6 +83,13 @@ struct NetBatchQuery {
   int runs = 8;
   std::uint64_t seed = 24141;
   double epsilon = 1e-3;  ///< Algorithm 1 precision for "optimal" agents.
+
+  /// Throws support::InvalidArgument, with a plain message naming the
+  /// field, on a run count, block count, ε or scenario option out of
+  /// range; `network` and make_net_batch_job call it before any model is
+  /// built. Every family is held to the same ranges, whether it reads the
+  /// option or not.
+  void validate() const;
 };
 
 /// Job builders: validate the query (throwing support::InvalidArgument on

@@ -35,10 +35,6 @@ enum class EventKind : std::uint8_t {
   kSync = 3,     ///< A parent block fetched in response to an orphaned
                  ///< arrival (the receiver pulled the missing ancestor
                  ///< from the sender; one round trip per block).
-  kReannounce = 4,  ///< Timer retry of a send dropped on a partition-cut
-                    ///< edge: the original sender re-offers the block
-                    ///< once the cutting window should have healed, so
-                    ///< orphans survive repeated overlapping splits.
 };
 
 struct Event {

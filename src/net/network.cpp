@@ -82,8 +82,6 @@ class Simulator {
         now_ = event.time;
         ++result_.events;
         handle_mine(event.node);
-      } else if (event.kind == EventKind::kReannounce) {
-        handle_reannounce(event);
       } else {
         process_arrival(event);
       }
@@ -99,11 +97,7 @@ class Simulator {
       note_queue_depth();
       const Event event = queue_.pop();
       if (event.kind == EventKind::kMine) continue;
-      if (event.kind == EventKind::kReannounce) {
-        handle_reannounce(event);
-      } else {
-        process_arrival(event);
-      }
+      process_arrival(event);
       result_.sim_time = now_;
     }
     finalize();
@@ -224,22 +218,6 @@ class Simulator {
             double delay) {
     if (config_.topology.cut(from, to, now_)) {
       ++result_.cut_sends;
-      if (config_.reannounce_interval > 0.0) {
-        // Retry once the cutting window(s) should have healed — never
-        // earlier than one interval out, never while a currently-known
-        // window still cuts the edge. A retry that lands inside a window
-        // opened later re-enters this branch and reschedules past *its*
-        // end, so every retry strictly advances past at least one window
-        // and the chain of retries terminates.
-        Event retry;
-        retry.time = std::max(now_ + config_.reannounce_interval,
-                              config_.topology.next_heal(from, to, now_));
-        retry.kind = EventKind::kReannounce;
-        retry.node = to;
-        retry.from = from;
-        retry.block = block;
-        queue_.push(retry);
-      }
       return false;
     }
     Event event;
@@ -250,18 +228,6 @@ class Simulator {
     event.block = block;
     queue_.push(event);
     return true;
-  }
-
-  /// A cut send's timer fired: re-offer the block to the original
-  /// destination as a fresh kDeliver. If the receiver learned the block
-  /// through another path meanwhile, the arrival dedups; if the edge is
-  /// cut again (a later window), send() schedules the next retry.
-  void handle_reannounce(const Event& event) {
-    now_ = event.time;
-    ++result_.events;
-    ++result_.reannounce_events;
-    send(EventKind::kDeliver, event.from, event.node, event.block,
-         hop_delay(event.from, event.node));
   }
 
   bool knows(NodeId node, BlockId block) const {

@@ -12,8 +12,10 @@
 // parent is known there (out-of-order arrivals are parked, and a missing
 // ancestor is pulled from the sender — one round trip per block), and
 // duplicates are dropped. Timed partition windows on the topology cut
-// edges between miner groups at send time; after a window heals the
-// sides reconverge through the ancestor-fetch path.
+// edges between miner groups at send time, and a cut send is lost, not
+// retried; after a window heals the sides reconverge through the
+// ancestor-fetch path, which the next block crossing a healed edge sets
+// off.
 //
 // Beyond per-miner revenue the simulator measures the *effective gamma*:
 // the fraction of attacker tie races whose next honest block extends the
@@ -81,15 +83,6 @@ struct NetworkConfig {
   /// kept as the reference path test_net_clock pins the lazy clock
   /// against; no scenario or CLI flag turns it off.
   bool lazy_clock_reschedule = true;
-  /// When > 0, a send dropped on a partition-cut edge is retried: the
-  /// sender re-announces the block to the same destination at
-  /// max(now + interval, heal time of the cutting windows). Each retry
-  /// that lands inside a *later* split window reschedules past that
-  /// window's end too, so announcements survive repeated overlapping
-  /// splits instead of relying on a post-heal block to trigger the
-  /// ancestor-fetch path. 0 (default) disables retries — existing runs
-  /// stay bit-identical.
-  double reannounce_interval = 0.0;
 };
 
 struct NetworkResult {
@@ -108,9 +101,6 @@ struct NetworkResult {
   std::uint64_t sync_arrivals = 0;     ///< kSync parent fetches delivered.
   std::uint64_t duplicate_arrivals = 0;///< Arrivals dropped as known.
   std::uint64_t cut_sends = 0;         ///< Sends dropped by partition cuts.
-  std::uint64_t reannounce_events = 0; ///< Timer re-announces fired for
-                                       ///< cut sends (reannounce_interval
-                                       ///< > 0 only).
   /// Largest event-queue size observed while the run drained — how deep
   /// the in-flight backlog got (bursts after a partition heal dominate).
   std::uint64_t queue_high_water = 0;

@@ -146,23 +146,6 @@ void Topology::add_partition(PartitionWindow window) {
   partitions_.push_back(std::move(window));
 }
 
-double Topology::next_heal(NodeId from, NodeId to, double at) const {
-  SM_REQUIRE(from < nodes_ && to < nodes_, "topology node out of range");
-  // Fixed point: jumping to one window's end may land inside another
-  // (overlapping or abutting) window, so rescan until nothing cuts.
-  bool moved = true;
-  while (moved) {
-    moved = false;
-    for (const PartitionWindow& w : partitions_) {
-      if (at >= w.start && at < w.end && w.group[from] != w.group[to]) {
-        at = w.end;
-        moved = true;
-      }
-    }
-  }
-  return at;
-}
-
 bool Topology::cut_slow(NodeId from, NodeId to, double at) const {
   for (const PartitionWindow& w : partitions_) {
     if (at >= w.start && at < w.end && w.group[from] != w.group[to]) {

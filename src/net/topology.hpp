@@ -122,12 +122,6 @@ class Topology {
     return partitions_;
   }
 
-  /// Earliest time >= `at` when the edge from -> to is not cut by any
-  /// window. Scans to a fixed point, so overlapping or back-to-back
-  /// windows chain correctly: [5, 8) overlapped by [7, 12) heals at 12,
-  /// not 8. Returns `at` unchanged when the edge is currently open.
-  double next_heal(NodeId from, NodeId to, double at) const;
-
  private:
   static Topology complete(std::size_t nodes);
   void finish_links();  ///< Derives delays_ (shortest paths) + neighbors_.

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -42,8 +43,8 @@ ModelShape build_shape(const AttackParams& point) {
   obs::Span span("selfish.build");
   const ShapeKey key = ShapeKey::of(point);
   const AttackParams params = key.params();
-  ModelShape shape(key, StateSpace(params));
-  StateSpace& space = shape.space_;
+  ModelShape shape(key);
+  auto space = std::make_shared<StateSpace>(params);
   mdp::MdpBuilder builder;
 
   // The term lists' prefix tree: children[node·kTermCodes + code] is the
@@ -65,7 +66,7 @@ ModelShape build_shape(const AttackParams& point) {
   };
 
   const mdp::StateId initial =
-      space.intern_canonical(State::initial(params));
+      space->intern_canonical(State::initial(params));
   SM_ENSURE(initial == 0, "initial state must receive id 0");
 
   // Ids are assigned in discovery order, so processing states in id order
@@ -76,8 +77,8 @@ ModelShape build_shape(const AttackParams& point) {
   // by construction.
   std::vector<Action> actions;
   Outcomes outcomes;
-  for (mdp::StateId s_id = 0; s_id < space.size(); ++s_id) {
-    const State s = space.state_of(s_id);
+  for (mdp::StateId s_id = 0; s_id < space->size(); ++s_id) {
+    const State s = space->state_of(s_id);
     const mdp::StateId added = builder.add_state();
     SM_ENSURE(added == s_id, "builder/state-space id drift");
 
@@ -86,7 +87,7 @@ ModelShape build_shape(const AttackParams& point) {
       builder.add_action(action.encode());
       apply_action(s, action, params, outcomes);
       for (const Outcome& outcome : outcomes) {
-        const mdp::StateId target = space.intern_canonical(outcome.next);
+        const mdp::StateId target = space->intern_canonical(outcome.next);
         const std::uint32_t i = builder.add_outcome(target, outcome.counts);
         if (i == list_of.size()) {
           list_of.push_back(extend(0, outcome.term));
@@ -97,6 +98,7 @@ ModelShape build_shape(const AttackParams& point) {
     }
   }
 
+  shape.space_ = std::move(space);
   shape.structure_ = builder.build_structure(initial);
   const mdp::MdpStructure& built = *shape.structure_;
   span.attr("states", serve::Json(static_cast<std::int64_t>(
@@ -108,40 +110,32 @@ ModelShape build_shape(const AttackParams& point) {
   return shape;
 }
 
-SelfishModel ModelShape::render_around(StateSpace space,
-                                       const AttackParams& params) const {
+SelfishModel render(const ModelShape& shape, const AttackParams& params) {
   params.validate();
-  SM_REQUIRE(ShapeKey::of(params) == key_, "rendering ", params.to_string(),
-             " on the shape of ", key_.params().to_string());
+  SM_REQUIRE(ShapeKey::of(params) == shape.key_, "rendering ",
+             params.to_string(), " on the shape of ",
+             shape.key_.params().to_string());
   obs::Span span("selfish.render");
   span.attr("p", serve::Json(params.p));
   span.attr("gamma", serve::Json(params.gamma));
 
   // Every list's sum, each term added in merge order; node 0 is empty.
-  std::vector<double> sums(term_nodes_.size(), 0.0);
-  for (std::size_t k = 1; k < term_nodes_.size(); ++k) {
-    sums[k] = sums[term_nodes_[k].parent] +
-              term_nodes_[k].term.value(params.p, params.gamma);
+  const std::vector<ModelShape::TermNode>& nodes = shape.term_nodes_;
+  std::vector<double> sums(nodes.size(), 0.0);
+  for (std::size_t k = 1; k < nodes.size(); ++k) {
+    sums[k] = sums[nodes[k].parent] +
+              nodes[k].term.value(params.p, params.gamma);
   }
-  std::vector<double> probs(term_list_of_.size());
+  std::vector<double> probs(shape.term_list_of_.size());
   for (std::size_t i = 0; i < probs.size(); ++i) {
-    probs[i] = sums[term_list_of_[i]];
+    probs[i] = sums[shape.term_list_of_[i]];
   }
-  space.relabel(params);
-  return SelfishModel{params, std::move(space),
-                      mdp::Mdp(structure_, std::move(probs))};
-}
-
-SelfishModel render(const ModelShape& shape, const AttackParams& params) {
-  return shape.render_around(shape.space_, params);
+  return SelfishModel{params, shape.space_,
+                      mdp::Mdp(shape.structure_, std::move(probs))};
 }
 
 SelfishModel build_model(const AttackParams& params) {
-  // The shape serves this one point, so its dictionary moves into the
-  // model instead of being copied.
-  ModelShape shape = build_shape(params);
-  StateSpace space = std::move(shape.space_);
-  return shape.render_around(std::move(space), params);
+  return render(build_shape(params), params);
 }
 
 }  // namespace selfish

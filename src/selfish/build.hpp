@@ -12,8 +12,9 @@
 //    order it was merged, and renders an mdp::Mdp on the shared structure,
 //    which renormalizes each row and forms the expected counters. A
 //    rendered model is byte-identical to one enumerated at its point, and
-//    owns only its probabilities, expected counters and dictionary copy.
-// build_model(params) renders build_shape(params) at params, and is the
+//    owns only its probabilities and expected counters: it shares the
+//    shape's dictionary and structure, and p and γ live in its params.
+// build_model(params) is render(build_shape(params), params), and is the
 // only enumeration. A caller that needs several points of one shape owns
 // the shape for as long as it needs it: one engine::Engine::run, or one
 // analysis::fairness_threshold run. No cache outlives its caller.
@@ -21,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "mdp/mdp.hpp"
@@ -33,10 +33,11 @@
 namespace selfish {
 
 /// A built model: the MDP plus the state dictionary needed to interpret
-/// its states and action labels.
+/// its states and action labels. Every model of one shape shares the
+/// shape's dictionary, as its mdp shares the shape's structure.
 struct SelfishModel {
   AttackParams params;
-  StateSpace space;
+  std::shared_ptr<const StateSpace> space;
   mdp::Mdp mdp;
 
   /// Decodes the action label of a global MDP action id.
@@ -79,8 +80,7 @@ ModelShape build_shape(const AttackParams& params);
 /// trace span carrying p and gamma.
 SelfishModel render(const ModelShape& shape, const AttackParams& params);
 
-/// render(build_shape(params), params), except that the shape's
-/// dictionary moves into the model instead of being copied.
+/// render(build_shape(params), params).
 SelfishModel build_model(const AttackParams& params);
 
 /// A model without its probabilities. Immutable once built, so any number
@@ -88,8 +88,7 @@ SelfishModel build_model(const AttackParams& params);
 class ModelShape {
  public:
   const ShapeKey& key() const { return key_; }
-  /// The state dictionary, labelled with key().params().
-  const StateSpace& space() const { return space_; }
+  const std::shared_ptr<const StateSpace>& space() const { return space_; }
   const std::shared_ptr<const mdp::MdpStructure>& structure() const {
     return structure_;
   }
@@ -98,7 +97,6 @@ class ModelShape {
   friend ModelShape build_shape(const AttackParams& params);
   friend SelfishModel render(const ModelShape& shape,
                              const AttackParams& params);
-  friend SelfishModel build_model(const AttackParams& params);
 
   /// A term list as a node of a prefix tree: node 0 is the empty list,
   /// and every other node extends its parent's list by one term. Parents
@@ -109,16 +107,10 @@ class ModelShape {
     Term term;
   };
 
-  ModelShape(const ShapeKey& key, StateSpace space)
-      : key_(key), space_(std::move(space)) {}
-
-  /// The model at `params` around `space`, which holds this shape's
-  /// dictionary: render passes a copy, build_model the shape's own.
-  SelfishModel render_around(StateSpace space,
-                             const AttackParams& params) const;
+  explicit ModelShape(const ShapeKey& key) : key_(key) {}
 
   ShapeKey key_;
-  StateSpace space_;
+  std::shared_ptr<const StateSpace> space_;
   std::shared_ptr<const mdp::MdpStructure> structure_;
   std::vector<TermNode> term_nodes_;
   std::vector<std::uint16_t> term_list_of_;  ///< Per transition: its node.

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -28,9 +29,9 @@ void save_model(const SelfishModel& model, std::ostream& out) {
   writer.pod<std::uint8_t>(model.params.burn_lost_races ? 1 : 0);
 
   // The state dictionary: packed keys in id order.
-  writer.pod<std::uint64_t>(model.space.size());
-  for (mdp::StateId s = 0; s < model.space.size(); ++s) {
-    writer.pod<std::uint64_t>(model.space.state_of(s).pack(model.params));
+  writer.pod<std::uint64_t>(model.space->size());
+  for (mdp::StateId s = 0; s < model.space->size(); ++s) {
+    writer.pod<std::uint64_t>(model.space->state_of(s).pack(model.params));
   }
   writer.checksum();
   mdp::save_binary(model.mdp, out);
@@ -59,19 +60,19 @@ SelfishModel load_model(std::istream& in, const AttackParams& expected) {
   std::vector<std::uint64_t> keys;
   reader.array(keys);
   reader.checksum();
-  StateSpace space(cached);
+  auto space = std::make_shared<StateSpace>(cached);
   for (std::uint64_t s = 0; s < keys.size(); ++s) {
     const State state = State::unpack(keys[s], cached);
     SM_REQUIRE(state.is_canonical(cached),
                "cached state dictionary holds a non-canonical state");
-    const mdp::StateId id = space.intern(state);
+    const mdp::StateId id = space->intern(state);
     SM_REQUIRE(id == s, "cached state dictionary is out of order");
   }
 
   mdp::Mdp m = mdp::load_binary(in);
-  SM_REQUIRE(m.num_states() == space.size(),
+  SM_REQUIRE(m.num_states() == space->size(),
              "cached MDP and state dictionary disagree (", m.num_states(),
-             " vs ", space.size(), " states)");
+             " vs ", space->size(), " states)");
   return SelfishModel{cached, std::move(space), std::move(m)};
 }
 

@@ -13,7 +13,7 @@ ModelStats compute_model_stats(const SelfishModel& model) {
   std::size_t decision_states = 0;
   std::size_t decision_actions = 0;
   for (mdp::StateId s = 0; s < m.num_states(); ++s) {
-    const State state = model.space.state_of(s);
+    const State state = model.space->state_of(s);
     switch (state.type) {
       case StepType::kMining: ++stats.states_mining; break;
       case StepType::kHonestFound: ++stats.states_honest_found; break;

@@ -87,15 +87,6 @@ State StateSpace::state_of(mdp::StateId id) const {
   return State::unpack(keys_[id], params_);
 }
 
-void StateSpace::relabel(const AttackParams& params) {
-  params.validate();
-  SM_REQUIRE(params.d == params_.d && params.f == params_.f &&
-                 params.l == params_.l,
-             "relabelling a state space across shapes: ", params.to_string(),
-             " vs ", params_.to_string());
-  params_ = params;
-}
-
 std::uint64_t raw_state_count(const AttackParams& params) {
   const std::uint64_t cap = std::numeric_limits<std::int64_t>::max();
   std::uint64_t count = 3;  // type

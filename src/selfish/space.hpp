@@ -12,6 +12,10 @@
 // the initial state packs to key 0. intern, find, id_of and contains all
 // run the same probe, and none allocates except when the table or the key
 // list grows.
+//
+// A dictionary depends on d, f and l alone and records no (p, γ): every
+// model rendered from one shape shares the shape's dictionary
+// (selfish/build.hpp), and a model's point lives in its params.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +30,9 @@ namespace selfish {
 
 class StateSpace {
  public:
+  /// An empty dictionary of the states of `params`'s d, f and l.
   explicit StateSpace(const AttackParams& params);
 
-  const AttackParams& params() const { return params_; }
   std::size_t size() const { return keys_.size(); }
 
   /// Id of a canonical state, inserting it if new; throws on a state that
@@ -51,11 +55,6 @@ class StateSpace {
 
   State state_of(mdp::StateId id) const;
 
-  /// Labels this dictionary with `params`, which must agree with params()
-  /// on d, f and l: a model rendered from a shape carries its own point's
-  /// p and γ.
-  void relabel(const AttackParams& params);
-
  private:
   /// The slot holding `key`'s id, or the empty slot where the probe for
   /// `key` ends.
@@ -64,7 +63,7 @@ class StateSpace {
   /// Doubles the slot count and re-inserts every id.
   void grow();
 
-  AttackParams params_;
+  AttackParams params_;  ///< Packs and unpacks keys: d, f and l alone.
   std::vector<std::uint64_t> keys_;  ///< Packed keys in id order.
   std::vector<mdp::StateId> slots_;  ///< Ids into keys_, or kEmptySlot.
 };

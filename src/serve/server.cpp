@@ -26,6 +26,11 @@ namespace serve {
 
 namespace {
 
+/// Per-connection output-queue cap: past it the reactor stops reading
+/// from the connection until the peer drains to half (a slow reader
+/// cannot buffer the server out of memory).
+constexpr std::size_t kMaxOutputBytes = 8 << 20;
+
 /// Builds the one-shot HTTP response for a GET request line on the NDJSON
 /// port ("GET /path HTTP/1.x" — the path is the second token). On a
 /// secured server /metrics is refused (HTTP has no leg in the HMAC
@@ -476,8 +481,7 @@ void Server::enqueue_output(Connection* connection, const std::string& bytes) {
   flush_output(connection);
   if (connection->closing) return;
   const std::size_t pending = connection->out.size() - connection->out_offset;
-  if (options_.max_output_bytes > 0 && pending > options_.max_output_bytes &&
-      !connection->paused) {
+  if (pending > kMaxOutputBytes && !connection->paused) {
     // A slow reader cannot buffer the server out of memory: stop reading
     // (and so dispatching) for this connection until the peer drains.
     connection->paused = true;
@@ -512,7 +516,7 @@ void Server::flush_output(Connection* connection) {
   }
 
   const std::size_t pending = connection->out.size() - connection->out_offset;
-  if (connection->paused && pending <= options_.max_output_bytes / 2) {
+  if (connection->paused && pending <= kMaxOutputBytes / 2) {
     connection->paused = false;
   }
   if (pending == 0) {

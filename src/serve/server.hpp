@@ -21,11 +21,12 @@
 // connection whose output queue exceeds its byte cap stops being read
 // until the peer drains it; request lines longer than the line cap close
 // the connection after an error reply; and connections idle past the
-// timeout are closed and counted. All limits live in ServerOptions, are
-// advertised by the `ping` capability handshake, and are observable via
-// `stats` (transport section: this Server's counts) and the
-// selfish_serve_{busy,idle_closed,connections,transport_inflight} metrics
-// (the sums over every Server in the process).
+// timeout are closed and counted. The output cap is a constant of the
+// reactor (8 MiB, kMaxOutputBytes in server.cpp). Every other limit lives
+// in ServerOptions, is advertised by the `ping` capability handshake, and
+// is observable via `stats` (transport section: this Server's counts) and
+// the selfish_serve_{busy,idle_closed,connections,transport_inflight}
+// metrics (the sums over every Server in the process).
 //
 // The same port speaks a sliver of HTTP for operability: a connection
 // whose first bytes are an HTTP GET is answered once and closed —
@@ -79,10 +80,6 @@ struct ServerOptions {
   /// Longest accepted request line; a peer exceeding it gets an error
   /// reply and its connection closed.
   std::size_t max_line_bytes = 1 << 20;
-  /// Per-connection output-queue cap: past it the reactor stops reading
-  /// from the connection until the peer drains (a slow reader cannot
-  /// buffer the server out of memory).
-  std::size_t max_output_bytes = 8 << 20;
   /// Connections idle longer than this (no bytes, nothing in flight) are
   /// closed and counted. Finite and non-negative; 0 = never.
   double idle_timeout_seconds = 0.0;

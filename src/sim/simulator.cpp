@@ -41,34 +41,11 @@ SimulationResult simulate(const selfish::AttackParams& params,
                ? window.height() - params.d
                : 0;
   };
-  const auto owner_at = [&](std::uint64_t height) {
-    return arena.get(window.public_chain()[height]).miner == kAttacker
-               ? chain::Owner::kAdversary
-               : chain::Owner::kHonest;
-  };
-  // Snapshot the final segment's revenue above `floor` as of "now".
-  const auto stable_count = [&](std::uint64_t floor) {
-    chain::OwnershipCount count;
-    for (std::uint64_t h = floor + 1; h <= final_top(); ++h) {
-      if (owner_at(h) == chain::Owner::kAdversary) {
-        ++count.adversary;
-      } else {
-        ++count.honest;
-      }
-    }
-    return count;
-  };
 
   for (std::uint64_t step = 0; step < options.steps; ++step) {
     if (step == options.warmup_steps) {
       // Everything at depth > d is final; start counting above it.
       accounting_floor = final_top();
-    }
-    if (options.trace_interval != 0 && step > options.warmup_steps &&
-        (step - options.warmup_steps) % options.trace_interval == 0) {
-      const chain::OwnershipCount count = stable_count(accounting_floor);
-      result.trace.push_back(
-          TracePoint{step, count.relative_revenue(), count.total()});
     }
 
     const auto outcome = mining.sample_step(rng, window.lanes());
@@ -119,9 +96,14 @@ SimulationResult simulate(const selfish::AttackParams& params,
   // Count revenue over the final public chain, excluding the warmup
   // prefix and the still-contested top d blocks.
   for (std::uint64_t h = accounting_floor + 1; h <= final_top(); ++h) {
-    result.final_owners.push_back(owner_at(h));
+    if (arena.get(window.public_chain()[h]).miner == kAttacker) {
+      result.final_owners.push_back(chain::Owner::kAdversary);
+      ++result.revenue.adversary;
+    } else {
+      result.final_owners.push_back(chain::Owner::kHonest);
+      ++result.revenue.honest;
+    }
   }
-  result.revenue = stable_count(accounting_floor);
   result.errev = result.revenue.relative_revenue();
   return result;
 }

@@ -10,7 +10,8 @@
 // honest block, γ tie races, fork window of depth d, fork cap l), so the
 // empirical relative revenue of a strategy must converge to the ERRev the
 // MDP analysis predicts — the cross-validation exercised by tests and the
-// bench_simulation harness.
+// bench_simulation harness. A run reports its end-of-run revenue and
+// counters only; the final chain is walked once, after the last step.
 #pragma once
 
 #include <cstdint>
@@ -37,18 +38,6 @@ struct SimulationOptions {
   std::uint64_t steps = 500'000;        ///< Mining steps to simulate.
   std::uint64_t warmup_steps = 20'000;  ///< Steps excluded from accounting.
   std::uint64_t seed = 0x5e1f15ULL;
-  /// When non-zero, record a running relative-revenue estimate every this
-  /// many steps (after warmup) into SimulationResult::trace.
-  std::uint64_t trace_interval = 0;
-};
-
-/// One point of the convergence trace: the relative revenue accumulated
-/// over the *final* chain as of `step` (recomputed against the chain that
-/// ultimately survives reorganizations up to that moment).
-struct TracePoint {
-  std::uint64_t step = 0;
-  double errev = 0.0;
-  std::uint64_t blocks = 0;  ///< Finalized blocks behind the estimate.
 };
 
 struct SimulationResult {
@@ -58,9 +47,6 @@ struct SimulationResult {
   /// Owners of the counted final-chain segment, oldest block first; feed
   /// to chain::window_quality for (μ, ℓ)-chain-quality measurements.
   std::vector<chain::Owner> final_owners;
-
-  /// Running ERRev estimates (empty unless trace_interval was set).
-  std::vector<TracePoint> trace;
 
   // Event counters (diagnostics).
   std::uint64_t adversary_blocks_mined = 0;

@@ -11,7 +11,7 @@ MdpPolicyStrategy::MdpPolicyStrategy(const selfish::SelfishModel& model,
 }
 
 selfish::Action MdpPolicyStrategy::decide(const selfish::State& view) {
-  const mdp::StateId id = model_->space.id_of(view);
+  const mdp::StateId id = model_->space->id_of(view);
   return model_->action_of((*policy_)[id]);
 }
 

@@ -168,7 +168,7 @@ int shape_builds(Run&& run) {
 TEST(EngineShapes, PointsOfOneShapeShareOneBuild) {
   // p and γ move only the probabilities, so a batch enumerates a shape
   // once and renders every point on it: four slots racing on four
-  // threads wait for one build and share its structure.
+  // threads wait for one build and share its structure and dictionary.
   std::vector<engine::AnalysisJob> jobs;
   for (const double p : grid()) jobs.push_back(job_at(p));
   jobs.push_back(job_at(0.2));
@@ -185,9 +185,9 @@ TEST(EngineShapes, PointsOfOneShapeShareOneBuild) {
     ASSERT_NE(outcome.model, nullptr);
     EXPECT_EQ(outcome.model->mdp.structure(),
               outcomes.front().model->mdp.structure());
+    EXPECT_EQ(outcome.model->space, outcomes.front().model->space);
   }
   EXPECT_EQ(outcomes.back().model->params.gamma, 0.75);
-  EXPECT_EQ(outcomes.back().model->space.params().gamma, 0.75);
 }
 
 TEST(EngineShapes, ZeroAndFullResourceAreShapesOfTheirOwn) {

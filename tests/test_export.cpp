@@ -89,7 +89,7 @@ TEST(ExportDot, RendersSmallSelfishModel) {
   std::ostringstream os;
   mdp::DotOptions options;
   options.labeler = [&](mdp::StateId s) {
-    return model.space.state_of(s).to_string(params);
+    return model.space->state_of(s).to_string(params);
   };
   mdp::export_dot(model.mdp, os, options);
   const std::string out = os.str();

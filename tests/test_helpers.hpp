@@ -10,7 +10,7 @@
 #include "mdp/builder.hpp"
 #include "mdp/mdp.hpp"
 #include "selfish/actions.hpp"
-#include "selfish/space.hpp"
+#include "selfish/build.hpp"
 #include "selfish/transitions.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
@@ -141,12 +141,13 @@ inline std::uint64_t model_hash(const mdp::Mdp& m) {
   return hash;
 }
 
-/// FNV-1a fingerprint of a state dictionary: the packed keys in id order.
-/// Equal hashes mean the same states under the same ids.
-inline std::uint64_t state_keys_hash(const selfish::StateSpace& space) {
+/// FNV-1a fingerprint of a model's state dictionary: the packed keys in
+/// id order. Equal hashes mean the same states under the same ids.
+inline std::uint64_t state_keys_hash(const selfish::SelfishModel& model) {
+  const selfish::StateSpace& space = *model.space;
   std::uint64_t hash = support::kFnv1aBasis;
   for (mdp::StateId s = 0; s < space.size(); ++s) {
-    const std::uint64_t key = space.state_of(s).pack(space.params());
+    const std::uint64_t key = space.state_of(s).pack(model.params);
     hash = support::fnv1a64(&key, sizeof key, hash);
   }
   return hash;

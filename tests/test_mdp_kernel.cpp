@@ -246,7 +246,7 @@ TEST(BellmanKernel, SplitIsTheSelfishMiningStepType) {
       ASSERT_EQ(classes.size(), model.mdp.num_states());
       for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
         EXPECT_EQ(classes[s] == mdp::StepClass::kMining,
-                  model.space.state_of(s).type == selfish::StepType::kMining)
+                  model.space->state_of(s).type == selfish::StepType::kMining)
             << "state " << s;
       }
     }

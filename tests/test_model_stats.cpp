@@ -1,10 +1,9 @@
-// Model statistics and simulation trace instrumentation, plus
-// boundary-configuration behavior (l = 1, deep d, wide f).
+// Model statistics, plus boundary-configuration behavior (l = 1, deep d,
+// wide f).
 #include <gtest/gtest.h>
 
 #include "analysis/algorithm1.hpp"
 #include "selfish/model_stats.hpp"
-#include "sim/strategies.hpp"
 
 namespace {
 
@@ -31,7 +30,7 @@ TEST(ModelStats, MiningStatesHaveOneAction) {
   const auto model = selfish::build_model(
       selfish::AttackParams{.p = 0.3, .gamma = 0.5, .d = 2, .f = 1, .l = 4});
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
-    if (model.space.state_of(s).type == selfish::StepType::kMining) {
+    if (model.space->state_of(s).type == selfish::StepType::kMining) {
       EXPECT_EQ(model.mdp.num_actions_of(s), 1u);
     }
   }
@@ -102,43 +101,6 @@ TEST(Boundary, WideShallowConfigurationBuilds) {
   const auto result = analysis::analyze(model, options);
   // Extra tip forks add proof lanes (extra throughput) even at d = 1.
   EXPECT_GE(result.errev_of_policy, 0.3 - 1e-3);
-}
-
-TEST(SimulationTrace, RecordsConvergingEstimates) {
-  const selfish::AttackParams params{.p = 0.3, .gamma = 0.5, .d = 2, .f = 1, .l = 4};
-  const auto model = selfish::build_model(params);
-  analysis::AnalysisOptions options;
-  options.epsilon = 1e-4;
-  const auto result = analysis::analyze(model, options);
-  sim::MdpPolicyStrategy strategy(model, result.policy);
-
-  sim::SimulationOptions sim_options;
-  sim_options.steps = 400'000;
-  sim_options.warmup_steps = 20'000;
-  sim_options.trace_interval = 40'000;
-  const auto simulated = sim::simulate(params, strategy, sim_options);
-
-  ASSERT_GE(simulated.trace.size(), 5u);
-  for (std::size_t i = 1; i < simulated.trace.size(); ++i) {
-    EXPECT_GT(simulated.trace[i].step, simulated.trace[i - 1].step);
-    EXPECT_GE(simulated.trace[i].blocks, simulated.trace[i - 1].blocks);
-  }
-  // The final trace point must be near the end-of-run revenue; an early
-  // point is allowed to be noisier but still in range.
-  const auto& last = simulated.trace.back();
-  EXPECT_NEAR(last.errev, simulated.errev, 0.01);
-  EXPECT_GT(simulated.trace.front().errev, 0.2);
-  EXPECT_LT(simulated.trace.front().errev, 0.6);
-}
-
-TEST(SimulationTrace, EmptyWithoutInterval) {
-  const selfish::AttackParams params{.p = 0.3, .gamma = 0.5, .d = 1, .f = 1, .l = 4};
-  sim::ReleaseImmediatelyStrategy strategy;
-  sim::SimulationOptions sim_options;
-  sim_options.steps = 50'000;
-  sim_options.warmup_steps = 5'000;
-  const auto simulated = sim::simulate(params, strategy, sim_options);
-  EXPECT_TRUE(simulated.trace.empty());
 }
 
 }  // namespace

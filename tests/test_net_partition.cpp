@@ -94,63 +94,6 @@ TEST(NetPartition, WindowBeyondTheRunNeverCuts) {
   EXPECT_TRUE(result.converged);
 }
 
-TEST(NetPartition, NextHealSkipsOverlappingWindows) {
-  // next_heal must chase overlapping windows to a fixed point: jumping to
-  // the first window's end (8) lands inside the second ([7, 12)), so the
-  // edge only heals at 12.
-  auto topology = net::Topology::uniform(3, 0.0);
-  net::PartitionWindow first;
-  first.start = 5.0;
-  first.end = 8.0;
-  first.group = {0, 1, 1};
-  topology.add_partition(first);
-  net::PartitionWindow second;
-  second.start = 7.0;
-  second.end = 12.0;
-  second.group = {0, 1, 1};
-  topology.add_partition(second);
-
-  EXPECT_EQ(topology.next_heal(0, 1, 6.0), 12.0);
-  EXPECT_EQ(topology.next_heal(0, 1, 7.5), 12.0);   // inside the overlap
-  EXPECT_EQ(topology.next_heal(0, 1, 11.0), 12.0);  // second window only
-  EXPECT_EQ(topology.next_heal(0, 1, 4.0), 4.0);    // edge currently open
-  EXPECT_EQ(topology.next_heal(0, 1, 12.0), 12.0);  // end is exclusive
-  EXPECT_EQ(topology.next_heal(1, 2, 6.0), 6.0);    // same side: never cut
-}
-
-TEST(NetPartition, ReannounceSurvivesOverlappingWindows) {
-  // Two overlapping split windows [600, 9000) and [8000, 30000) cover
-  // the run's whole mining span (~12000 s at 200 blocks / four 60 s
-  // miners): every cross-side send is cut, and with mining over there is
-  // no post-heal block left to trigger the ancestor-fetch path — the
-  // organic recovery mechanism never fires, and the sides stay forked.
-  // Timer re-announce retries each cut send at the *fixed-point* heal
-  // time (30000, chasing the overlap), so the sides still reconverge.
-  for (const auto mode : {net::PropagationMode::kDirect,
-                          net::PropagationMode::kGossip}) {
-    SCOPED_TRACE(net::to_string(mode));
-    net::NetworkConfig config =
-        split_config(mode, 600.0, 9000.0, /*blocks=*/200);
-    net::PartitionWindow second;
-    second.start = 8000.0;
-    second.end = 30000.0;
-    second.group = {0, 0, 1, 1};
-    config.topology.add_partition(second);
-
-    const auto stuck = net::run_network(config, honest_quad());
-    EXPECT_FALSE(stuck.converged);
-    EXPECT_EQ(stuck.reannounce_events, 0u);  // default: retries off
-    EXPECT_GT(stuck.cut_sends, 0u);
-
-    config.reannounce_interval = 120.0;
-    const auto healed = net::run_network(config, honest_quad());
-    EXPECT_TRUE(healed.converged);
-    EXPECT_GT(healed.reannounce_events, 0u);
-    // The retries fired after the overlap's true heal time.
-    EXPECT_GE(healed.sim_time, 30000.0);
-  }
-}
-
 TEST(NetPartition, WindowValidation) {
   auto topology = net::Topology::uniform(3, 0.0);
   net::PartitionWindow bad_size;

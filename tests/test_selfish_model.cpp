@@ -20,7 +20,7 @@ TEST(SelfishModel, InitialStateIsZero) {
   const selfish::AttackParams params{.p = 0.3, .gamma = 0.5, .d = 2, .f = 1, .l = 4};
   const auto model = selfish::build_model(params);
   EXPECT_EQ(model.mdp.initial_state(), 0u);
-  EXPECT_EQ(model.space.state_of(0), selfish::State::initial(params));
+  EXPECT_EQ(model.space->state_of(0), selfish::State::initial(params));
 }
 
 TEST(SelfishModel, AllStatesReachableFromInitial) {
@@ -58,7 +58,7 @@ TEST(SelfishModel, ActionLabelsDecodeToAvailableActions) {
   const selfish::AttackParams params{.p = 0.3, .gamma = 0.5, .d = 2, .f = 2, .l = 3};
   const auto model = selfish::build_model(params);
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
-    const auto state = model.space.state_of(s);
+    const auto state = model.space->state_of(s);
     const auto expected = test_helpers::actions_of(state, params);
     ASSERT_EQ(model.mdp.num_actions_of(s), expected.size());
     std::size_t idx = 0;
@@ -142,7 +142,7 @@ TEST(SelfishModel, BuiltArraysArePinnedBitForBit) {
         << c.params.to_string();
     EXPECT_EQ(test_helpers::model_hash(model.mdp), c.hash)
         << c.params.to_string();
-    EXPECT_EQ(test_helpers::state_keys_hash(model.space), c.keys_hash)
+    EXPECT_EQ(test_helpers::state_keys_hash(model), c.keys_hash)
         << c.params.to_string();
   }
 }
@@ -156,7 +156,8 @@ std::string saved_bytes(const selfish::SelfishModel& model) {
 TEST(SelfishModel, RenderingOneShapeLeavesNoTraceOfEarlierPoints) {
   // A shape renders p₁, then p₂, then p₁ again: the first and third
   // models save the same bytes as each other and as p₁'s build_model,
-  // and each carries its own point's parameters.
+  // all three share the shape's one dictionary, and each carries its own
+  // point's parameters.
   const selfish::AttackParams p1{.p = 0.15, .gamma = 0.25, .d = 3, .f = 2,
                                  .l = 4};
   selfish::AttackParams p2 = p1;
@@ -171,12 +172,16 @@ TEST(SelfishModel, RenderingOneShapeLeavesNoTraceOfEarlierPoints) {
   EXPECT_EQ(saved_bytes(selfish::build_model(p1)), bytes);
   EXPECT_EQ(saved_bytes(second), saved_bytes(selfish::build_model(p2)));
   EXPECT_NE(saved_bytes(second), bytes);
-  EXPECT_EQ(first.space.params().p, p1.p);
-  EXPECT_EQ(second.space.params().gamma, p2.gamma);
+  EXPECT_EQ(first.params.p, p1.p);
+  EXPECT_EQ(second.params.p, p2.p);
+  EXPECT_EQ(second.params.gamma, p2.gamma);
   EXPECT_EQ(third.params.gamma, p1.gamma);
   EXPECT_EQ(shape.key().p, 0.5);  // the shape holds no point's value
-  EXPECT_EQ(shape.space().params().p, 0.5);
-  EXPECT_EQ(first.mdp.structure(), shape.structure());
+  ASSERT_NE(shape.space(), nullptr);
+  for (const selfish::SelfishModel* model : {&first, &second, &third}) {
+    EXPECT_EQ(model->space, shape.space());
+    EXPECT_EQ(model->mdp.structure(), shape.structure());
+  }
 }
 
 TEST(SelfishModel, RenderRefusesAPointOfAnotherShape) {

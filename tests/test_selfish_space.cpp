@@ -102,10 +102,10 @@ TEST(StateSpace, FindRefusesAbsentKeys) {
       .p = 0.3, .gamma = 0.5, .d = 2, .f = 2, .l = 4};
   const auto model = selfish::build_model(params);
   std::unordered_set<std::uint64_t> present;
-  for (mdp::StateId s = 0; s < model.space.size(); ++s) {
-    const std::uint64_t key = model.space.state_of(s).pack(params);
+  for (mdp::StateId s = 0; s < model.space->size(); ++s) {
+    const std::uint64_t key = model.space->state_of(s).pack(params);
     present.insert(key);
-    ASSERT_EQ(model.space.find(key), std::optional<mdp::StateId>(s));
+    ASSERT_EQ(model.space->find(key), std::optional<mdp::StateId>(s));
   }
   support::Rng rng(11);
   int absent = 0, wide = 0;
@@ -114,7 +114,7 @@ TEST(StateSpace, FindRefusesAbsentKeys) {
     // Half of the keys fit the packed width, half carry higher bits.
     if (absent % 2 == 0) key &= (1u << 15) - 1;
     if (present.count(key) != 0) continue;
-    ASSERT_EQ(model.space.find(key), std::nullopt) << key;
+    ASSERT_EQ(model.space->find(key), std::nullopt) << key;
     wide += (key >> 15) != 0;
     ++absent;
   }
@@ -123,7 +123,7 @@ TEST(StateSpace, FindRefusesAbsentKeys) {
   // alias the state it extends.
   for (const std::uint64_t key : present) {
     for (int bit = 15; bit < 64; bit += 7) {
-      ASSERT_EQ(model.space.find(key | (1ULL << bit)), std::nullopt)
+      ASSERT_EQ(model.space->find(key | (1ULL << bit)), std::nullopt)
           << key << " | 1 << " << bit;
     }
   }

@@ -128,7 +128,7 @@ TEST(ModelCache, RoundTripPreservesAnalysis) {
 
   expect_same_structure(original.mdp, loaded.mdp);
   for (mdp::StateId s = 0; s < original.mdp.num_states(); ++s) {
-    EXPECT_EQ(original.space.state_of(s), loaded.space.state_of(s));
+    EXPECT_EQ(original.space->state_of(s), loaded.space->state_of(s));
   }
 }
 

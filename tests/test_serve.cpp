@@ -481,10 +481,20 @@ TEST(ServeProtocol, RejectsMalformedAndInvalidRequests) {
   EXPECT_FALSE(
       reply_of(service, "{\"kind\":\"upper-bound\",\"lmin\":3,\"lmax\":3}")
           .find("ok")->as_bool());
-  EXPECT_FALSE(
-      reply_of(service,
-               "{\"kind\":\"net-batch\",\"scenario\":\"no-such\"}")
-          .find("ok")->as_bool());
+  // Scenario names and options are checked by the job builder, before
+  // the batch prepares any model, and the reply says so in plain words.
+  reply = reply_of(service,
+                   "{\"kind\":\"net-batch\",\"scenario\":\"no-such\"}");
+  EXPECT_FALSE(reply.find("ok")->as_bool());
+  EXPECT_EQ(reply.find("error")->as_string(),
+            "unknown scenario family no-such");
+  reply = reply_of(service, "{\"kind\":\"net-batch\",\"interval\":0}");
+  EXPECT_FALSE(reply.find("ok")->as_bool());
+  EXPECT_EQ(reply.find("error")->as_string(), "interval out of (0,inf): 0");
+  reply = reply_of(service, "{\"kind\":\"net-batch\",\"honest\":0}");
+  EXPECT_FALSE(reply.find("ok")->as_bool());
+  EXPECT_EQ(reply.find("error")->as_string(),
+            "honest must be at least 1, got 0");
 
   // Strategy files are CLI-only: a network client must not be able to
   // make the server open arbitrary paths.

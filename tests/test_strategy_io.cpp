@@ -66,7 +66,7 @@ TEST(StrategyIo, RoundTripPreservesPolicyBehavior) {
   const auto loaded = analysis::strategy_from_string(model, text);
   // Decision states must match exactly; mining states are forced anyway.
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
-    if (model.space.state_of(s).type != selfish::StepType::kMining) {
+    if (model.space->state_of(s).type != selfish::StepType::kMining) {
       EXPECT_EQ(loaded[s], policy[s]) << "state " << s;
     }
   }
@@ -125,7 +125,7 @@ TEST(StrategyIo, SavedStrategyOmitsMiningStates) {
   ASSERT_EQ(std::sscanf(line.c_str(), "states %zu", &advertised), 1);
   std::size_t decision = 0;
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
-    if (model.space.state_of(s).type != selfish::StepType::kMining) {
+    if (model.space->state_of(s).type != selfish::StepType::kMining) {
       ++decision;
     }
   }
@@ -161,15 +161,15 @@ TEST(StrategyIo, RejectsMiningStateEntry) {
   const auto policy = optimal_policy(model);
   StrategyText text = split(analysis::strategy_to_string(model, policy));
   mdp::StateId mining = 0;
-  while (model.space.state_of(mining).type != selfish::StepType::kMining) {
+  while (model.space->state_of(mining).type != selfish::StepType::kMining) {
     ++mining;
   }
   const std::string mining_entry =
-      std::to_string(model.space.state_of(mining).pack(model.params)) + ' ' +
+      std::to_string(model.space->state_of(mining).pack(model.params)) + ' ' +
       std::to_string(model.mdp.action_label(model.mdp.action_begin(mining)));
   std::size_t replaced = 0;
   for (mdp::StateId s = 0; s < model.mdp.num_states(); ++s) {
-    if (model.space.state_of(s).type == selfish::StepType::kMining) continue;
+    if (model.space->state_of(s).type == selfish::StepType::kMining) continue;
     if (model.action_of(policy[s]).kind == selfish::Action::Kind::kRelease) {
       break;
     }
@@ -200,7 +200,7 @@ TEST(StrategyIo, KeyWithBitsAboveThePackedWidthIsRefused) {
   std::uint64_t key = 0;
   std::uint32_t label = 0;
   std::istringstream(text.entries[0]) >> key >> label;
-  ASSERT_TRUE(model.space.find(key).has_value());
+  ASSERT_TRUE(model.space->find(key).has_value());
   const std::uint64_t wide = key | (1ULL << 9);
   text.entries[0] = std::to_string(wide) + ' ' + std::to_string(label);
   expect_refused(model, text.join(),

@@ -304,8 +304,7 @@ int cmd_network(int argc, const char* const* argv) {
     return 0;
   }
   engine::read_options(options, query);
-  SM_REQUIRE(query.options.blocks > 0, "--blocks must be positive, got ",
-             query.options.blocks);
+  query.validate();  // before any model is built
 
   net::BatchOptions batch_options;
   batch_options.runs_per_scenario = query.runs;
@@ -359,6 +358,8 @@ int cmd_export(int argc, const char* const* argv) {
   engine::read_options(options, analysis_options);
   analysis_options.solver.threads = options.get_int("threads");
   double beta = options.get_double("beta");
+  SM_CHECK_INPUT(std::isfinite(beta) && beta <= 1.0,
+                 "beta out of [0,1] (negative = the computed bound): ", beta);
   if (beta < 0.0) analysis_options.validate();
 
   const auto model = model_from(options, params);
@@ -389,6 +390,7 @@ int cmd_baselines(int argc, const char* const* argv) {
   if (!parse_or_help(options, argc, argv)) return 0;
   const double p = options.get_double("p");
   const double gamma = options.get_double("gamma");
+  selfish::AttackParams{.p = p, .gamma = gamma}.validate();
 
   support::Table table({"baseline", "ERRev"});
   table.add_row({"honest mining",
@@ -424,37 +426,42 @@ std::atomic<bool> g_flight_dump_requested{false};
 void handle_dump_signal(int) { g_flight_dump_requested.store(true); }
 
 int cmd_serve(int argc, const char* const* argv) {
+  // Every default but the port's comes from the options structs: their
+  // port 0 (ephemeral) suits tests, a deployment wants a fixed one.
+  const serve::ServerOptions defaults;
   support::Options options;
-  options.declare("host", "127.0.0.1",
+  options.declare("host", defaults.host,
                   "bind address (loopback by default; pair a non-loopback "
                   "bind with --auth-secret-file)");
   options.declare("port", "7077", "TCP port (0 = ephemeral)");
-  options.declare("threads", "0",
+  options.declare("threads", std::to_string(defaults.service.threads),
                   "concurrent jobs (0 = all cores); bounds simultaneous "
                   "solves regardless of connection count");
-  options.declare("job-threads", "1",
+  options.declare("job-threads", std::to_string(defaults.service.job_threads),
                   "worker threads inside each job (total CPU ~ threads x "
                   "job-threads; raise for few-client, latency-sensitive "
                   "use)");
-  options.declare("cache-dir", "",
+  options.declare("cache-dir", defaults.service.cache_dir,
                   "content-addressed result store shared with the batch "
                   "commands; a restarted server answers warm from it");
-  options.declare("lru-mb", "64",
+  options.declare("lru-mb", std::to_string(defaults.service.lru_bytes >> 20),
                   "in-memory artifact cache budget in MiB (0 disables)");
-  options.declare("workers", "0",
+  options.declare("workers", std::to_string(defaults.workers),
                   "protocol worker threads between the reactor and the "
                   "job pool (0 = all cores); bounds concurrent request "
                   "handling no matter how many connections are open");
-  options.declare("max-inflight", "256",
+  options.declare("max-inflight", std::to_string(defaults.max_inflight),
                   "global cap on dispatched-but-unanswered requests; "
                   "excess lines get an immediate `busy` reply (0 = off)");
-  options.declare("max-inflight-per-conn", "32",
+  options.declare("max-inflight-per-conn",
+                  std::to_string(defaults.max_inflight_per_connection),
                   "the same cap per connection, so one pipelining client "
                   "cannot monopolize the pool (0 = off)");
-  options.declare("idle-timeout", "0",
+  options.declare("idle-timeout",
+                  support::format_double(defaults.idle_timeout_seconds),
                   "seconds after which a connection with no traffic and "
                   "nothing in flight is closed (finite; 0 = never)");
-  options.declare("auth-secret-file", "",
+  options.declare("auth-secret-file", defaults.auth_secret_file,
                   "shared-secret file; when set, every non-ping request "
                   "must first pass the HMAC-SHA256 ping challenge and "
                   "HTTP /metrics is refused (/healthz stays open)");
